@@ -1,10 +1,10 @@
 // Module-level benchmarks: one benchmark per reproduction experiment
-// (E1–E17, see DESIGN.md §3) plus micro-benchmarks of the simulator's
-// per-round cost. Each experiment benchmark executes the harness at reduced
-// scale and prints its tables once, so `go test -bench=. -benchmem`
-// regenerates the full set of paper-reproduction rows; full-scale tables
-// come from `go run ./cmd/missweep -run all` and are recorded in
-// EXPERIMENTS.md.
+// (indexed by `go run ./cmd/missweep -list`) plus micro-benchmarks of the
+// simulator's per-round cost. Each experiment benchmark executes the
+// harness at reduced scale and prints its tables once, so
+// `go test -bench=. -benchmem` regenerates the full set of
+// paper-reproduction rows; full-scale tables come from
+// `go run ./cmd/missweep -run all`.
 package ssmis_test
 
 import (

@@ -42,8 +42,8 @@
 // invocation (same -scale, -seed, and -run selection; intact envelope,
 // same format version) and refuses to resume otherwise.
 //
-// Experiment ids and claims are listed by -list and indexed in DESIGN.md §3;
-// the full-scale outputs are recorded in EXPERIMENTS.md.
+// Experiment ids and claims are listed by -list; -run all at the default
+// -scale 1 regenerates the full-scale tables.
 package main
 
 import (

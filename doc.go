@@ -190,6 +190,37 @@
 // at >= 1.1x (flat vs auto on relabeled Chung-Lu n=10^6) and the narrow
 // lanes at >= 1.0x (Gnp n=10^6, must never lose).
 //
+// Layer 1c — the phase clock (internal/phaseclock). The 3-color rule's
+// logarithmic switch runs as its mid-round sub-process on a
+// phaseclock.Clock, as do the standalone switch (E8) and the restart
+// baseline (E10, E17). Read literally, the RandPhase rule gathers the
+// maximum level over every neighbour of every vertex below the top level
+// D+2, every round: O(n·Δ) per round. On the dense G(n,p) of E7 and E13 that
+// was two thirds of the CPU time of a one-worker quick sweep (missweep -run
+// all -scale 0.25). The clock instead keeps, per vertex, the number of
+// neighbours at the top. Only two moves change who is at the top, 0 → top
+// and the ζ-coin's top → top−1, so each round records those vertices and,
+// once every vertex has read the round's counts, adjusts the counts of their
+// neighbours. A vertex that leaves the top, or sits below it with a top
+// neighbour, moves to top−1 without reading anything; a vertex at top−1 with
+// no top neighbour moves to top−2; any other vertex gathers and stops at the
+// first neighbour at top−1, the largest level it can find there. A round
+// therefore costs one pass over the levels with a ζ-coin per top vertex,
+// plus Σ deg over the round's entering and leaving vertices, plus the
+// remaining gathers, which are long only in the few descent rounds of each
+// cycle. On G(1024, 0.25) that is about 1.7 neighbour reads and 0.5 count
+// updates per vertex-round instead of 224 reads, and the one-worker quick
+// sweep fell from 23.7 s to 8.6 s, the clock's share from 66% to 19% (2-vCPU
+// Intel Xeon, Go 1.24). Sparse graphs gain little (G(10^5) at average degree
+// 10: 8.3 reads instead of 9.9), because most of their vertex-rounds still
+// gather. The counts are derived state: New, RandomizeLevels and Rebind
+// rebuild them in O(n+m), SetLevel (corruption, checkpoint restore) adjusts
+// them in O(deg), a RunContext leases them with the level arrays, and
+// snapshots store levels only. On a complete graph one global maximum per
+// round serves every vertex and no counts are kept. Levels, coin order and
+// bit accounting are those of the literal rule; the package's oracle test
+// checks that every round.
+//
 // Layer 2 — internal/batch, many runs. Every multi-run workload executes on
 // a work-stealing batch scheduler: work is submitted as shards (one graph,
 // many seeds — the graph builds once, lazily, and is shared read-only
@@ -338,6 +369,7 @@
 //	}
 //
 // All randomness derives from explicit seeds; a run is a pure function of
-// (graph, seed, initializer). See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// (graph, seed, initializer). `missweep -list` indexes the experiments
+// E1–E19 and the paper claims they reproduce; `missweep -run all`
+// regenerates their tables.
 package ssmis

@@ -5,7 +5,7 @@ import (
 )
 
 // Experiment binds one of the paper's quantitative claims to a runnable
-// reproduction; see DESIGN.md §3 for the index E1–E13.
+// reproduction; `missweep -list` prints the index E1–E19.
 type Experiment = experiment.Experiment
 
 // ExperimentConfig controls an experiment's cost (Scale ∈ (0, 4], Seed).
@@ -20,7 +20,8 @@ func Experiments() []Experiment { return experiment.Registry() }
 // ExperimentByID looks up an experiment ("E1".."E19", case-insensitive).
 func ExperimentByID(id string) (Experiment, bool) { return experiment.ByID(id) }
 
-// FullExperimentConfig is the configuration recorded in EXPERIMENTS.md.
+// FullExperimentConfig is the full-scale configuration, the one
+// `missweep -run all` uses by default.
 func FullExperimentConfig() ExperimentConfig { return experiment.DefaultConfig() }
 
 // QuickExperimentConfig is the reduced configuration used by benchmarks.

@@ -129,7 +129,7 @@ func (r *RestartMIS) Step() {
 	copy(r.state, next)
 
 	// Clock advances; a 0→top wrap restarts the vertex's computation.
-	r.clock.Step(func(u int) *xrand.Rand { return r.rngs[u] })
+	r.clock.Step(r.rngs)
 	for u := 0; u < n; u++ {
 		lvl := r.clock.Level(u)
 		if r.prevLevel[u] == 0 && lvl == r.clock.Top() {

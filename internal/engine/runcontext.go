@@ -46,8 +46,10 @@ type RunContext struct {
 	rngs  []*xrand.Rand
 
 	// clockA/clockB back a rule's phase-clock level arrays (the 3-color
-	// switch), leased through ClockBufs.
-	clockA, clockB []uint8
+	// switch), clockTop its top-neighbour counts and clockFlips its
+	// per-round scratch, all leased through ClockBufs.
+	clockA, clockB       []uint8
+	clockTop, clockFlips []int32
 
 	// Locality-ordering memo: batch shards run thousands of seeds over one
 	// shared graph, and the degree-bucketed ordering is a pure function of
@@ -132,14 +134,19 @@ func growU8(buf []uint8, n int) []uint8 {
 	return buf
 }
 
-// ClockBufs leases the context's phase-clock level arrays (current and
-// next), zeroed, length n — the 3-color process hands them to its switch
-// via phaseclock.WithBuffers, closing that rule's last per-run O(n)
-// allocation.
-func (c *RunContext) ClockBufs(n int) (levels, next []uint8) {
+// ClockBufs leases the context's phase-clock arrays — current and next
+// levels and the top-neighbour counts, zeroed, length n, plus the
+// per-round flip scratch, empty with capacity n. The 3-color process hands
+// them to its switch via phaseclock.WithBuffers, closing that rule's last
+// per-run O(n) allocation.
+func (c *RunContext) ClockBufs(n int) (levels, next []uint8, topNbrs, flips []int32) {
 	c.clockA = growU8(c.clockA, n)
 	c.clockB = growU8(c.clockB, n)
-	return c.clockA, c.clockB
+	c.clockTop = growI32(c.clockTop, n)
+	if cap(c.clockFlips) < n {
+		c.clockFlips = make([]int32, 0, n)
+	}
+	return c.clockA, c.clockB, c.clockTop, c.clockFlips[:0]
 }
 
 // BoolBuf leases the context's per-vertex mask buffer, zeroed, length n

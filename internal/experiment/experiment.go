@@ -2,13 +2,12 @@
 // quantitative claim of the paper (theorems, lemmas, remarks — the paper has
 // no numbered tables or figures, so the claims play that role) to a runnable
 // experiment that regenerates the corresponding numbers as a formatted
-// table. The registry is consumed by cmd/missweep and by the module-level
-// benchmarks in bench_test.go; EXPERIMENTS.md records the outcomes.
+// table. The registry is consumed by cmd/missweep (whose -list prints it)
+// and by the module-level benchmarks in bench_test.go.
 package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -20,8 +19,8 @@ import (
 // Config controls the cost of a run.
 type Config struct {
 	// Scale multiplies problem sizes and trial counts. 1.0 is the full
-	// EXPERIMENTS.md configuration; 0.25 is the quick configuration used by
-	// benchmarks and smoke tests. Values are clamped to [0.05, 4].
+	// configuration (missweep's default); 0.25 is the quick configuration
+	// used by benchmarks and smoke tests. Values are clamped to [0.05, 4].
 	Scale float64
 	// Seed is the master seed; every trial derives from it.
 	Seed uint64
@@ -285,7 +284,8 @@ type Experiment struct {
 	Run func(cfg Config) []Table
 }
 
-// Registry returns all experiments in ID order.
+// Registry returns all experiments in ID order, the order of the literal
+// below.
 func Registry() []Experiment {
 	exps := []Experiment{
 		e01CliqueTwoState(),
@@ -308,14 +308,7 @@ func Registry() []Experiment {
 		e18DaemonSchedules(),
 		e19AsyncDrift(),
 	}
-	sort.Slice(exps, func(i, j int) bool { return idOrder(exps[i].ID) < idOrder(exps[j].ID) })
 	return exps
-}
-
-func idOrder(id string) int {
-	var k int
-	fmt.Sscanf(id, "E%d", &k)
-	return k
 }
 
 // ByID looks an experiment up; ok is false for unknown ids.

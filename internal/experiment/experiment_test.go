@@ -88,8 +88,8 @@ func TestKindString(t *testing.T) {
 
 // Smoke-run every experiment at the minimum scale: each must produce at
 // least one table with at least one row and no experiment may panic. This is
-// the integration test of the whole harness; the full-scale numbers live in
-// EXPERIMENTS.md.
+// the integration test of the whole harness; the full-scale numbers come
+// from `missweep -run all`.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite skipped in -short mode")

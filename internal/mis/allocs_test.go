@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"runtime"
 	"testing"
 
 	"ssmis/internal/engine"
@@ -57,5 +58,30 @@ func TestThreeColorRunContextAmortizesAllocations(t *testing.T) {
 	// clock level arrays); a context-backed run must not scale with n.
 	if avg > 24 {
 		t.Fatalf("context-backed 3-color run averaged %.1f allocations, want O(1)", avg)
+	}
+
+	// The allocation count cannot see one extra make of a per-vertex array,
+	// so bound the bytes too: a warm run at n = 2^14 must allocate less than
+	// n bytes, which no unleased per-vertex array (the clock's levels,
+	// counts or flip scratch) fits under. ζ = 2^-3 keeps the run short; the
+	// lease does not depend on it.
+	big := graph.GnpAvgDegree(1<<14, 8, xrand.New(10))
+	bigCtx := engine.NewRunContext()
+	runBig := func(seed uint64) {
+		p := NewThreeColor(big, WithRunContext(bigCtx), WithSeed(seed), WithSwitchZetaLog2(3))
+		if res := Run(p, 4*DefaultRoundCap(big.N())); !res.Stabilized {
+			t.Fatal("n = 2^14 run did not stabilize")
+		}
+	}
+	runBig(1)
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runBig(uint64(2 + i))
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= uint64(big.N()) {
+		t.Fatalf("context-backed 3-color run at n = %d allocated %d bytes, want < n", big.N(), perRun)
 	}
 }

@@ -106,7 +106,7 @@ func (r *threeColorRule) Evaluate(u int, s uint8, _, _ int32, d *engine.Draw) ui
 // MidRound advances the switch one synchronous round on the shared
 // per-vertex streams, after the color coins and before the commit.
 func (r *threeColorRule) MidRound() {
-	r.clock.Step(func(u int) *xrand.Rand { return r.rngs[u] })
+	r.clock.Step(r.rngs)
 }
 
 // threeColorProg is Definition 28 as a compiled lane program: the 2-state
@@ -198,14 +198,13 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 		}
 	}
 	// D=3, on iff level ≤ 2; ζ = 2^-switchZetaLog2 (paper: 2^-7). A run
-	// context leases the clock's level arrays too, so a context-backed
-	// 3-color run makes no per-run O(n) allocation at all. The clock lives
-	// in the engine's (possibly relabeled) vertex space.
+	// context leases the clock's level, count and scratch arrays too, so a
+	// context-backed 3-color run makes no per-run O(n) allocation at all.
+	// The clock lives in the engine's (possibly relabeled) vertex space.
 	var clock *phaseclock.Clock
 	if o.ctx != nil {
-		levels, next := o.ctx.ClockBufs(n)
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2),
-			phaseclock.WithBuffers(levels, next))
+			phaseclock.WithBuffers(o.ctx.ClockBufs(n)))
 	} else {
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2))
 	}

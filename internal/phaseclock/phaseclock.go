@@ -13,6 +13,17 @@
 // σ(u) = on iff level(u) ≤ 2, and parameter ζ = 2^-7 (so a = 4/ζ = 512).
 // Unlike RandPhase, the switch is used as a local, non-synchronized counter:
 // the paper only needs properties (S1)–(S3) of Definition 25.
+//
+// Clock evaluates the rule incrementally. It keeps, per vertex, the number
+// of neighbours at the top level, and updates those counts after each
+// round from the few vertices that entered the top (from level 0) or left
+// it (on the ζ-coin). A vertex below the top with a top neighbour moves to
+// D+1 without reading its neighbours; a vertex that leaves the top moves to
+// D+1 too; every other vertex gathers the maximum over its neighbours and
+// stops at the first one at D+1, the largest level it can find there.
+// Levels, coin order and bit accounting are exactly the rule's. On a
+// complete graph the clock takes the global maximum instead and keeps no
+// counts.
 package phaseclock
 
 import (
@@ -34,12 +45,19 @@ const SwitchA = 512
 // 3-color MIS process interleave its color coins and switch coins
 // deterministically on a single per-vertex stream.
 type Clock struct {
-	g         *graph.Graph
-	d         int // RandPhase parameter D; levels are 0..d+2
-	zetaLog2  uint
-	onMax     uint8 // σ(u) = on iff level(u) <= onMax
-	levels    []uint8
-	next      []uint8
+	g        *graph.Graph
+	d        int // RandPhase parameter D; levels are 0..d+2
+	zetaLog2 uint
+	onMax    uint8 // σ(u) = on iff level(u) <= onMax
+	levels   []uint8
+	next     []uint8
+	// topNbrs[u] counts u's neighbours at the top level. It is derived
+	// from levels (never stored in snapshots) and unused on complete
+	// graphs.
+	topNbrs []int32
+	// flips is per-round scratch: the vertices that entered the top (u)
+	// or left it (^u) this round, whose neighbours' counts change.
+	flips     []int32
 	round     int
 	bits      int64
 	completeG bool // fast path: global max level suffices
@@ -63,15 +81,18 @@ func WithOnThreshold(m uint8) Option {
 	return func(c *Clock) { c.onMax = m }
 }
 
-// WithBuffers builds the clock on caller-owned level arrays instead of
-// fresh allocations — the engine.RunContext lease that closes the last
-// per-run O(n) allocation of the 18-state process. Both slices must have
-// length g.N(); New zeroes them. The caller owns the memory: a clock built
+// WithBuffers builds the clock on caller-owned arrays instead of fresh
+// allocations — the engine.RunContext lease that closes the last per-run
+// O(n) allocation of the 18-state process. levels, next and topNbrs must
+// have length g.N(); New zeroes them. flips is the per-round scratch; with
+// capacity g.N() it never grows. The caller owns the memory: a clock built
 // on leased buffers must not be used after the context's next lease.
-func WithBuffers(levels, next []uint8) Option {
+func WithBuffers(levels, next []uint8, topNbrs, flips []int32) Option {
 	return func(c *Clock) {
 		c.levels = levels
 		c.next = next
+		c.topNbrs = topNbrs
+		c.flips = flips[:0]
 	}
 }
 
@@ -96,29 +117,57 @@ func New(g *graph.Graph, opts ...Option) *Clock {
 	if c.levels == nil && c.next == nil {
 		c.levels = make([]uint8, n)
 		c.next = make([]uint8, n)
+		c.topNbrs = make([]int32, n)
+		c.flips = make([]int32, 0, n)
 	} else {
-		if len(c.levels) != n || len(c.next) != n {
-			panic(fmt.Sprintf("phaseclock: leased buffers of length %d/%d for graph order %d",
-				len(c.levels), len(c.next), n))
+		if len(c.levels) != n || len(c.next) != n || len(c.topNbrs) != n {
+			panic(fmt.Sprintf("phaseclock: leased buffers of length %d/%d/%d for graph order %d",
+				len(c.levels), len(c.next), len(c.topNbrs), n))
 		}
-		for u := 0; u < n; u++ {
-			c.levels[u] = 0
-			c.next[u] = 0
-		}
+		clear(c.levels)
+		clear(c.next)
+		clear(c.topNbrs)
 	}
-	c.completeG = n >= 2 && g.M() == n*(n-1)/2
+	// All levels are zero, so no vertex has a top neighbour: the zeroed
+	// counts are already exact.
+	c.completeG = isComplete(g)
 	return c
 }
 
+// isComplete reports whether g is a complete graph on at least two
+// vertices, where the global maximum level replaces every gather.
+func isComplete(g *graph.Graph) bool {
+	n := g.N()
+	return n >= 2 && g.M() == n*(n-1)/2
+}
+
+// recount rebuilds the top-neighbour counts from the levels in O(n+m).
+// Complete graphs keep no counts.
+func (c *Clock) recount() {
+	if c.completeG {
+		return
+	}
+	clear(c.topNbrs)
+	top := c.Top()
+	for u, l := range c.levels {
+		if l == top {
+			for _, v := range c.g.Neighbors(u) {
+				c.topNbrs[v]++
+			}
+		}
+	}
+}
+
 // Rebind switches the clock to a new graph on the same vertex set, keeping
-// all levels (topology churn). It panics on order mismatch.
+// all levels (topology churn) and recounting top neighbours on the new
+// graph. It panics on order mismatch.
 func (c *Clock) Rebind(g *graph.Graph) {
 	if g.N() != c.g.N() {
 		panic(fmt.Sprintf("phaseclock: Rebind to order %d != %d", g.N(), c.g.N()))
 	}
 	c.g = g
-	n := g.N()
-	c.completeG = n >= 2 && g.M() == n*(n-1)/2
+	c.completeG = isComplete(g)
+	c.recount()
 }
 
 // Top returns the highest level, D+2.
@@ -141,13 +190,26 @@ func (c *Clock) SetRandomBits(bits int64) { c.bits = bits }
 // Level returns the current level of u.
 func (c *Clock) Level(u int) uint8 { return c.levels[u] }
 
-// SetLevel overwrites the level of u (adversarial initialization /
-// corruption). It panics if the level exceeds Top.
+// SetLevel overwrites the level of u (adversarial initialization,
+// corruption, checkpoint restore) and adjusts its neighbours' top counts in
+// O(deg u). It panics if the level exceeds Top.
 func (c *Clock) SetLevel(u int, level uint8) {
-	if level > c.Top() {
-		panic(fmt.Sprintf("phaseclock: level %d > top %d", level, c.Top()))
+	top := c.Top()
+	if level > top {
+		panic(fmt.Sprintf("phaseclock: level %d > top %d", level, top))
 	}
+	wasTop := c.levels[u] == top
 	c.levels[u] = level
+	if c.completeG || wasTop == (level == top) {
+		return
+	}
+	d := int32(1)
+	if wasTop {
+		d = -1
+	}
+	for _, v := range c.g.Neighbors(u) {
+		c.topNbrs[v] += d
+	}
 }
 
 // RandomizeLevels sets every level to an independent uniform value in
@@ -170,6 +232,7 @@ func (c *Clock) RandomizeLevelsPerm(rng *xrand.Rand, perm []int32) {
 		}
 		c.levels[i] = uint8(rng.Intn(top))
 	}
+	c.recount()
 }
 
 // On reports the switch value of u: on iff level(u) <= onMax.
@@ -239,54 +302,104 @@ func (c *Clock) exportOnBytes(dst []uint64, fromWord int) {
 	}
 }
 
-// Step advances the clock one synchronous round. rngAt(u) must return the
-// random stream of vertex u; it is consulted only for vertices at the top
-// level, in increasing vertex order.
-func (c *Clock) Step(rngAt func(u int) *xrand.Rand) {
-	top := c.Top()
-	var globalMax uint8
-	if c.completeG {
-		for _, l := range c.levels {
-			if l > globalMax {
-				globalMax = l
-			}
-		}
+// Step advances the clock one synchronous round. rngs[u] is the random
+// stream of vertex u; it is drawn from only for vertices at the top level,
+// in increasing vertex order.
+func (c *Clock) Step(rngs []*xrand.Rand) {
+	if len(rngs) != len(c.levels) {
+		panic(fmt.Sprintf("phaseclock: Step with %d streams for %d vertices", len(rngs), len(c.levels)))
 	}
-	for u := range c.levels {
-		l := c.levels[u]
-		stayTop := false
-		if l == top {
-			// The bit is 0 with probability ζ; on 1 the vertex stays at top.
-			leave := rngAt(u).BernoulliPow2(c.zetaLog2)
-			c.bits += int64(c.zetaLog2)
-			stayTop = !leave
-		}
-		switch {
-		case stayTop || l == 0:
-			c.next[u] = top
-		default:
-			m := l
-			if c.completeG {
-				if globalMax > m {
-					m = globalMax
-				}
-			} else {
-				for _, v := range c.g.Neighbors(u) {
-					if lv := c.levels[v]; lv > m {
-						m = lv
-					}
-				}
-			}
-			c.next[u] = m - 1
-		}
+	if c.completeG {
+		c.stepComplete(rngs)
+	} else {
+		c.stepCounted(rngs)
 	}
 	c.levels, c.next = c.next, c.levels
 	c.round++
 }
 
-// StepOwnRandom advances the clock using streams split from the given master
-// generator (stream u = master.Split(u)); convenient for standalone use.
-// The split streams are cached on first use.
+// stepCounted is one round on a general graph, driven by the top-neighbour
+// counts (see the package doc). A gather runs only when the count is zero,
+// so top−1 is the largest level it can meet. Count updates wait until every
+// vertex has read the counts of this round's levels.
+func (c *Clock) stepCounted(rngs []*xrand.Rand) {
+	top := c.Top()
+	levels, next, topNbrs := c.levels, c.next, c.topNbrs
+	flips := c.flips[:0]
+	var atTop int64
+	for u, l := range levels {
+		switch {
+		case l == top:
+			// The bit is 0 with probability ζ; on 1 the vertex stays at top.
+			atTop++
+			if rngs[u].BernoulliPow2(c.zetaLog2) {
+				next[u] = top - 1
+				flips = append(flips, ^int32(u))
+			} else {
+				next[u] = top
+			}
+		case l == 0:
+			next[u] = top
+			flips = append(flips, int32(u))
+		case topNbrs[u] > 0:
+			next[u] = top - 1
+		default:
+			m := l
+			if m < top-1 {
+				for _, v := range c.g.Neighbors(u) {
+					if lv := levels[v]; lv > m {
+						m = lv
+						if m == top-1 {
+							break
+						}
+					}
+				}
+			}
+			next[u] = m - 1
+		}
+	}
+	for _, f := range flips {
+		d := int32(1)
+		if f < 0 {
+			f, d = ^f, -1
+		}
+		for _, v := range c.g.Neighbors(int(f)) {
+			topNbrs[v] += d
+		}
+	}
+	c.flips = flips
+	c.bits += atTop * int64(c.zetaLog2)
+}
+
+// stepComplete is one round on a complete graph: every closed neighbourhood
+// is the whole vertex set, so one global maximum serves every vertex.
+func (c *Clock) stepComplete(rngs []*xrand.Rand) {
+	top := c.Top()
+	var globalMax uint8
+	for _, l := range c.levels {
+		if l > globalMax {
+			globalMax = l
+		}
+	}
+	for u, l := range c.levels {
+		switch {
+		case l == top:
+			c.bits += int64(c.zetaLog2)
+			if rngs[u].BernoulliPow2(c.zetaLog2) {
+				c.next[u] = top - 1
+			} else {
+				c.next[u] = top
+			}
+		case l == 0:
+			c.next[u] = top
+		default:
+			c.next[u] = globalMax - 1 // globalMax >= l
+		}
+	}
+}
+
+// Standalone is a clock that owns its per-vertex random streams, split
+// from one master generator (stream u = master.Split(u)).
 type Standalone struct {
 	*Clock
 	rngs []*xrand.Rand
@@ -306,6 +419,4 @@ func NewStandalone(g *graph.Graph, seed uint64, opts ...Option) *Standalone {
 }
 
 // Step advances the standalone clock one round.
-func (s *Standalone) Step() {
-	s.Clock.Step(func(u int) *xrand.Rand { return s.rngs[u] })
-}
+func (s *Standalone) Step() { s.Clock.Step(s.rngs) }

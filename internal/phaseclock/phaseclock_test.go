@@ -30,7 +30,7 @@ func TestZeroJumpsToTop(t *testing.T) {
 		rngs[u] = rng.Split(uint64(u))
 	}
 	// All levels start 0; one step must send everyone to top.
-	c.Step(func(u int) *xrand.Rand { return rngs[u] })
+	c.Step(rngs)
 	for u := 0; u < g.N(); u++ {
 		if c.Level(u) != c.Top() {
 			t.Fatalf("level(%d) = %d, want top %d", u, c.Level(u), c.Top())
@@ -214,6 +214,7 @@ func TestCompleteGraphFastPathMatchesGeneric(t *testing.T) {
 	a := NewStandalone(g, 15)
 	b := NewStandalone(g, 15)
 	b.completeG = false
+	b.recount() // the complete-graph path keeps no counts
 	for r := 0; r < 300; r++ {
 		a.Step()
 		b.Step()
