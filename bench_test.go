@@ -14,6 +14,7 @@ import (
 
 	"ssmis"
 	"ssmis/internal/baseline"
+	"ssmis/internal/engine"
 	"ssmis/internal/graph"
 	"ssmis/internal/mis"
 	"ssmis/internal/xrand"
@@ -128,12 +129,9 @@ func BenchmarkStepTwoStateGnp100k(b *testing.B) {
 	}
 }
 
-// --- shared-engine benchmarks: frontier vs full-rescan, sequential vs
-// workers, scalar vs bit-sliced kernel (see BENCH_engine.json for recorded
-// results). The Frontier/Rescan/Workers rows pin the scalar interface path
-// (WithScalarEngine) so their history stays comparable across PRs; the
-// Kernel rows measure the same workloads on the bit-sliced path the 2-state
-// process now selects by default. ---
+// --- shared-engine benchmarks: the bit-sliced engine on sparse, heavy-tailed
+// and complete graphs, sequential and with workers, for all three rules (see
+// BENCH_engine.json for recorded results). ---
 
 // benchEngine measures full time-to-stabilization of the 2-state process on
 // a fixed graph under the given extra options.
@@ -145,7 +143,7 @@ func benchEngine(b *testing.B, g *ssmis.Graph, opts ...ssmis.Option) {
 }
 
 // benchEngineProc is benchEngine generalized over the process constructor,
-// for the 3-state and 3-color kernel rows.
+// for the 3-state and 3-color rows.
 func benchEngineProc(b *testing.B, g *ssmis.Graph,
 	mk func(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process, opts ...ssmis.Option) {
 	b.Helper()
@@ -164,53 +162,29 @@ func benchEngineProc(b *testing.B, g *ssmis.Graph,
 }
 
 func BenchmarkEngineFrontierGnp100k(b *testing.B) {
-	benchEngine(b, ssmis.GnpAvgDegree(100000, 10, 7), ssmis.WithScalarEngine())
-}
-
-func BenchmarkEngineRescanGnp100k(b *testing.B) {
-	// The pre-engine cost model: every vertex re-derived every round.
-	benchEngine(b, ssmis.GnpAvgDegree(100000, 10, 7), ssmis.WithScalarEngine(), mis.WithFullRescan())
+	benchEngine(b, ssmis.GnpAvgDegree(100000, 10, 7))
 }
 
 func BenchmarkEngineFrontierChungLu100k(b *testing.B) {
-	benchEngine(b, ssmis.ChungLu(100000, 2.5, 10, 7), ssmis.WithScalarEngine())
-}
-
-func BenchmarkEngineRescanChungLu100k(b *testing.B) {
-	benchEngine(b, ssmis.ChungLu(100000, 2.5, 10, 7), ssmis.WithScalarEngine(), mis.WithFullRescan())
-}
-
-func BenchmarkEngineFrontierGnp1M(b *testing.B) {
-	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7), ssmis.WithScalarEngine())
+	benchEngine(b, ssmis.ChungLu(100000, 2.5, 10, 7))
 }
 
 func BenchmarkEngineWorkersGnp1M(b *testing.B) {
-	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7), ssmis.WithScalarEngine(), ssmis.WithWorkers(8))
-}
-
-func BenchmarkEngineFrontierClique4k(b *testing.B) {
-	// Refresh-heavy: on a complete graph every changing round sets dirtyAll
-	// and the membership refresh rescans all n vertices.
-	benchEngine(b, ssmis.Complete(4096), ssmis.WithScalarEngine())
+	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7), ssmis.WithWorkers(8))
 }
 
 func BenchmarkEngineWorkersClique4k(b *testing.B) {
-	// Same workload through the partitioned two-phase refresh at workers=8.
-	benchEngine(b, ssmis.Complete(4096), ssmis.WithScalarEngine(), ssmis.WithWorkers(8))
-}
-
-func BenchmarkEngineFrontierChungLu1M(b *testing.B) {
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7), ssmis.WithScalarEngine())
+	// The complete-graph workload through the partitioned two-phase refresh
+	// at workers=8.
+	benchEngine(b, ssmis.Complete(4096), ssmis.WithWorkers(8))
 }
 
 func BenchmarkEngineWorkersChungLu1M(b *testing.B) {
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7), ssmis.WithScalarEngine(), ssmis.WithWorkers(8))
+	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7), ssmis.WithWorkers(8))
 }
 
 func BenchmarkEngineKernelGnp1M(b *testing.B) {
-	// The bit-sliced kernel on the n=10^6 frontier workload; compare with
-	// BenchmarkEngineFrontierGnp1M (the scalar row) — the runs are
-	// coin-for-coin identical, only the execution path differs.
+	// The n=10^6 frontier workload (the misbench gnp1m-2state instance).
 	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7))
 }
 
@@ -219,8 +193,8 @@ func BenchmarkEngineKernelChungLu1M(b *testing.B) {
 }
 
 func BenchmarkEngineKernelClique4k(b *testing.B) {
-	// The complete-graph fast path on lanes: hasBlackNbr re-derived from the
-	// class total in O(n/64) words per full rescan.
+	// Refresh-heavy: on a complete graph every changing round sets dirtyAll,
+	// and hasBlackNbr is re-derived from the class total in O(n/64) words.
 	benchEngine(b, ssmis.Complete(4096))
 }
 
@@ -232,28 +206,28 @@ func BenchmarkEngineKernelClique4k(b *testing.B) {
 
 func BenchmarkCountersFlatGnp1M(b *testing.B) {
 	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7),
-		ssmis.WithCounterLayout(ssmis.CounterFlat))
+		mis.WithCounterLayout(engine.LayoutFlat))
 }
 
 func BenchmarkCountersNarrowGnp1M(b *testing.B) {
 	// Auto resolves the same geometry on this degree profile (max degree
 	// fits a byte, no hub prefix): narrow lanes, 4x less scatter traffic.
 	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7),
-		ssmis.WithCounterLayout(ssmis.CounterNarrow))
+		mis.WithCounterLayout(engine.LayoutNarrow))
 }
 
 func BenchmarkCountersFlatChungLu1M(b *testing.B) {
 	// Heavy-tailed degrees under the locality relabeling: hubs packed first,
 	// flat int32 counters — the baseline for the split row below.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), ssmis.WithCounterLayout(ssmis.CounterFlat))
+		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutFlat))
 }
 
 func BenchmarkCountersSplitChungLu1M(b *testing.B) {
 	// The hub/tail split: dense int32 hub rows stay cache-resident, the
 	// tail lives in byte lanes.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), ssmis.WithCounterLayout(ssmis.CounterSplit))
+		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutSplit))
 }
 
 func BenchmarkCountersSplitWorkersChungLu1M(b *testing.B) {
@@ -261,7 +235,7 @@ func BenchmarkCountersSplitWorkersChungLu1M(b *testing.B) {
 	// per-worker dense delta arrays merged sequentially after the join (no
 	// atomics on the contended hub rows); tail updates CAS the byte lanes.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), ssmis.WithCounterLayout(ssmis.CounterSplit), ssmis.WithWorkers(8))
+		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutSplit), ssmis.WithWorkers(8))
 }
 
 func mk3State(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process {
@@ -272,29 +246,17 @@ func mk3Color(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process {
 	return ssmis.NewThreeColor(g, opts...)
 }
 
-func BenchmarkEngineScalar3StateGnp1M(b *testing.B) {
-	// The 3-state scalar baseline for the two-lane kernel row below; the
-	// pair replays identical executions.
-	benchEngineProc(b, ssmis.GnpAvgDegree(1000000, 10, 7), mk3State, ssmis.WithScalarEngine())
-}
-
 func BenchmarkEngineKernel3StateGnp1M(b *testing.B) {
 	// The generic two-lane kernel path (no XOR-flip fast path): black0/black1
 	// in the lo/hi lanes, forced demotion folded into the hasBNbr lane.
 	benchEngineProc(b, ssmis.GnpAvgDegree(1000000, 10, 7), mk3State)
 }
 
-func BenchmarkEngineScalar3ColorGnp100k(b *testing.B) {
-	// 3-color runs at n=10^5: the O(log^2 n)-period phase clock drives
-	// ~1200 rounds per run at this size, so the 1M instance costs minutes.
-	benchEngineProc(b, ssmis.GnpAvgDegree(100000, 10, 7), mk3Color, ssmis.WithScalarEngine())
-}
-
 func BenchmarkEngineKernel3ColorGnp100k(b *testing.B) {
-	// The gate-lane kernel path: the phase-clock switch re-exported after
-	// every mid-round, gray→white gated per-vertex. The scalar clock
-	// sub-process runs on both paths, so the kernel's edge is diluted
-	// relative to the 2-/3-state rows.
+	// The gate lane: the phase-clock switch re-exported after every
+	// mid-round, gray→white gated per vertex. 3-color runs at n=10^5: the
+	// O(log^2 n)-period phase clock drives ~1200 rounds per run at this
+	// size, so the 1M instance costs minutes.
 	benchEngineProc(b, ssmis.GnpAvgDegree(100000, 10, 7), mk3Color)
 }
 

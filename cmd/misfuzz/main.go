@@ -132,41 +132,63 @@ func fuzzTwoState(g *graph.Graph, seed uint64) string {
 	return ""
 }
 
-// fuzzKernel differentially fuzzes the engine's bit-sliced kernel against
-// the scalar interface path (the golden reference) for all three rules —
-// 2-state, 3-state, and 3-color: same graph, same seed, a random worker
-// count in {1, 8}, randomly frontier or full-rescan, compared
-// state-for-state (full states: black0 vs black1, colors AND switch
-// levels) every round with exact random-bit accounting at stabilization.
+// fuzzKernel differentially fuzzes the engine at a random worker count in
+// {1, 8} against the reference transcriptions of the paper's definitions
+// (mis.NewRef*) for all three rules — 2-state, 3-state, and 3-color: same
+// graph, same seed, compared state-for-state (full states: black0 vs
+// black1, colors AND switch levels) every round, and a valid MIS at
+// stabilization.
 func fuzzKernel(g *graph.Graph, seed uint64) string {
 	r := xrand.New(seed ^ 0x9e3779b97f4a7c15)
+	n := g.N()
 	variants := []struct {
-		name    string
-		mk      func(opts ...mis.Option) mis.Process
-		stateOf func(p mis.Process, u int) int
+		name string
+		mk   func(opts ...mis.Option) mis.Process
+		// ref seeds the oracle from the process's initial configuration and
+		// returns its round function and full-state accessor; state encodes
+		// the process's full state the same way.
+		ref   func(p mis.Process) (step func(), state func(u int) int)
+		state func(p mis.Process, u int) int
 		// limitMul scales the round cap (the 3-color switch needs slack).
 		limitMul int
 	}{
 		{
 			"2-state",
 			func(opts ...mis.Option) mis.Process { return mis.NewTwoState(g, opts...) },
-			func(p mis.Process, u int) int {
-				if p.Black(u) {
-					return 1
-				}
-				return 0
+			func(p mis.Process) (func(), func(int) int) {
+				ref := mis.NewRefTwoState(g, seed, p.(*mis.TwoState).BlackMask())
+				return ref.Step, func(u int) int { return boolInt(ref.Black(u)) }
 			},
+			func(p mis.Process, u int) int { return boolInt(p.Black(u)) },
 			4,
 		},
 		{
 			"3-state",
 			func(opts ...mis.Option) mis.Process { return mis.NewThreeState(g, opts...) },
+			func(p mis.Process) (func(), func(int) int) {
+				initial := make([]mis.TriState, n)
+				for u := range initial {
+					initial[u] = p.(*mis.ThreeState).State(u)
+				}
+				ref := mis.NewRefThreeState(g, seed, initial)
+				return ref.Step, func(u int) int { return int(ref.State(u)) }
+			},
 			func(p mis.Process, u int) int { return int(p.(*mis.ThreeState).State(u)) },
 			4,
 		},
 		{
 			"3-color",
 			func(opts ...mis.Option) mis.Process { return mis.NewThreeColor(g, opts...) },
+			func(p mis.Process) (func(), func(int) int) {
+				colors := make([]mis.Color, n)
+				levels := make([]uint8, n)
+				for u := range colors {
+					colors[u] = p.(*mis.ThreeColor).ColorOf(u)
+					levels[u] = p.(*mis.ThreeColor).SwitchLevel(u)
+				}
+				ref := mis.NewRefThreeColor(g, seed, colors, levels)
+				return ref.Step, func(u int) int { return int(ref.ColorOf(u))<<8 | int(ref.Level(u)) }
+			},
 			func(p mis.Process, u int) int {
 				tc := p.(*mis.ThreeColor)
 				return int(tc.ColorOf(u))<<8 | int(tc.SwitchLevel(u))
@@ -176,45 +198,41 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 	}
 	for _, v := range variants {
 		workers := []int{1, 8}[r.Intn(2)]
-		kernOpts := []mis.Option{mis.WithSeed(seed), mis.WithWorkers(workers)}
-		if r.Bit() {
-			kernOpts = append(kernOpts, mis.WithFullRescan())
-		}
-		kern := v.mk(kernOpts...)
-		scal := v.mk(mis.WithSeed(seed), mis.WithScalarEngine())
-		limit := v.limitMul * mis.DefaultRoundCap(g.N())
-		for rd := 0; rd < limit && !scal.Stabilized(); rd++ {
-			kern.Step()
-			scal.Step()
-			for u := 0; u < g.N(); u++ {
-				if v.stateOf(kern, u) != v.stateOf(scal, u) {
-					return fmt.Sprintf("%s workers=%d round %d vertex %d: kernel=%#x scalar=%#x",
-						v.name, workers, rd+1, u, v.stateOf(kern, u), v.stateOf(scal, u))
+		p := v.mk(mis.WithSeed(seed), mis.WithWorkers(workers))
+		refStep, refState := v.ref(p)
+		limit := v.limitMul * mis.DefaultRoundCap(n)
+		for rd := 0; rd < limit && !p.Stabilized(); rd++ {
+			p.Step()
+			refStep()
+			for u := 0; u < n; u++ {
+				if v.state(p, u) != refState(u) {
+					return fmt.Sprintf("%s workers=%d round %d vertex %d: engine=%#x reference=%#x",
+						v.name, workers, rd+1, u, v.state(p, u), refState(u))
 				}
 			}
-			if kern.Stabilized() != scal.Stabilized() {
-				return fmt.Sprintf("%s workers=%d round %d: stabilization flags disagree", v.name, workers, rd+1)
-			}
 		}
-		if !scal.Stabilized() {
+		if !p.Stabilized() {
 			return fmt.Sprintf("%s: no stabilization within %d rounds", v.name, limit)
 		}
-		if kern.RandomBits() != scal.RandomBits() {
-			return fmt.Sprintf("%s workers=%d bit accounting: kernel=%d scalar=%d",
-				v.name, workers, kern.RandomBits(), scal.RandomBits())
-		}
-		if err := verify.MIS(g, kern.Black); err != nil {
-			return v.name + " kernel stabilized to non-MIS: " + err.Error()
+		if err := verify.MIS(g, p.Black); err != nil {
+			return v.name + " engine stabilized to non-MIS: " + err.Error()
 		}
 	}
 	return ""
 }
 
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // fuzzRelabel differentially fuzzes the locality relabeling (forced via
 // WithDegreeOrder) against the identity ordering for all three rules: same
-// graph, same seed, a random worker count in {1, 8}, randomly frontier or
-// full-rescan, compared state-for-state in original vertex ids every round
-// with exact random-bit accounting at stabilization. Each case also ships a
+// graph, same seed, a random worker count in {1, 8}, compared
+// state-for-state in original vertex ids every round with exact random-bit
+// accounting at stabilization. Each case also ships a
 // mid-run checkpoint ACROSS the ordering boundary — saved under the
 // relabeling, resumed without it — and the resumed run must replay the
 // identity execution to stabilization.
@@ -255,11 +273,7 @@ func fuzzRelabel(g *graph.Graph, seed uint64) string {
 	}
 	for _, v := range variants {
 		workers := []int{1, 8}[r.Intn(2)]
-		relOpts := []mis.Option{mis.WithSeed(seed), mis.WithWorkers(workers), mis.WithDegreeOrder()}
-		if r.Bit() {
-			relOpts = append(relOpts, mis.WithFullRescan())
-		}
-		rel := v.mk(relOpts...)
+		rel := v.mk(mis.WithSeed(seed), mis.WithWorkers(workers), mis.WithDegreeOrder())
 		ident := v.mk(mis.WithSeed(seed), mis.WithIdentityOrder())
 		limit := v.limitMul * mis.DefaultRoundCap(g.N())
 		for rd := 0; rd < limit && !ident.Stabilized(); rd++ {

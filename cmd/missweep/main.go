@@ -77,8 +77,7 @@ func run() int {
 		workers       = flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS); all experiments share one pool")
 		chunk         = flag.Int("batch", 0, "seeds per scheduler chunk (0 = auto); smaller chunks steal more")
 		times         = flag.Bool("times", false, "report the slowest per-cell wall times for each experiment")
-		scalar        = flag.Bool("scalar", false, "force the scalar engine path (no bit-sliced kernels); tables are identical by construction")
-		identityOrder = flag.Bool("identity-order", false, "disable the kernel path's locality relabeling; tables are identical by construction")
+		identityOrder = flag.Bool("identity-order", false, "disable the engine's locality relabeling; tables are identical by construction")
 		ckpt          = flag.String("checkpoint", "", "checkpoint the whole sweep to this file (atomic write-rename)")
 		every         = flag.Duration("checkpoint-every", 10*time.Second, "interval between sweep checkpoints")
 		resume        = flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
@@ -252,7 +251,7 @@ func run() int {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			cfg := experiment.Config{Scale: *scale, Seed: *seed, Pool: pool, Cells: cells, Chunk: *chunk,
-				ScalarEngine: *scalar, IdentityOrder: *identityOrder}
+				IdentityOrder: *identityOrder}
 			if sweep != nil {
 				cfg.Checkpoint = sweep.Experiment(e.ID)
 			}

@@ -43,8 +43,9 @@
 // ≡ async-at-ρ=1 round-for-round over 20 seeds × 4 graph families.
 //
 // Layer 1 — internal/engine, one run. All three processes are thin rule
-// definitions — an activity predicate plus a per-vertex transition over at
-// most two neighbor counters — running on one shared engine. The engine
+// definitions — one kernel.Spec each (Layer 1a), plus the 3-color switch as
+// a synchronous sub-process — running on one shared engine with one
+// synchronous execution path. The engine
 // owns bitset-packed vertex sets, incremental neighbor counters with a
 // complete-graph fast path, and a frontier worklist: a round evaluates only
 // the vertices whose transition can fire and re-derives memberships only
@@ -59,7 +60,7 @@
 // units, so no worker idles while another owns two chunks), and every phase
 // of a round scales with the worker count — evaluation, commit, and the
 // membership refresh, which runs in two phases: (1) each worker re-derives
-// work/active bits for the dirty vertices of its own partition (disjoint
+// work/active words for the dirty lane words of its own partition (disjoint
 // bitset words; per-worker count deltas merged in worker order), then (2)
 // the few vertices newly entering the stable core stamp coveredAt on their
 // closed neighborhoods sequentially, in ascending vertex order, because
@@ -74,17 +75,18 @@
 // coverage stamps, per-vertex generator arrays — leases from the worker's
 // context, so a worker amortizes its allocations across thousands of runs.
 //
-// Layer 1a — the bit-sliced kernel (internal/engine/kernel). All three
-// rules drop to a word-parallel execution path processing 64 vertices per
-// uint64. A rule describes itself as a compact kernel.Spec — a two-bit
-// state encoding plus 16-entry truth tables for the activity and worklist
-// predicates over (lo, hi, hasANbr, hasBNbr), plus per-code transition maps
-// for coin and forced moves — and kernel.Compile turns each table into a
-// minimized branch-free word expression by Shannon expansion (the 2-state
-// activity table provably minimizes to the two-gate ^(lo XOR hbnA)
-// identity). The two-bit encoding is shared by every rule: the lo lane IS
-// the black/ClassA projection, code 0 is the white-like state, code 1 the
-// black state, and code 3 (lo AND hi) the ClassB state when one exists:
+// Layer 1a — the bit-sliced kernel (internal/engine/kernel). Each rule is
+// defined exactly once, as a compact kernel.Spec — a two-bit state encoding
+// plus 16-entry truth tables for the activity and worklist predicates over
+// (lo, hi, hasANbr, hasBNbr), plus per-code transition maps for coin and
+// forced moves — and the engine runs nothing else, 64 vertices per uint64.
+// kernel.Compile turns each table into a minimized branch-free word
+// expression by Shannon expansion (the 2-state activity table provably
+// minimizes to the two-gate ^(lo XOR hbnA) identity); the number of states
+// and each state's black and counter classes are derived from the code
+// bits. The two-bit encoding is shared by every rule: the lo lane IS the
+// black (counter-A) projection, code 0 is the white-like state, code 1 the
+// black state, and code 3 (lo AND hi) the counter-B state when one exists:
 //
 //	rule     code 0  code 1  code 2  code 3   extra lanes
 //	2-state  white   black   —       —        —
@@ -103,27 +105,27 @@
 // O(n/64) words. The dirty frontier itself is tracked per lane word, not
 // per vertex — the refresh re-derives whole words anyway, and the
 // word-index set is 64x smaller (2KB at n=10^6), so the commit's random
-// neighbor marking stays cache-resident. A rule with a mid-round
-// sub-process participates through the gate lane (engine.KernelGate): after
-// every MidRound — and at Rebuild — the engine asks the rule to re-export
-// one bit per vertex (the 3-color rule packs its phase-clock switch values,
-// σ_{t-1} by construction), and evaluation routes non-active worklist
-// vertices through the spec's ForcedOn/ForcedOff transition selected by
-// their gate bit. The gate affects only forced outcomes, never membership,
-// so the frontier logic is untouched. Determinism: evaluation walks set
-// bits of each worklist word in ascending vertex order and draws a coin —
-// one bit at bias 1/2, a 64-bit Bernoulli sample otherwise — from the
-// vertex's own stream only when the vertex is active (forced transitions
-// draw nothing), which is exactly the scalar loop's order and accounting,
-// so a kernel execution is coin-for-coin bit-identical to the scalar engine
-// (and hence to every runtime above). The kernel engages automatically when
-// the rule implements engine.KernelRule (all three mis processes do; the
-// registration validates the compiled program against the rule's own
-// predicates and class/black projections), and WithScalarEngine forces the
-// interface path — the golden reference the determinism matrix, the
-// kernel-lockstep matrix, the misfuzz differential target, and the CI speed
-// gate (BENCH_kernel.json, >= 1.2x for both the 2-state and 3-state pairs at n=10^6)
-// pin the kernels against.
+// neighbor marking stays cache-resident. The 3-color switch participates
+// through the gate lane (engine.SubProcess): after every MidRound — and at
+// Rebuild — the engine asks it to re-export one bit per vertex (its
+// phase-clock switch values, σ_{t-1} by construction), and evaluation
+// routes non-active worklist vertices through the spec's
+// ForcedOn/ForcedOff transition selected by their gate bit. The gate
+// affects only forced outcomes, never membership, so the frontier logic is
+// untouched. Daemon steps move one selected vertex at a time through
+// kernel.Program.Next, the per-vertex reading of the same tables.
+// Determinism: evaluation walks set bits of each worklist word in ascending
+// vertex order and draws a coin — one bit at bias 1/2, a 64-bit Bernoulli
+// sample otherwise — from the vertex's own stream only when the vertex is
+// active (forced transitions draw nothing), so an execution is a pure
+// function of (graph, seed, initializer) and coin-for-coin identical to
+// every runtime above. The references it is pinned against are the
+// simplest code in the repo: internal/mis/reference.go, the literal O(n·Δ)
+// transcriptions of Definitions 4, 5 and 28 (the lockstep matrix and the
+// misfuzz kernel target compare states every round, and an exhaustive test
+// checks every Spec entry a vertex can reach — used code × counter bits ×
+// coin × gate — against one reference step), and the golden seed lineage
+// captured from the pre-engine simulators (rounds, bits and MIS hashes).
 //
 // Layer 1a' — the locality relabeling (graph.DegreeBucketOrder). On
 // heavy-tailed graphs the kernel's hottest remaining loop is the commit
@@ -146,8 +148,8 @@
 // Checkpoints serialize in original order, so a snapshot taken under one
 // ordering restores under any other. Policy: the ordering is a pure
 // function of the graph but costs about one full n=10^6 run to compute, so
-// the auto policy engages it only where it measurably wins — behind the
-// kernel path, at n >= 2^15, when a run context is attached to memoize it
+// the auto policy engages it only where it measurably wins — at
+// n >= 2^15, when a run context is attached to memoize it
 // (batch workers share one ordering across thousands of seeds), and only
 // on graphs whose hubs are scattered through the id space: the repo's own
 // generators emit weight-sorted ids, where hubs are already front-packed
@@ -163,7 +165,8 @@
 // read-modify-write scatter into one cell per touched neighbor — and the
 // counter plane restructures that storage without changing a single value
 // anyone reads. Three mechanisms, resolved per graph from the degree
-// profile at Rebuild (WithCounterLayout forces one; auto is the default):
+// profile at Rebuild (mis.WithCounterLayout forces one for tests and
+// benchmarks; auto is the default):
 // width-adaptive tail lanes — a counter never exceeds its vertex's degree,
 // so when the maximum degree outside the hub prefix fits a byte (or a
 // halfword) the tail counters live in uint8 (uint16) lanes, shrinking the
@@ -178,13 +181,13 @@
 // exactly the rows every worker contends on, into per-worker dense delta
 // arrays leased from the RunContext and the engine merges them sequentially
 // in worker order after the join (no atomics on hub rows, and the merge
-// flips the kernel's hasANbr/hasBNbr bits for hub words exactly, so the
+// flips the lanes' hasANbr/hasBNbr bits for hub words exactly, so the
 // refresh skips pure-hub words entirely), while tail updates stay
 // concurrent through native atomic adds at full width or CAS loops on the
 // aligned word backing for the narrow widths. Counter updates are
 // commutative integer sums, so every layout at every worker count replays
 // coin-for-coin bit-identical executions — the determinism and lockstep
-// matrices pin the layout axis against the scalar golden, CheckIntegrity
+// matrices pin the layout axis against the default run, CheckIntegrity
 // re-verifies both the layout-selection invariants and a flat recount every
 // time it runs, and the BENCH_kernel.json counter row pairs gate the split
 // at >= 1.1x (flat vs auto on relabeled Chung-Lu n=10^6) and the narrow
@@ -274,7 +277,7 @@
 // suite submits, because both sides share one set of spec runners
 // (ScalingSpec, RuntimeScalingSpec, DaemonMatrixSpec, FaultMatrixSpec,
 // LocalTimesSpec in internal/experiment). Checkpointing, cell timing, and
-// worker-count/scalar/ordering invariance therefore extend to scenarios by
+// worker-count/ordering invariance therefore extend to scenarios by
 // construction: E1, E4 and E18 re-expressed as scenarios are pinned
 // byte-identical to their hand-coded originals at workers 1 and 8.
 //

@@ -270,7 +270,7 @@ func TestSweepModelsAgree(t *testing.T) {
 
 // wideShard is a refresh-heavy cell for the intra-round-workers benchmarks:
 // complete graphs keep dirtyAll set on every changing round, so each run is
-// dominated by the engine's O(n) membership rescans — the phase the
+// dominated by the engine's full membership refreshes — the phase the
 // partitioned two-phase refresh parallelizes.
 func wideShard(n, trials, workers int) Shard {
 	seeds := make([]uint64, trials)

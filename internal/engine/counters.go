@@ -28,8 +28,8 @@ package engine
 //     hub-prefix updates into per-worker dense delta arrays leased from the
 //     RunContext and the engine merges them sequentially in worker order
 //     after the join — no atomics on the contended rows, and the merged
-//     pass can flip the kernel's hasANbr/hasBNbr zero-crossing bits for
-//     hub words, which the racy atomic path had to defer to refresh.
+//     pass can flip the lanes' hasANbr/hasBNbr zero-crossing bits for hub
+//     words, which the racy atomic path has to defer to refresh.
 //     Tail updates stay concurrent: native atomic adds at full width, CAS
 //     loops on the aligned word backing for the narrow widths (Go has no
 //     8/16-bit atomics).
@@ -417,11 +417,7 @@ func (e *Core) mergeHubDeltas(deltas []hubDelta) {
 	if p.hubLen == 0 {
 		return
 	}
-	kern := e.kern != nil
-	var hbnA, hbnB []uint64
-	if kern {
-		hbnA, hbnB = e.kern.HBNWords()
-	}
+	hbnA, hbnB := e.kern.HBNWords()
 	for w := range deltas {
 		d := &deltas[w]
 		for _, vi32 := range d.touched {
@@ -440,40 +436,31 @@ func (e *Core) mergeHubDeltas(deltas []hubDelta) {
 			if da != 0 {
 				na := p.hubA[vi] + da
 				p.hubA[vi] = na
-				if kern {
-					if na != 0 {
-						hbnA[vi>>6] |= bit
-					} else {
-						hbnA[vi>>6] &^= bit
-					}
+				if na != 0 {
+					hbnA[vi>>6] |= bit
+				} else {
+					hbnA[vi>>6] &^= bit
 				}
 			}
 			if db != 0 {
 				nb := p.hubB[vi] + db
 				p.hubB[vi] = nb
-				if kern {
-					if nb != 0 {
-						hbnB[vi>>6] |= bit
-					} else {
-						hbnB[vi>>6] &^= bit
-					}
+				if nb != 0 {
+					hbnB[vi>>6] |= bit
+				} else {
+					hbnB[vi>>6] &^= bit
 				}
 			}
-			if kern {
-				e.dirtyW.Add(vi >> 6)
-			} else {
-				e.dirty.Add(vi)
-			}
+			e.dirtyW.Add(vi >> 6)
 		}
 		d.touched = d.touched[:0]
 	}
 }
 
-// settleHBNWords re-derives the kernel's hasANbr/hasBNbr bits of lane words
-// [loWord, hiWord) from the settled plane — the plane-aware replacement for
-// kernel.LoadCountersWords after a parallel commit (and the bulk load at
-// Rebuild). Pure-hub words need no settling after a delta merge; callers
-// skip them via counterPlane.hubWords.
+// settleHBNWords re-derives the lanes' hasANbr/hasBNbr bits of lane words
+// [loWord, hiWord) from the settled plane — after a parallel commit, for the
+// dirty words, and at Rebuild, for all of them. Pure-hub words need no
+// settling after a delta merge; callers skip them via counterPlane.hubWords.
 func (e *Core) settleHBNWords(loWord, hiWord int) {
 	p := e.plane
 	hbnA, hbnB := e.kern.HBNWords()

@@ -21,11 +21,13 @@ package engine
 // touched set never meets I_t) the synchronous daemon replays exactly the
 // same execution as Step, coin for coin.
 //
-// Rules with a mid-round sub-process (the 3-color switch) are inherently
-// synchronous and do not support daemon scheduling.
+// Each selected vertex moves through the program's per-vertex transition
+// (kernel.Program.Next) — the same Spec tables EvalWords evaluates a word at
+// a time — and the moves then share Step's commit and refresh. Rules with a
+// mid-round sub-process (the 3-color switch) are inherently synchronous and
+// do not support daemon scheduling.
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -56,8 +58,8 @@ func (e *Core) SetDaemonAccounting(steps, moves int) {
 // re-randomizing under Step) draw fewer coins here, since I_t is excluded
 // from the privileged set.
 func (e *Core) DaemonStep(d sched.Daemon, rng *xrand.Rand) bool {
-	if _, ok := e.rule.(MidRound); ok {
-		panic(fmt.Sprintf("engine: rule %T has a synchronous sub-process; daemon scheduling unsupported", e.rule))
+	if e.sub != nil {
+		panic("engine: the rule has a synchronous sub-process; daemon scheduling unsupported")
 	}
 	// The privileged set is presented to the daemon in ORIGINAL vertex ids:
 	// under a locality relabeling (Options.Order) the worklist iterates in
@@ -84,14 +86,13 @@ func (e *Core) DaemonStep(d sched.Daemon, rng *xrand.Rand) bool {
 	for _, su := range selected {
 		u := ord.NewID(su)
 		s := e.state[u]
-		ns := e.rule.Evaluate(u, s, e.countA(u), e.countB(u), &e.draw)
+		ns, drawn := e.prog.Next(s, e.countA(u) > 0, e.countB(u) > 0, false, e.rngs[u], e.opts.Bias)
+		e.bits += drawn
 		e.moves++
 		if ns != s {
 			e.changes = append(e.changes, change{U: int32(u), S: ns})
 		}
 	}
-	e.bits += e.draw.bits
-	e.draw.bits = 0
 	e.commit(e.changes)
 	e.round++
 	e.steps++

@@ -1,8 +1,10 @@
 // Package engine is the shared frontier-driven round engine behind the
-// paper's three MIS processes. A process is expressed as a Rule — an activity
-// predicate plus a per-vertex transition over at most two neighbor counters —
-// and the engine owns everything the three hand-rolled simulators used to
-// duplicate:
+// paper's three MIS processes. A process is expressed as a compiled
+// kernel.Program — a 2-bit state code plus truth tables over the code and
+// the zero/nonzero projections of at most two neighbor counters — plus, for
+// the 3-color process, a synchronous SubProcess that drives the program's
+// gate lane. The engine owns everything the three hand-rolled simulators
+// used to duplicate:
 //
 //   - bitset-packed vertex sets (worklist, active set, stable core I_t and
 //     its closed neighborhood) over internal/bitset words;
@@ -22,16 +24,17 @@
 //     execution (daemon.go) shared by every rule.
 //
 // Determinism contract: every vertex draws coins from its own stream, so an
-// execution is a pure function of (graph, rule, initial state, streams) — the
-// worklist order, the worker count, and the commit order never change which
-// coins a vertex sees. This is what keeps the engine coin-for-coin equivalent
-// to the goroutine-per-node runtimes in internal/beeping and
-// internal/stoneage, and bit-identical to the pre-engine simulators.
+// execution is a pure function of (graph, program, initial state, streams) —
+// the worklist order, the worker count, and the commit order never change
+// which coins a vertex sees. This is what keeps the engine coin-for-coin
+// equivalent to the goroutine-per-node runtimes in internal/beeping and
+// internal/stoneage, to the O(n·Δ) reference transcriptions in
+// internal/mis/reference.go, and to the golden seed lineage of the
+// pre-engine simulators.
 package engine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"ssmis/internal/bitset"
 	"ssmis/internal/engine/kernel"
@@ -39,45 +42,29 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// Class bits: which engine counters a state value feeds. Counter A is the
-// black projection (all three processes); counter B is rule-specific (the
-// 3-state process counts black1 neighbors there).
+// Class bits: which engine counters a state value feeds, derived from its
+// lane code. Counter A is the black projection — the code's lo bit — for all
+// three processes; counter B is rule-specific: a program that engages the B
+// lane feeds it from code 3 exactly (the 3-state process counts black1
+// neighbors there).
 const (
-	ClassA uint8 = 1 << iota
-	ClassB
+	classA uint8 = 1 << iota
+	classB
 )
 
-// Rule defines a process over the engine. State values are small positive
-// uint8s (0 is reserved as "invalid"); all predicates must be pure functions
-// of their arguments so that membership caches can be refreshed locally.
-type Rule interface {
-	// NumStates returns the largest state value in use.
-	NumStates() int
-	// Class reports the counter classes state s contributes to.
-	Class(s uint8) uint8
-	// Black reports the black projection of state s.
-	Black(s uint8) bool
-	// Active reports the paper's activity predicate for a vertex in state s
-	// with counter readings a and b.
-	Active(u int, s uint8, a, b int32) bool
-	// Touched reports whether a vertex in state s with counter readings a, b
-	// may transition this round — the engine's worklist predicate. It must be
-	// a superset of Active and include every deterministic transition (e.g.
-	// black0→white demotion, switch-gated gray→white).
-	Touched(u int, s uint8, a, b int32) bool
-	// Evaluate returns the next state of a touched vertex, drawing process
-	// coins from d (charged to the vertex's own stream). Returning s means
-	// "no transition".
-	Evaluate(u int, s uint8, a, b int32, d *Draw) uint8
-}
-
-// MidRound is implemented by rules that run a synchronous sub-process between
-// the coin-drawing phase and the state commit (the 3-color process advances
-// its logarithmic switch there). It is invoked exactly once per synchronous
-// round, after every touched vertex has drawn its coins against the pre-round
-// state.
-type MidRound interface {
+// SubProcess is a synchronous sub-process run inside every round (the
+// 3-color process's logarithmic switch). MidRound is invoked exactly once
+// per synchronous round, after every touched vertex has drawn its coins
+// against the pre-round state and before the commit. ExportGate packs the
+// per-vertex gate bits (the 3-color switch values σ_t) into dst, one bit per
+// vertex, 64 per word, leaving bits beyond the universe zero; the engine
+// calls it after every MidRound and at Rebuild, so evaluation always reads
+// the previous round's values through the program's gate lane. The gate
+// only selects forced-transition outcomes — never membership — so the
+// frontier logic is untouched.
+type SubProcess interface {
 	MidRound()
+	ExportGate(dst []uint64)
 }
 
 // Options configures an engine instance.
@@ -93,20 +80,11 @@ type Options struct {
 	// when the worklist is empty (the 2-state process's quiescence
 	// semantics: stabilization and empty worklist coincide).
 	NoopWhenIdle bool
-	// FullRescan disables the frontier and re-derives every membership from
-	// scratch each round — the pre-engine cost model. Kept for differential
-	// tests and benchmarks; never faster.
-	FullRescan bool
 	// Ctx, when non-nil, supplies reusable per-worker scratch (bitsets,
 	// counters, coverage stamps) in place of fresh allocations — see
 	// RunContext. Constructing another engine on the same context invalidates
 	// this one. Results are bit-identical with or without a context.
 	Ctx *RunContext
-	// Scalar forces the per-vertex interface path even for rules eligible
-	// for the bit-sliced kernel (KernelRule). The two paths are coin-for-coin
-	// bit-identical; the scalar engine is the golden reference the kernel is
-	// differentially pinned against.
-	Scalar bool
 	// CounterLayout selects where the neighbor counters live (counters.go):
 	// LayoutAuto resolves the hub/tail split and the tail lane width from
 	// the degree profile; the forced values exist for differential tests
@@ -127,33 +105,16 @@ type Options struct {
 	Order *graph.Ordering
 }
 
-// Draw hands process coins to Rule.Evaluate. Each worker owns one, so bit
-// accounting is race-free; totals are merged into the engine after a round.
-type Draw struct {
-	rngs []*xrand.Rand
-	bias float64
-	bits int64
-}
-
-// Coin draws vertex u's process coin with the configured bias.
-func (d *Draw) Coin(u int) bool {
-	if d.bias == 0.5 {
-		d.bits++
-		return d.rngs[u].Bit()
-	}
-	d.bits += 64
-	return d.rngs[u].Bernoulli(d.bias)
-}
-
-// change is one committed transition: vertex U moves to state S. It is the
-// kernel's change record so the bit-sliced evaluator appends directly into
-// the engine's pending list and both paths share one commit pipeline.
+// change is one committed transition: vertex U moves to state S — the
+// kernel's change record, so the bit-sliced evaluator appends directly into
+// the engine's pending list.
 type change = kernel.Change
 
 // Core is the engine state for one process execution.
 type Core struct {
 	g    *graph.Graph
-	rule Rule
+	prog *kernel.Program
+	sub  SubProcess // nil unless the program engages the gate lane
 	opts Options
 
 	state []uint8
@@ -162,16 +123,14 @@ type Core struct {
 	bits  int64
 
 	complete bool          // complete-graph fast path: counters from class totals
-	useB     bool          // rule uses counter B
-	classTab []uint8       // rule.Class memoized per state byte (hot-loop dispatch)
+	useB     bool          // the program engages counter B
+	classTab []uint8       // class bits per state byte (hot-loop dispatch)
 	plane    *counterPlane // neighbor counters (counters.go); idle when complete
 	totalA   int
 	totalB   int
 	stateCnt []int // population per state value
 
-	// bit-sliced kernel path (kernelpath.go); nil on the scalar path
-	kern  *kernel.Lanes
-	kGate KernelGate // mid-round gate export (3-color switch); nil otherwise
+	kern *kernel.Lanes // bit-sliced state, neighbor and gate lanes
 
 	work      *bitset.Set // touched vertices (this round's worklist)
 	workCnt   int
@@ -184,10 +143,8 @@ type Core struct {
 
 	// per-round scratch
 	changes      []change
-	dirty        *bitset.Set
-	dirtyW       *bitset.Set // kernel path: dirty lane words (universe = kern.Words())
+	dirtyW       *bitset.Set // dirty lane words (universe = kern.Words())
 	dirtyAll     bool
-	draw         Draw
 	refreshScr   []refreshScratch // per-worker phase-1 refresh accumulators
 	hubDeltas    []hubDelta       // per-worker hub accumulators (parallel commit)
 	forceGeneric bool             // DisableCompleteFastPath
@@ -199,9 +156,11 @@ type Core struct {
 	priv  []int
 }
 
-// New builds an engine over g for the given rule, taking ownership of the
-// initial state vector and the per-vertex random streams.
-func New(g *graph.Graph, rule Rule, initial []uint8, rngs []*xrand.Rand, opts Options) *Core {
+// New builds an engine over g running the compiled rule prog, taking
+// ownership of the initial state vector and the per-vertex random streams.
+// sub is the rule's synchronous sub-process; it must be non-nil exactly when
+// the program engages the gate lane.
+func New(g *graph.Graph, prog *kernel.Program, sub SubProcess, initial []uint8, rngs []*xrand.Rand, opts Options) *Core {
 	n := g.N()
 	if len(initial) != n || len(rngs) != n {
 		panic(fmt.Sprintf("engine: initial state %d / streams %d for graph order %d",
@@ -218,36 +177,48 @@ func New(g *graph.Graph, rule Rule, initial []uint8, rngs []*xrand.Rand, opts Op
 		panic(fmt.Sprintf("engine: ordering over %d vertices for graph order %d",
 			len(opts.Order.Perm), n))
 	}
+	if prog.UseGate() != (sub != nil) {
+		panic(fmt.Sprintf("engine: program gate lane %v but sub-process given %v", prog.UseGate(), sub != nil))
+	}
 	e := &Core{
 		g:     g,
-		rule:  rule,
+		prog:  prog,
+		sub:   sub,
 		opts:  opts,
 		state: initial,
 		rngs:  rngs,
+		useB:  prog.UseB(),
 		ctx:   opts.Ctx,
-		draw:  Draw{rngs: rngs, bias: opts.Bias},
 	}
+	numStates := prog.NumStates()
 	if e.ctx != nil {
-		e.ctx.lease(e, n, rule.NumStates())
+		e.ctx.lease(e, prog, n, numStates)
 	} else {
-		e.stateCnt = make([]int, rule.NumStates()+1)
+		e.stateCnt = make([]int, numStates+1)
+		e.classTab = make([]uint8, numStates+1)
 		e.work = bitset.New(n)
 		e.active = bitset.New(n)
 		e.inI = bitset.New(n)
 		e.coveredAt = make([]int32, n)
-		e.dirty = bitset.New(n)
 		e.plane = new(counterPlane)
+		e.kern = kernel.New(prog, n)
+		// The refresh only ever consumes whole lane words, so the dirty
+		// frontier is tracked at word granularity: a set over the ⌈n/64⌉
+		// word indices (n=10^6 → 2KB, L1-resident) instead of a 128KB
+		// per-vertex set — the commit's random marking stays in cache.
+		e.dirtyW = bitset.New(e.kern.Words())
 	}
-	if e.classTab == nil {
-		e.classTab = make([]uint8, rule.NumStates()+1)
-	}
-	for s := uint8(1); int(s) <= rule.NumStates(); s++ {
-		e.classTab[s] = rule.Class(s)
-		if e.classTab[s]&ClassB != 0 {
-			e.useB = true
+	for code, s := range prog.Spec().StateOf {
+		if s == 0 {
+			continue
+		}
+		if code&1 != 0 {
+			e.classTab[s] |= classA
+		}
+		if e.useB && code == 3 {
+			e.classTab[s] |= classB
 		}
 	}
-	e.initKernel(n)
 	e.Rebuild()
 	return e
 }
@@ -264,7 +235,7 @@ func (e *Core) Order() *graph.Ordering { return e.opts.Order }
 func (e *Core) Round() int { return e.round }
 
 // Bits returns the total process random bits drawn so far (sub-process bits,
-// e.g. the 3-color switch, are accounted by the rule).
+// e.g. the 3-color switch, are accounted by the sub-process).
 func (e *Core) Bits() int64 { return e.bits }
 
 // SetAccounting overwrites the round and bit counters (checkpoint restore)
@@ -323,7 +294,7 @@ func (e *Core) ActiveCount() int { return e.activeCnt }
 // StateCount returns the number of vertices currently in state s.
 func (e *Core) StateCount(s uint8) int { return e.stateCnt[s] }
 
-// ClassACount returns the number of vertices in a ClassA (black) state.
+// ClassACount returns the number of vertices in a black (counter-A) state.
 func (e *Core) ClassACount() int { return e.totalA }
 
 // StableCoreCount returns |I_t|: black vertices with no black neighbor.
@@ -355,7 +326,7 @@ func (e *Core) CoveredAt() []int32 { return e.coveredAt }
 func (e *Core) countA(u int) int32 {
 	if e.complete {
 		c := int32(e.totalA)
-		if e.classTab[e.state[u]]&ClassA != 0 {
+		if e.classTab[e.state[u]]&classA != 0 {
 			c--
 		}
 		return c
@@ -370,7 +341,7 @@ func (e *Core) countB(u int) int32 {
 	}
 	if e.complete {
 		c := int32(e.totalB)
-		if e.classTab[e.state[u]]&ClassB != 0 {
+		if e.classTab[e.state[u]]&classB != 0 {
 			c--
 		}
 		return c
@@ -378,15 +349,9 @@ func (e *Core) countB(u int) int32 {
 	return e.plane.b(u)
 }
 
-// CountA exposes counter A for rule implementations and invariant checks.
-func (e *Core) CountA(u int) int32 { return e.countA(u) }
-
-// CountB exposes counter B for rule implementations and invariant checks.
-func (e *Core) CountB(u int) int32 { return e.countB(u) }
-
 // Step advances one synchronous round: every touched vertex evaluates the
-// rule against the frozen pre-round state (drawing coins from its own
-// stream), the rule's mid-round sub-process runs, and the changes commit.
+// program against the frozen pre-round state (drawing coins from its own
+// stream), the sub-process runs, and the changes commit.
 func (e *Core) Step() {
 	if e.opts.NoopWhenIdle && e.workCnt == 0 {
 		return
@@ -395,138 +360,32 @@ func (e *Core) Step() {
 		e.stepParallel()
 		return
 	}
-	if e.kern != nil {
-		// Bit-sliced evaluation: whole active words, coins from the same
-		// per-vertex streams in the same ascending order as the loop below.
-		var drawn int64
-		e.changes, drawn = e.kern.EvalWords(0, e.kern.Words(), e.rngs, e.opts.Bias, e.changes[:0])
-		e.bits += drawn
-	} else {
-		e.changes = e.changes[:0]
-		e.work.ForEachWord(func(base int, w uint64) {
-			for ; w != 0; w &= w - 1 {
-				u := base + bits.TrailingZeros64(w)
-				s := e.state[u]
-				ns := e.rule.Evaluate(u, s, e.countA(u), e.countB(u), &e.draw)
-				if ns != s {
-					e.changes = append(e.changes, change{U: int32(u), S: ns})
-				}
-			}
-		})
-		e.bits += e.draw.bits
-		e.draw.bits = 0
-	}
-	if mr, ok := e.rule.(MidRound); ok {
-		mr.MidRound()
-		e.exportGate()
-	}
+	// Bit-sliced evaluation: whole touched words, coins from the per-vertex
+	// streams in ascending vertex order.
+	var drawn int64
+	e.changes, drawn = e.kern.EvalWords(0, e.kern.Words(), e.rngs, e.opts.Bias, e.changes[:0])
+	e.bits += drawn
+	e.midRound()
 	e.commit(e.changes)
 	e.round++
 	e.refresh()
 	e.syncScratch()
 }
 
-// commit applies a batch of transitions and records the dirty frontier.
-// Off the complete-graph fast path the neighbor scatter dispatches once per
-// batch on the counter plane's tail width; the generic bodies keep the
-// per-neighbor loop free of width branches.
-func (e *Core) commit(changes []change) {
-	if e.kern != nil {
-		e.commitKernel(changes)
-		return
-	}
-	if e.complete {
-		e.commitScalarComplete(changes)
-		return
-	}
-	switch e.plane.width {
-	case 1:
-		commitScalarT(e, changes, e.plane.t8a, e.plane.t8b)
-	case 2:
-		commitScalarT(e, changes, e.plane.t16a, e.plane.t16b)
-	default:
-		commitScalarT(e, changes, e.plane.t32a, e.plane.t32b)
+// midRound runs the sub-process's round, if any, and re-exports its gate.
+func (e *Core) midRound() {
+	if e.sub != nil {
+		e.sub.MidRound()
+		e.exportGate()
 	}
 }
 
-// commitScalarComplete is the scalar commit on the complete-graph fast
-// path: counters are class totals, so a class change just dirties the
-// whole universe.
-func (e *Core) commitScalarComplete(changes []change) {
-	for _, c := range changes {
-		u := int(c.U)
-		s, ns := e.state[u], c.S
-		e.stateCnt[s]--
-		e.stateCnt[ns]++
-		e.state[u] = ns
-		e.dirty.Add(u)
-		oldCl, newCl := e.classTab[s], e.classTab[ns]
-		if oldCl == newCl {
-			continue
-		}
-		e.totalA += int(newCl&ClassA) - int(oldCl&ClassA)
-		e.totalB += (int(newCl&ClassB) - int(oldCl&ClassB)) >> 1
-		e.dirtyAll = true
-	}
-}
-
-// commitScalarT is the scalar commit over a counter plane with tail cell
-// type T. Tail writes round-trip through int32 so a narrow lane can never
-// wrap silently (the check folds away at full width); hub writes are
-// full-width.
-func commitScalarT[T cell](e *Core, changes []change, tailA, tailB []T) {
-	p := e.plane
-	hubLen := p.hubLen
-	for _, c := range changes {
-		u := int(c.U)
-		s, ns := e.state[u], c.S
-		e.stateCnt[s]--
-		e.stateCnt[ns]++
-		e.state[u] = ns
-		e.dirty.Add(u)
-		oldCl, newCl := e.classTab[s], e.classTab[ns]
-		if oldCl == newCl {
-			continue
-		}
-		da := int32(newCl&ClassA) - int32(oldCl&ClassA)
-		db := (int32(newCl&ClassB) - int32(oldCl&ClassB)) >> 1
-		e.totalA += int(da)
-		e.totalB += int(db)
-		if db != 0 && e.useB {
-			for _, v := range e.g.Neighbors(u) {
-				vi := int(v)
-				if vi < hubLen {
-					p.hubA[vi] += da
-					p.hubB[vi] += db
-				} else {
-					na := int32(tailA[vi]) + da
-					if int32(T(na)) != na {
-						panicCounterOverflow(vi, na)
-					}
-					tailA[vi] = T(na)
-					nb := int32(tailB[vi]) + db
-					if int32(T(nb)) != nb {
-						panicCounterOverflow(vi, nb)
-					}
-					tailB[vi] = T(nb)
-				}
-				e.dirty.Add(vi)
-			}
-		} else if da != 0 {
-			for _, v := range e.g.Neighbors(u) {
-				vi := int(v)
-				if vi < hubLen {
-					p.hubA[vi] += da
-				} else {
-					na := int32(tailA[vi]) + da
-					if int32(T(na)) != na {
-						panicCounterOverflow(vi, na)
-					}
-					tailA[vi] = T(na)
-				}
-				e.dirty.Add(vi)
-			}
-		}
+// exportGate re-fills the gate lane from the sub-process; called after every
+// MidRound and during Rebuild so EvalWords always reads σ of the last
+// completed round.
+func (e *Core) exportGate() {
+	if e.sub != nil {
+		e.sub.ExportGate(e.kern.GateWords())
 	}
 }
 
@@ -550,10 +409,10 @@ func (e *Core) Rebuild() {
 		s := e.state[u]
 		e.stateCnt[s]++
 		cl := e.classTab[s]
-		if cl&ClassA != 0 {
+		if cl&classA != 0 {
 			e.totalA++
 		}
-		if cl&ClassB != 0 {
+		if cl&classB != 0 {
 			e.totalB++
 		}
 	}
@@ -575,30 +434,19 @@ func (e *Core) Rebuild() {
 	for i := range e.coveredAt {
 		e.coveredAt[i] = -1
 	}
-	if e.kern != nil {
-		// Bulk-load the lanes from the rebuilt state and counters (and the
-		// gate from the rule's sub-process), then derive every membership a
-		// word at a time.
-		e.kern.LoadState(e.state)
-		if e.complete {
-			e.kern.FillHBNComplete(e.totalA, e.totalB)
-		} else {
-			e.settleHBNWords(0, e.kern.Words())
-		}
-		e.exportGate()
-		words := e.kern.Words()
-		for wi := 0; wi < words; wi++ {
-			e.refreshKernelWord(wi)
-		}
+	// Bulk-load the lanes from the rebuilt state and counters (and the gate
+	// from the sub-process), then derive every membership a word at a time.
+	e.kern.LoadState(e.state)
+	if e.complete {
+		e.kern.FillHBNComplete(e.totalA, e.totalB)
 	} else {
-		for v := 0; v < n; v++ {
-			e.refreshVertex(v)
-		}
+		e.settleHBNWords(0, e.kern.Words())
 	}
-	e.dirty.Clear()
-	if e.dirtyW != nil {
-		e.dirtyW.Clear()
+	e.exportGate()
+	for wi := 0; wi < e.kern.Words(); wi++ {
+		e.refreshWord(wi)
 	}
+	e.dirtyW.Clear()
 	e.dirtyAll = false
 }
 
@@ -614,7 +462,7 @@ func rebuildCountsT[T cell](e *Core, tailA, tailB []T) {
 		if cl == 0 {
 			continue
 		}
-		if cl&ClassA != 0 {
+		if cl&classA != 0 {
 			for _, v := range e.g.Neighbors(u) {
 				if vi := int(v); vi < hubLen {
 					p.hubA[vi]++
@@ -623,7 +471,7 @@ func rebuildCountsT[T cell](e *Core, tailA, tailB []T) {
 				}
 			}
 		}
-		if cl&ClassB != 0 && e.useB {
+		if cl&classB != 0 {
 			for _, v := range e.g.Neighbors(u) {
 				if vi := int(v); vi < hubLen {
 					p.hubB[vi]++
@@ -664,7 +512,8 @@ func (e *Core) RebindOrdered(ord *graph.Ordering) {
 
 // CheckIntegrity recomputes every incremental structure from scratch and
 // returns a descriptive error on the first divergence — the invariant probe
-// used by property tests.
+// used by property tests. Memberships are re-derived from the program's
+// truth tables one vertex at a time, independently of the lane words.
 func (e *Core) CheckIntegrity() error {
 	n := e.g.N()
 	if !e.complete {
@@ -676,64 +525,60 @@ func (e *Core) CheckIntegrity() error {
 	totalA, totalB := 0, 0
 	for u := 0; u < n; u++ {
 		s := e.state[u]
+		code := e.prog.CodeOf(s)
+		if code > 3 {
+			return fmt.Errorf("round %d: state %d of vertex %d is not in the lane encoding", e.round, s, u)
+		}
 		var a, b int32
 		for _, v := range e.g.Neighbors(u) {
-			cl := e.rule.Class(e.state[v])
-			if cl&ClassA != 0 {
+			cl := e.classTab[e.state[v]]
+			if cl&classA != 0 {
 				a++
 			}
-			if cl&ClassB != 0 {
+			if cl&classB != 0 {
 				b++
 			}
 		}
 		if got := e.countA(u); got != a {
 			return fmt.Errorf("round %d: counter A of %d = %d, recomputed %d", e.round, u, got, a)
 		}
-		if e.useB {
-			if got := e.countB(u); got != b {
-				return fmt.Errorf("round %d: counter B of %d = %d, recomputed %d", e.round, u, got, b)
-			}
+		if got := e.countB(u); got != b {
+			return fmt.Errorf("round %d: counter B of %d = %d, recomputed %d", e.round, u, got, b)
 		}
-		cl := e.rule.Class(s)
-		if cl&ClassA != 0 {
+		cl := e.classTab[s]
+		if cl&classA != 0 {
 			totalA++
 		}
-		if cl&ClassB != 0 {
+		if cl&classB != 0 {
 			totalB++
 		}
-		if want := e.rule.Touched(u, s, a, b); want != e.work.Contains(u) {
+		if want := e.prog.TouchedBit(int(code), a > 0, b > 0); want != e.work.Contains(u) {
 			return fmt.Errorf("round %d: worklist membership of %d = %v, recomputed %v",
 				e.round, u, e.work.Contains(u), want)
 		} else if want {
 			workCnt++
 		}
-		if want := e.rule.Active(u, s, a, b); want != e.active.Contains(u) {
+		if want := e.prog.ActiveBit(int(code), a > 0, b > 0); want != e.active.Contains(u) {
 			return fmt.Errorf("round %d: active membership of %d = %v, recomputed %v",
 				e.round, u, e.active.Contains(u), want)
 		} else if want {
 			activeCnt++
 		}
-		if want := e.rule.Black(s) && a == 0; want != e.inI.Contains(u) {
+		if want := code&1 == 1 && a == 0; want != e.inI.Contains(u) {
 			return fmt.Errorf("round %d: stable-core membership of %d = %v, recomputed %v",
 				e.round, u, e.inI.Contains(u), want)
 		}
-		if int(s) < len(e.classTab) && e.classTab[s] != e.rule.Class(s) {
-			return fmt.Errorf("round %d: class table entry for state %d = %d, rule says %d",
-				e.round, s, e.classTab[s], e.rule.Class(s))
+		if e.kern.StateAt(u) != s {
+			return fmt.Errorf("round %d: kernel lane code of %d decodes to state %d, state says %d",
+				e.round, u, e.kern.StateAt(u), s)
 		}
-		if e.kern != nil {
-			if e.kern.StateAt(u) != s {
-				return fmt.Errorf("round %d: kernel lane code of %d decodes to state %d, state says %d",
-					e.round, u, e.kern.StateAt(u), s)
-			}
-			if e.kern.HasANbr(u) != (a > 0) {
-				return fmt.Errorf("round %d: kernel hasANbr bit of %d = %v, recomputed counter %d",
-					e.round, u, e.kern.HasANbr(u), a)
-			}
-			if e.kern.Program().UseB() && e.kern.HasBNbr(u) != (b > 0) {
-				return fmt.Errorf("round %d: kernel hasBNbr bit of %d = %v, recomputed counter %d",
-					e.round, u, e.kern.HasBNbr(u), b)
-			}
+		if e.kern.HasANbr(u) != (a > 0) {
+			return fmt.Errorf("round %d: kernel hasANbr bit of %d = %v, recomputed counter %d",
+				e.round, u, e.kern.HasANbr(u), a)
+		}
+		if e.useB && e.kern.HasBNbr(u) != (b > 0) {
+			return fmt.Errorf("round %d: kernel hasBNbr bit of %d = %v, recomputed counter %d",
+				e.round, u, e.kern.HasBNbr(u), b)
 		}
 	}
 	if workCnt != e.workCnt {
@@ -742,7 +587,7 @@ func (e *Core) CheckIntegrity() error {
 	if activeCnt != e.activeCnt {
 		return fmt.Errorf("round %d: activeCnt = %d, recomputed %d", e.round, e.activeCnt, activeCnt)
 	}
-	if totalA != e.totalA || (e.useB && totalB != e.totalB) {
+	if totalA != e.totalA || totalB != e.totalB {
 		return fmt.Errorf("round %d: class totals (%d,%d), recomputed (%d,%d)",
 			e.round, e.totalA, e.totalB, totalA, totalB)
 	}

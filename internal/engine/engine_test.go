@@ -1,48 +1,47 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"ssmis/internal/engine/kernel"
 	"ssmis/internal/graph"
 	"ssmis/internal/sched"
 	"ssmis/internal/xrand"
 )
 
-// testRule is the 2-state MIS rule, restated locally so the engine package
-// tests do not depend on internal/mis.
-type testRule struct{}
+// testProg is the 2-state MIS rule (Definition 4) as a lane program,
+// restated locally so the engine package tests do not depend on
+// internal/mis: codes {white, black}, activity ¬(black ⊕ hasBlackNbr), and
+// the coin as the next color.
+var testProg = kernel.MustCompile(kernel.Spec{
+	StateOf: [4]uint8{tWhite, tBlack, 0, 0},
+	Active:  kernel.TruthTable(func(code int, a, _ bool) bool { return (code&1 == 1) == a }),
+	Touched: kernel.TruthTable(func(code int, a, _ bool) bool { return (code&1 == 1) == a }),
+	CoinHi:  [4]uint8{1, 1, 0, 0},
+	CoinLo:  [4]uint8{0, 0, 0, 0},
+})
 
 const (
 	tWhite uint8 = 1
 	tBlack uint8 = 2
 )
 
-func (testRule) NumStates() int { return 2 }
-func (testRule) Class(s uint8) uint8 {
-	if s == tBlack {
-		return ClassA
-	}
-	return 0
-}
-func (testRule) Black(s uint8) bool { return s == tBlack }
-func (testRule) Active(_ int, s uint8, a, _ int32) bool {
-	if s == tBlack {
-		return a > 0
-	}
-	return a == 0
-}
-func (r testRule) Touched(u int, s uint8, a, b int32) bool { return r.Active(u, s, a, b) }
-func (testRule) Evaluate(u int, _ uint8, _, _ int32, d *Draw) uint8 {
-	if d.Coin(u) {
-		return tBlack
-	}
-	return tWhite
-}
-
-func newTestCore(g *graph.Graph, seed uint64, opts Options) *Core {
+// testInit returns the initial colors and per-vertex streams of a test
+// execution: colors from the seed's init stream, vertex u's stream
+// master.Split(u). With a context both are leased from it.
+func testInit(n int, seed uint64, ctx *RunContext) ([]uint8, []*xrand.Rand) {
 	master := xrand.New(seed)
-	n := g.N()
-	state := make([]uint8, n)
+	var state []uint8
+	var rngs []*xrand.Rand
+	if ctx != nil {
+		state, rngs = ctx.Uint8Buf(n), ctx.VertexStreams(n, master)
+	} else {
+		state, rngs = make([]uint8, n), make([]*xrand.Rand, n)
+		for u := range rngs {
+			rngs[u] = master.Split(uint64(u))
+		}
+	}
 	init := master.Split(uint64(n) + 1)
 	for u := range state {
 		state[u] = tWhite
@@ -50,14 +49,17 @@ func newTestCore(g *graph.Graph, seed uint64, opts Options) *Core {
 			state[u] = tBlack
 		}
 	}
-	rngs := make([]*xrand.Rand, n)
-	for u := range rngs {
-		rngs[u] = master.Split(uint64(u))
-	}
+	return state, rngs
+}
+
+// newTestCore builds a 2-state core on g (scratch leased from opts.Ctx when
+// set); the default bias is 1/2.
+func newTestCore(g *graph.Graph, seed uint64, opts Options) *Core {
 	if opts.Bias == 0 {
 		opts.Bias = 0.5
 	}
-	return New(g, testRule{}, state, rngs, opts)
+	state, rngs := testInit(g.N(), seed, opts.Ctx)
+	return New(g, testProg, nil, state, rngs, opts)
 }
 
 func statesEqual(a, b *Core) bool {
@@ -69,36 +71,157 @@ func statesEqual(a, b *Core) bool {
 	return true
 }
 
-// The frontier worklist must reproduce the full-rescan execution exactly:
-// same states, same activity counts, same stabilization round, same bits.
+// refCore is Definition 4 transcribed directly — the engine-package twin of
+// internal/mis's RefTwoState oracle: no counters, no lanes, no frontier.
+// Every round each vertex recounts its black neighbors from the state
+// vector and an active vertex redraws its color from its own stream; after
+// construction and every round the stable core I_t and the first-cover
+// stamps of N+(I_t) are recomputed from scratch.
+type refCore struct {
+	g       *graph.Graph
+	state   []uint8
+	rngs    []*xrand.Rand
+	bias    float64
+	round   int
+	bits    int64
+	covered []int32
+}
+
+// newRefCore mirrors newTestCore: same seed, same initial colors, its own
+// copies of the same per-vertex streams.
+func newRefCore(g *graph.Graph, seed uint64, bias float64) *refCore {
+	if bias == 0 {
+		bias = 0.5
+	}
+	state, rngs := testInit(g.N(), seed, nil)
+	r := &refCore{g: g, state: state, rngs: rngs, bias: bias, covered: make([]int32, g.N())}
+	r.restamp()
+	return r
+}
+
+func (r *refCore) blackNbr(u int) bool {
+	for _, v := range r.g.Neighbors(u) {
+		if r.state[v] == tBlack {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCore) active(u int) bool { return (r.state[u] == tBlack) == r.blackNbr(u) }
+
+func (r *refCore) activeCount() int {
+	c := 0
+	for u := range r.state {
+		if r.active(u) {
+			c++
+		}
+	}
+	return c
+}
+
+// Step is the verbatim Definition 4 round. Like Options.NoopWhenIdle, a
+// round with no active vertex is a no-op.
+func (r *refCore) Step() {
+	if r.activeCount() == 0 {
+		return
+	}
+	next := append([]uint8(nil), r.state...)
+	for u := range r.state {
+		if !r.active(u) {
+			continue
+		}
+		var black bool
+		if r.bias == 0.5 {
+			black = r.rngs[u].Bit()
+			r.bits++
+		} else {
+			black = r.rngs[u].Bernoulli(r.bias)
+			r.bits += 64
+		}
+		next[u] = tWhite
+		if black {
+			next[u] = tBlack
+		}
+	}
+	r.state = next
+	r.round++
+	r.stamp()
+}
+
+// stamp marks every uncovered vertex of N+(I_t) with the current round.
+func (r *refCore) stamp() {
+	for u := range r.state {
+		if r.state[u] != tBlack || r.blackNbr(u) {
+			continue
+		}
+		if r.covered[u] < 0 {
+			r.covered[u] = int32(r.round)
+		}
+		for _, v := range r.g.Neighbors(u) {
+			if r.covered[v] < 0 {
+				r.covered[v] = int32(r.round)
+			}
+		}
+	}
+}
+
+// restamp forgets all coverage and re-stamps at the current round — the
+// semantics of Core.Rebuild after external corruption.
+func (r *refCore) restamp() {
+	for i := range r.covered {
+		r.covered[i] = -1
+	}
+	r.stamp()
+}
+
+// lockstep drives an engine core and the reference together for up to
+// maxRounds, requiring identical states, bits and active counts after every
+// single round plus a clean integrity probe on the core, and identical
+// stabilization and coverage stamps at the end.
+func lockstep(t *testing.T, name string, e *Core, ref *refCore, maxRounds int) {
+	t.Helper()
+	for r := 0; r < maxRounds && !e.Stabilized(); r++ {
+		e.Step()
+		ref.Step()
+		for u, s := range ref.state {
+			if e.State(u) != s {
+				t.Fatalf("%s: state of %d diverged at round %d", name, u, ref.round)
+			}
+		}
+		if e.Bits() != ref.bits {
+			t.Fatalf("%s: round %d bits %d vs reference %d", name, ref.round, e.Bits(), ref.bits)
+		}
+		if e.ActiveCount() != ref.activeCount() {
+			t.Fatalf("%s: round %d active %d vs reference %d", name, ref.round, e.ActiveCount(), ref.activeCount())
+		}
+		if err := e.CheckIntegrity(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if !e.Stabilized() || ref.activeCount() != 0 || e.Round() != ref.round {
+		t.Fatalf("%s: stabilized=%v at round %d, reference active %d at round %d",
+			name, e.Stabilized(), e.Round(), ref.activeCount(), ref.round)
+	}
+	for u, st := range ref.covered {
+		if got := e.CoveredAt()[u]; got != st {
+			t.Fatalf("%s: coveredAt stamp of %d is %d, reference %d", name, u, got, st)
+		}
+	}
+}
+
+// The frontier engine, which re-evaluates only the dirty neighborhood of
+// each commit, must replay the reference, which rescans every vertex every
+// round: states, active counts and bits each round, coverage stamps at the
+// end.
 func TestFrontierMatchesFullRescan(t *testing.T) {
 	master := xrand.New(7)
 	for trial := 0; trial < 20; trial++ {
 		r := master.Split(uint64(trial))
 		n := 2 + r.Intn(120)
 		g := graph.Gnp(n, r.Float64()*0.2, r)
-		frontier := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true})
-		rescan := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, FullRescan: true})
-		for i := 0; i < 4000 && !frontier.Stabilized(); i++ {
-			frontier.Step()
-			rescan.Step()
-			if !statesEqual(frontier, rescan) {
-				t.Fatalf("trial %d round %d: states diverged", trial, frontier.Round())
-			}
-			if frontier.ActiveCount() != rescan.ActiveCount() {
-				t.Fatalf("trial %d round %d: active %d vs %d",
-					trial, frontier.Round(), frontier.ActiveCount(), rescan.ActiveCount())
-			}
-			if err := frontier.CheckIntegrity(); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
-		if !frontier.Stabilized() || !rescan.Stabilized() {
-			t.Fatalf("trial %d: stabilization mismatch", trial)
-		}
-		if frontier.Bits() != rescan.Bits() {
-			t.Fatalf("trial %d: bits %d vs %d", trial, frontier.Bits(), rescan.Bits())
-		}
+		e := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true})
+		lockstep(t, fmt.Sprintf("trial %d", trial), e, newRefCore(g, uint64(trial), 0), 4*n+200)
 	}
 }
 
@@ -228,8 +351,14 @@ func TestOptionValidation(t *testing.T) {
 	mustPanic("bias 1", func() { newTestCore(g, 1, Options{Bias: 1}) })
 	mustPanic("negative workers", func() { newTestCore(g, 1, Options{Bias: 0.5, Workers: -2}) })
 	mustPanic("short state", func() {
-		New(graph.Path(3), testRule{}, make([]uint8, 2),
+		New(graph.Path(3), testProg, nil, make([]uint8, 2),
 			make([]*xrand.Rand, 3), Options{Bias: 0.5})
+	})
+	mustPanic("gate lane without sub-process", func() {
+		gated := testProg.Spec()
+		gated.UseGate = true
+		state, rngs := testInit(3, 1, nil)
+		New(graph.Path(3), kernel.MustCompile(gated), nil, state, rngs, Options{Bias: 0.5})
 	})
 }
 

@@ -14,21 +14,20 @@
 //     trailing-zero counts, drawing coins from the vertices' own streams.
 //
 // Determinism contract: coins are drawn in ascending vertex order, one per
-// active vertex, from exactly the per-vertex stream the scalar engine would
-// use, consuming exactly the same number of bits (one per coin at bias 1/2,
-// one 64-bit Bernoulli sample otherwise). Forced transitions (3-state
-// demotion, switch-gated gray→white) draw nothing, matching the scalar
-// rules. Because every vertex owns its stream, the execution is coin-for-
-// coin bit-identical to the scalar engine's — summaries, colors, coverage
-// stamps, and RNG bit counts all agree, which is what the determinism-matrix
-// and misfuzz differential harnesses pin with the scalar engine as golden.
+// active vertex, each from that vertex's own stream, consuming one bit per
+// coin at bias 1/2 and one 64-bit Bernoulli sample otherwise. Forced
+// transitions (3-state demotion, switch-gated gray→white) draw nothing.
+// Because every vertex owns its stream, an execution is a pure function of
+// (graph, seed, initial state): the internal/mis reference transcriptions
+// of the paper's definitions (reference.go) replay it state for state, and
+// the golden seed lineage pins its rounds, bits and final MIS.
 //
 // The neighbor lanes are not recomputed from scratch each round: the engine
 // maintains them incrementally from its counters at commit time — a bit
 // flips only when the counter crosses zero — or re-derives just the dirty
 // words during a parallel refresh (see engine/kernelpath.go for why the
 // parallel commit cannot flip bits race-free). The gate lane is re-exported
-// wholesale after each mid-round sub-process step (engine.KernelGate).
+// wholesale after each mid-round sub-process step (engine.SubProcess).
 package kernel
 
 import (
@@ -41,9 +40,8 @@ import (
 
 const wordBits = 64
 
-// Change is one pending transition: vertex U moves to state S. The engine's
-// commit consumes these; the layout matches the scalar engine's change
-// record so both paths share one commit pipeline.
+// Change is one pending transition: vertex U moves to state S. EvalWords
+// produces these and the engine's commit consumes them.
 type Change struct {
 	U int32
 	S uint8
@@ -128,9 +126,6 @@ func (l *Lanes) N() int { return l.n }
 // Words returns the number of 64-bit words per lane.
 func (l *Lanes) Words() int { return len(l.lo) }
 
-// Program returns the compiled rule program the lanes run.
-func (l *Lanes) Program() *Program { return l.prog }
-
 // mask returns the live-bit mask of word wi.
 func (l *Lanes) mask(wi int) uint64 {
 	if wi == len(l.lo)-1 {
@@ -175,33 +170,10 @@ func (l *Lanes) HasBNbr(u int) bool { return laneBit(l.hbnB, u) == 1 }
 // GateBit reports the gate bit of vertex u (false when not engaged).
 func (l *Lanes) GateBit(u int) bool { return laneBit(l.gate, u) == 1 }
 
-// setBit writes bit u of a lane.
-func setBit(lane []uint64, u int, v bool) {
-	bit := uint64(1) << (uint(u) % wordBits)
-	if v {
-		lane[u/wordBits] |= bit
-	} else {
-		lane[u/wordBits] &^= bit
-	}
-}
-
-// SetState writes the lane code of state s at vertex u (sequential commit).
-// It panics if s is not part of the encoding.
-func (l *Lanes) SetState(u int, s uint8) {
-	c := l.prog.codeOf[s]
-	if c == invalidCode {
-		panic(fmt.Sprintf("kernel: state %d not in the lane encoding", s))
-	}
-	setBit(l.lo, u, c&1 != 0)
-	if l.prog.useHi {
-		setBit(l.hi, u, c&2 != 0)
-	}
-}
-
 // SetStateAtomic writes the lane code of state s at vertex u with atomic
 // word operations, so a parallel commit's workers can land codes in shared
 // words (each vertex's bits are written by exactly one worker per round).
-// Mixing with the non-atomic mutators concurrently is not safe.
+// Mixing with non-atomic writes to the same words concurrently is not safe.
 func (l *Lanes) SetStateAtomic(u int, s uint8) {
 	c := l.prog.codeOf[s]
 	if c == invalidCode {
@@ -223,33 +195,24 @@ func (l *Lanes) SetStateAtomic(u int, s uint8) {
 	}
 }
 
-// SetHasANbr sets the hasANbr bit of vertex u — the incremental maintenance
-// hook: the engine's sequential commit calls it exactly when vertex u's
-// counter A crosses zero.
-func (l *Lanes) SetHasANbr(u int, v bool) { setBit(l.hbnA, u, v) }
-
-// SetHasBNbr is SetHasANbr for counter B (the 3-state black1 count; its
-// zero crossings include the demotion's db = −1 step).
-func (l *Lanes) SetHasBNbr(u int, v bool) { setBit(l.hbnB, u, v) }
-
 // HBNWords exposes the raw hasANbr/hasBNbr lane words for the engine's
 // sequential commit, whose per-neighbor zero-crossing flips are the hottest
 // writes on the kernel path — flipping bits inline there avoids a call per
 // crossing. hbnB is nil for a program without counter B. Writers must
 // preserve the lane contract (bit u set iff counter u is nonzero, tail bits
-// zero); everyone else goes through SetHasANbr/SetHasBNbr or the bulk
-// loaders.
+// zero); the engine's parallel refresh re-derives them from its counter
+// plane word by word instead.
 func (l *Lanes) HBNWords() (hbnA, hbnB []uint64) { return l.hbnA, l.hbnB }
 
 // StateWords exposes the raw state-code lane words, for the same commit hot
-// loop (one inline flip pair per landed change instead of a SetState call).
-// hi is nil when the second state lane is not engaged; the same contract
-// caveats as HBNWords apply, plus: only codes the program declares may be
-// written (Program.CodeOf is the guard).
+// loop (one inline flip pair per landed change). hi is nil when the second
+// state lane is not engaged; the same contract caveats as HBNWords apply,
+// plus: only codes the program declares may be written (Program.CodeOf is
+// the guard).
 func (l *Lanes) StateWords() (lo, hi []uint64) { return l.lo, l.hi }
 
 // GateWords exposes the gate lane for the rule's mid-round export
-// (engine.KernelGate.ExportGate fills it wholesale). Bits beyond the
+// (engine.SubProcess.ExportGate fills it wholesale). Bits beyond the
 // universe must stay zero; nil when the lane is not engaged.
 func (l *Lanes) GateWords() []uint64 {
 	if !l.prog.spec.UseGate {
@@ -286,50 +249,6 @@ func (l *Lanes) LoadState(state []uint8) {
 	}
 }
 
-// LoadCounters packs the neighbor lanes from the engine's counters (bit u
-// set ⟺ counter > 0) for every word. Rebuild-time bulk load; nbrB is
-// ignored unless the program engages the B lane.
-func (l *Lanes) LoadCounters(nbrA, nbrB []int32) {
-	if len(nbrA) != l.n {
-		panic("kernel: counter length mismatch")
-	}
-	if l.prog.spec.UseB && len(nbrB) != l.n {
-		panic("kernel: counter B length mismatch")
-	}
-	l.LoadCountersWords(nbrA, nbrB, 0, len(l.hbnA))
-}
-
-// LoadCountersWords re-derives the neighbor-lane bits of words [loWord,
-// hiWord) from the counters. The parallel refresh uses it on the dirty
-// words of each worker's partition: counter updates commit with atomic adds
-// whose interleaving cannot order bit flips race-free, so the settled
-// counters are re-read after the commit barrier instead.
-func (l *Lanes) LoadCountersWords(nbrA, nbrB []int32, loWord, hiWord int) {
-	useB := l.prog.spec.UseB
-	for wi := loWord; wi < hiWord; wi++ {
-		base := wi * wordBits
-		hi := base + wordBits
-		if hi > l.n {
-			hi = l.n
-		}
-		var wa, wb uint64
-		for u := base; u < hi; u++ {
-			if nbrA[u] > 0 {
-				wa |= 1 << uint(u-base)
-			}
-		}
-		l.hbnA[wi] = wa
-		if useB {
-			for u := base; u < hi; u++ {
-				if nbrB[u] > 0 {
-					wb |= 1 << uint(u-base)
-				}
-			}
-			l.hbnB[wi] = wb
-		}
-	}
-}
-
 // FillHBNComplete derives the whole neighbor lanes on a complete graph,
 // where the engine keeps class totals instead of per-vertex counters: with
 // totalA black vertices overall, a black vertex sees totalA−1 black
@@ -342,7 +261,7 @@ func (l *Lanes) FillHBNComplete(totalA, totalB int) {
 }
 
 // FillHBNCompleteWords is FillHBNComplete restricted to words [loWord,
-// hiWord) — one partition of the parallel full-rescan refresh.
+// hiWord) — one partition of the parallel complete-graph refresh.
 func (l *Lanes) FillHBNCompleteWords(totalA, totalB, loWord, hiWord int) {
 	switch {
 	case totalA >= 2:
@@ -411,8 +330,15 @@ func (l *Lanes) CoreWord(wi int) uint64 {
 	return l.lo[wi] &^ l.hbnA[wi]
 }
 
-// BlackWord returns the black-projection lane word wi.
-func (l *Lanes) BlackWord(wi int) uint64 { return l.lo[wi] }
+// coin draws one process coin from r at the given bias, returning it with
+// the random bits consumed: one bit at bias 1/2, one 64-bit Bernoulli
+// sample otherwise.
+func coin(r *xrand.Rand, bias float64) (bool, int64) {
+	if bias == 0.5 {
+		return r.Bit(), 1
+	}
+	return r.Bernoulli(bias), 64
+}
 
 // EvalWords evaluates one synchronous round over the words [loWord, hiWord):
 // every touched vertex, in ascending vertex order, either draws a coin from
@@ -421,9 +347,9 @@ func (l *Lanes) BlackWord(wi int) uint64 { return l.lo[wi] }
 // the vertices whose state changes are appended to dst as pending changes.
 // Nothing is committed — the lanes stay frozen at the pre-round state, so
 // concurrent workers may evaluate disjoint word ranges of the same round.
-// It returns the extended change list and the number of random bits drawn,
-// matching the scalar engine's accounting exactly: one bit per coin at bias
-// 1/2, one 64-bit Bernoulli sample per coin otherwise.
+// It returns the extended change list and the number of random bits drawn:
+// one bit per coin at bias 1/2, one 64-bit Bernoulli sample per coin
+// otherwise (Program.Next is the same transition one vertex at a time).
 func (l *Lanes) EvalWords(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	if p.fast2 {
@@ -455,15 +381,9 @@ func (l *Lanes) EvalWords(loWord, hiWord int, rngs []*xrand.Rand, bias float64, 
 			code := low>>tz&1 | hiw>>tz&1<<1
 			var nc uint8
 			if actw&bit != 0 {
-				var coin bool
-				if bias == 0.5 {
-					drawn++
-					coin = rngs[base+int(tz)].Bit()
-				} else {
-					drawn += 64
-					coin = rngs[base+int(tz)].Bernoulli(bias)
-				}
-				if coin {
+				heads, d := coin(rngs[base+int(tz)], bias)
+				drawn += d
+				if heads {
 					nc = p.spec.CoinHi[code]
 				} else {
 					nc = p.spec.CoinLo[code]
@@ -556,7 +476,7 @@ func (l *Lanes) evalWordsFlip(loWord, hiWord int, rngs []*xrand.Rand, bias float
 			drawn += int64(bits.OnesCount64(aw))
 			for w := aw; w != 0; w &= w - 1 {
 				tz := uint(bits.TrailingZeros64(w))
-				coin := rngs[base+int(tz)].Uint64() >> 63 // 1 = black, the scalar Bit()
+				coin := rngs[base+int(tz)].Uint64() >> 63 // 1 = black: Bit() in word form
 				flips |= (coin ^ (bw >> tz & 1)) << tz
 			}
 		} else {

@@ -86,8 +86,10 @@ func usedStates(p *Program) []uint8 {
 	return out
 }
 
-// randomLanes builds lanes for prog plus the per-vertex state/counter/gate
-// vectors they were packed from.
+// randomLanes builds lanes for prog plus the per-vertex state/counter
+// vectors they were packed from: states through LoadState, the neighbor
+// words written directly (bit u set iff the counter is nonzero), and random
+// gate bits when the program engages the gate lane.
 func randomLanes(prog *Program, n int, rng *xrand.Rand) (*Lanes, []uint8, []int32, []int32) {
 	states := usedStates(prog)
 	state := make([]uint8, n)
@@ -104,7 +106,16 @@ func randomLanes(prog *Program, n int, rng *xrand.Rand) (*Lanes, []uint8, []int3
 	}
 	l := New(prog, n)
 	l.LoadState(state)
-	l.LoadCounters(nbrA, nbrB)
+	hbnA, hbnB := l.HBNWords()
+	for u := 0; u < n; u++ {
+		bit := uint64(1) << (uint(u) % 64)
+		if nbrA[u] > 0 {
+			hbnA[u/64] |= bit
+		}
+		if prog.UseB() && nbrB[u] > 0 {
+			hbnB[u/64] |= bit
+		}
+	}
 	if prog.UseGate() {
 		gw := l.GateWords()
 		for u := 0; u < n; u++ {
@@ -155,7 +166,7 @@ func TestLoadRoundTripAndTail(t *testing.T) {
 				}
 			}
 			last := l.Words() - 1
-			if l.BlackWord(last)&^l.mask(last) != 0 ||
+			if l.lo[last]&^l.mask(last) != 0 ||
 				l.ActiveWord(last)&^l.mask(last) != 0 ||
 				l.TouchedWord(last)&^l.mask(last) != 0 {
 				t.Fatalf("%s n=%d: phantom bits above the universe", tc.name, n)
@@ -243,82 +254,20 @@ func TestFillHBNComplete(t *testing.T) {
 	}
 }
 
-// Incremental maintenance (SetHasANbr/SetHasBNbr on zero crossings) must
-// reach the same lanes as a bulk re-pack of the final counters.
-func TestIncrementalHBNMatchesBulk(t *testing.T) {
-	rng := xrand.New(4)
-	n := 200
-	l, _, nbrA, nbrB := randomLanes(triProg, n, rng)
-	bump := func(cnt []int32, u int, set func(int, bool)) {
-		da := int32(1)
-		if cnt[u] > 0 && rng.Bit() {
-			da = -1
-		}
-		nv := cnt[u] + da
-		cnt[u] = nv
-		if nv == da {
-			set(u, true)
-		} else if nv == 0 {
-			set(u, false)
-		}
-	}
-	for step := 0; step < 4000; step++ {
-		u := rng.Intn(n)
-		if rng.Bit() {
-			bump(nbrA, u, l.SetHasANbr)
-		} else {
-			bump(nbrB, u, l.SetHasBNbr)
-		}
-	}
-	ref := New(triProg, n)
-	ref.LoadCounters(nbrA, nbrB)
-	for wi := 0; wi < l.Words(); wi++ {
-		if l.hbnA[wi] != ref.hbnA[wi] {
-			t.Fatalf("word %d: incremental A %#x vs bulk %#x", wi, l.hbnA[wi], ref.hbnA[wi])
-		}
-		if l.hbnB[wi] != ref.hbnB[wi] {
-			t.Fatalf("word %d: incremental B %#x vs bulk %#x", wi, l.hbnB[wi], ref.hbnB[wi])
-		}
-	}
-}
-
-// scalarEval replays the scalar engine's evaluation loop straight off the
-// spec: every touched vertex, ascending, draws a coin if active (next code
-// from the coin maps) or takes its gate-selected forced transition.
-// EvalWords must produce the same changes from the same streams with the
-// same bit accounting — for every rule shape, fast path and generic alike.
+// scalarEval replays a round one vertex at a time through the per-vertex
+// transition (Program.Next, the one daemon steps use), in ascending vertex
+// order. EvalWords must produce the same changes from the same streams with
+// the same bit accounting — for every rule shape, fast path and generic
+// alike.
 func scalarEval(l *Lanes, rngs []*xrand.Rand, bias float64) ([]Change, int64) {
-	p := l.prog
 	var changes []Change
 	var drawn int64
 	for u := 0; u < l.n; u++ {
-		code := l.Code(u)
-		a, b := l.HasANbr(u), l.HasBNbr(u)
-		if !p.TouchedBit(int(code), a, b) {
-			continue
-		}
-		var nc uint8
-		if p.ActiveBit(int(code), a, b) {
-			var coin bool
-			if bias == 0.5 {
-				drawn++
-				coin = rngs[u].Bit()
-			} else {
-				drawn += 64
-				coin = rngs[u].Bernoulli(bias)
-			}
-			if coin {
-				nc = p.spec.CoinHi[code]
-			} else {
-				nc = p.spec.CoinLo[code]
-			}
-		} else if l.GateBit(u) {
-			nc = p.spec.ForcedOn[code]
-		} else {
-			nc = p.spec.ForcedOff[code]
-		}
-		if nc != code {
-			changes = append(changes, Change{U: int32(u), S: p.spec.StateOf[nc]})
+		s := l.StateAt(u)
+		ns, d := l.prog.Next(s, l.HasANbr(u), l.HasBNbr(u), l.GateBit(u), rngs[u], bias)
+		drawn += d
+		if ns != s {
+			changes = append(changes, Change{U: int32(u), S: ns})
 		}
 	}
 	return changes, drawn

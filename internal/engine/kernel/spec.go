@@ -1,12 +1,14 @@
 package kernel
 
-// The LaneRule layer: a rule declares its bit-sliced semantics as a compact
-// Spec — a 2-bit state encoding plus truth tables and transition maps — and
-// Compile lowers the tables to minimized branch-free word expressions once,
-// at registration. The engine validates the compiled program against the
-// rule's scalar predicates before engaging the kernel (engine/kernelpath.go),
-// so a spec that disagrees with its rule is a construction-time panic, not a
-// silent divergence.
+// The rule layer: a rule IS its Spec — a 2-bit state encoding plus truth
+// tables and transition maps — and Compile lowers the tables to minimized
+// branch-free word expressions once, at registration. The engine runs
+// nothing else: EvalWords evaluates the compiled predicates 64 vertices per
+// word, and Program.Next reads the same tables one vertex at a time (daemon
+// steps). internal/mis checks each rule's Spec exhaustively against its
+// reference transcription of the paper's definition (every used code ×
+// realizable counter bits × coin × gate), so a mis-declared entry fails a
+// test rather than silently changing the executions.
 //
 // Lane encoding contract: a vertex's 2-bit lane code is lo | hi<<1, and the
 // lo bit IS the rule's black (ClassA) projection — that one invariant makes
@@ -36,7 +38,11 @@ package kernel
 //	mid-round sub-process exports (the 3-color switch value σ_{t-1}). Rules
 //	without a gate lane must make both maps agree.
 
-import "fmt"
+import (
+	"fmt"
+
+	"ssmis/internal/xrand"
+)
 
 // Spec declares a rule's bit-sliced semantics. See the package comment for
 // the encoding contract. The zero value is invalid; Compile validates.
@@ -50,7 +56,7 @@ type Spec struct {
 	// states are exactly lo∧hi).
 	UseB bool
 	// UseGate engages the per-vertex gate lane, re-exported every round by
-	// the rule's mid-round sub-process (engine.KernelGate). Only forced
+	// the rule's mid-round sub-process (engine.SubProcess). Only forced
 	// transitions may consult it.
 	UseGate bool
 	// Active and Touched are 16-entry truth tables over idx = lo | hi<<1 |
@@ -142,7 +148,17 @@ func (p *Program) TouchedIsActive() bool { return p.sameTA }
 // encoding.
 func (p *Program) CodeOf(s uint8) uint8 { return p.codeOf[s] }
 
-// ActiveBit and TouchedBit read one truth-table entry (validation probes).
+// NumStates returns the largest state value the encoding uses.
+func (p *Program) NumStates() int {
+	m := uint8(0)
+	for _, s := range p.spec.StateOf {
+		m = max(m, s)
+	}
+	return int(m)
+}
+
+// ActiveBit and TouchedBit read one truth-table entry (per-vertex probes:
+// Next, and the engine's integrity recount).
 func (p *Program) ActiveBit(code int, a, b bool) bool {
 	return p.spec.Active>>tableIdx(code, a, b)&1 == 1
 }
@@ -150,6 +166,43 @@ func (p *Program) ActiveBit(code int, a, b bool) bool {
 // TouchedBit reads one Touched table entry.
 func (p *Program) TouchedBit(code int, a, b bool) bool {
 	return p.spec.Touched>>tableIdx(code, a, b)&1 == 1
+}
+
+// Next is the rule's per-vertex transition, read straight off the Spec
+// tables: the next state of a vertex in state s whose counter A and counter
+// B are nonzero per a and b and whose gate bit is gate. A touched vertex
+// that is active draws one coin from r at the given bias and moves to
+// CoinHi (coin 1) or CoinLo (coin 0); a touched vertex that is not active
+// takes its forced transition, ForcedOn or ForcedOff by the gate bit,
+// drawing nothing; an untouched vertex keeps s. It returns the next state
+// and the random bits drawn — EvalWords' transition and accounting, one
+// vertex at a time. It panics if s is not part of the encoding.
+func (p *Program) Next(s uint8, a, b, gate bool, r *xrand.Rand, bias float64) (uint8, int64) {
+	c := p.codeOf[s]
+	if c == invalidCode {
+		panic(fmt.Sprintf("kernel: state %d not in the lane encoding", s))
+	}
+	code := int(c)
+	if !p.TouchedBit(code, a, b) {
+		return s, 0
+	}
+	var nc uint8
+	var drawn int64
+	switch {
+	case p.ActiveBit(code, a, b):
+		var heads bool
+		heads, drawn = coin(r, bias)
+		if heads {
+			nc = p.spec.CoinHi[code]
+		} else {
+			nc = p.spec.CoinLo[code]
+		}
+	case gate:
+		nc = p.spec.ForcedOn[code]
+	default:
+		nc = p.spec.ForcedOff[code]
+	}
+	return p.spec.StateOf[nc], drawn
 }
 
 func tableIdx(code int, a, b bool) int {

@@ -1,199 +1,75 @@
 package engine
 
-// The bit-sliced kernel path. For all three of the paper's rules the
-// engine's per-vertex bookkeeping — worklist bit, active bit, stable-core
-// bit — is a pure boolean function of at most four bits per vertex (the
-// 2-bit state code plus the zero/nonzero projections of the two neighbor
-// counters), so the whole evaluate/commit/refresh cycle can run 64 vertices
-// per machine word over kernel.Lanes instead of one interface call per
-// vertex:
+// The bit-sliced execution path — the engine's only one. For all three of
+// the paper's rules the engine's per-vertex bookkeeping — worklist bit,
+// active bit, stable-core bit — is a pure boolean function of at most four
+// bits per vertex (the 2-bit state code plus the zero/nonzero projections of
+// the two neighbor counters), so the whole evaluate/commit/refresh cycle
+// runs 64 vertices per machine word over kernel.Lanes:
 //
 //   - Step evaluates whole touched words (kernel.EvalWords) against the
-//     rule's compiled lane program, drawing each coin from that vertex's own
-//     stream in ascending order — coin-for-coin bit-identical to the scalar
-//     loop;
-//   - the sequential commit maintains the neighbor lanes incrementally: a
-//     bit flips exactly when the vertex's counter crosses zero (for the
-//     3-state rule that includes the black1→black0 demotion's counter-B
-//     decrement);
-//   - the parallel commit cannot flip those bits race-free (its counter
-//     updates are atomic adds whose interleaving with atomic word OR/AND
-//     could leave a bit disagreeing with the settled counter), so it only
-//     lands the state codes atomically and the partitioned refresh
-//     re-derives the neighbor bits of the dirty words from the settled
-//     counters;
-//   - refresh re-derives memberships a word at a time: the touched and
-//     active words come from the compiled predicates, stored wholesale into
-//     the work/active bitsets with popcount deltas, and the new stable-core
-//     entrants fall out of CoreWord &^ inI — refreshing a whole dirty word
-//     is idempotent for its non-dirty vertices, whose derived bits cannot
-//     have changed;
+//     rule's compiled program, drawing each coin from that vertex's own
+//     stream in ascending order;
+//   - the sequential commit (this file) maintains the neighbor lanes
+//     incrementally: a bit flips exactly when the vertex's counter crosses
+//     zero (for the 3-state rule that includes the black1→black0 demotion's
+//     counter-B decrement);
+//   - the parallel commit (parallel.go) cannot flip those bits race-free
+//     (its counter updates are atomic adds whose interleaving with atomic
+//     word OR/AND could leave a bit disagreeing with the settled counter),
+//     so it only lands the state codes atomically and the partitioned
+//     refresh re-derives the neighbor bits of the dirty words from the
+//     settled counters;
+//   - refresh (refresh.go) re-derives memberships a word at a time: the
+//     touched and active words come from the compiled predicates, stored
+//     wholesale into the work/active bitsets with popcount deltas, and the
+//     new stable-core entrants fall out of CoreWord &^ inI — refreshing a
+//     whole dirty word is idempotent for its non-dirty vertices, whose
+//     derived bits cannot have changed;
 //   - a rule with a mid-round sub-process (the 3-color switch) participates
-//     by implementing KernelGate: its per-vertex gate bits are re-exported
-//     into the gate lane after every MidRound (and at Rebuild), so
-//     evaluation reads σ_{t-1} exactly as the scalar rule does. The gate
-//     only selects forced-transition outcomes — never membership — so the
-//     frontier logic is untouched.
+//     through SubProcess: its per-vertex gate bits are re-exported into the
+//     gate lane after every MidRound (and at Rebuild), so evaluation reads
+//     σ_{t-1} exactly as Definition 28 does.
 //
-// Selection: New engages the kernel when the rule implements KernelRule and
-// Options.Scalar is false; a MidRound rule additionally needs KernelGate.
-// Everything else — daemon scheduling, checkpointing, run contexts, the
-// complete-graph fast path — flows through the same Core APIs unchanged.
+// Daemon steps (daemon.go) move a handful of vertices through the same
+// commit and refresh; only their evaluation is per vertex, through the
+// program's per-vertex transition (kernel.Program.Next).
 
-import (
-	"fmt"
-	"math/bits"
-	"sync"
+import "fmt"
 
-	"ssmis/internal/bitset"
-	"ssmis/internal/engine/kernel"
-)
-
-// KernelRule marks a rule as eligible for the bit-sliced kernel. The rule
-// declares its lane semantics as a compiled kernel program (compile the
-// kernel.Spec once, at package level — a program is immutable and shared).
-// New validates the program against the rule's scalar Black/Class/Active/
-// Touched projections at registration and panics on a rule that claims the
-// contract but breaks it; the predicates must be vertex-independent and
-// depend on the counters only through zero/nonzero.
-type KernelRule interface {
-	Rule
-	// LaneProgram returns the rule's compiled lane program.
-	LaneProgram() *kernel.Program
-}
-
-// KernelGate is implemented by MidRound rules that participate in the
-// kernel path: ExportGate packs the per-vertex gate bits (the 3-color
-// switch values σ_t) into dst, one bit per vertex, 64 per word, leaving
-// bits beyond the universe zero. The engine calls it after every MidRound
-// and at Rebuild, so evaluation always reads the previous round's values.
-type KernelGate interface {
-	ExportGate(dst []uint64)
-}
-
-// Kernel reports whether the bit-sliced kernel path is engaged.
-func (e *Core) Kernel() bool { return e.kern != nil }
-
-// initKernel engages the kernel when the rule qualifies; called from New
-// before Rebuild populates the lanes.
-func (e *Core) initKernel(n int) {
-	kr, ok := e.rule.(KernelRule)
-	if !ok || e.opts.Scalar {
-		return
-	}
-	var gate KernelGate
-	if _, mid := e.rule.(MidRound); mid {
-		// A mid-round sub-process influences evaluation outside the counter
-		// model; without a gate export the scalar path is the only correct
-		// one.
-		if gate, ok = e.rule.(KernelGate); !ok {
-			return
-		}
-	}
-	prog := kr.LaneProgram()
-	if err := e.validateLaneProgram(prog, gate != nil); err != nil {
-		panic(fmt.Sprintf("engine: rule %T lane program inconsistent with its scalar projections: %v", e.rule, err))
-	}
-	e.kGate = gate
-	if e.ctx != nil {
-		e.kern, e.dirtyW = e.ctx.leaseLanes(prog, n)
-	} else {
-		e.kern = kernel.New(prog, n)
-		// The kernel refresh only ever consumes whole lane words, so the
-		// dirty frontier is tracked at word granularity: a set over the
-		// ⌈n/64⌉ word indices (n=10^6 → 2KB, L1-resident) instead of the
-		// 128KB per-vertex set the scalar path marks — the hottest writes in
-		// the sequential commit by a wide margin.
-		e.dirtyW = bitset.New(e.kern.Words())
-	}
-}
-
-// validateLaneProgram cross-checks the compiled lane program against the
-// rule's scalar projections over every used code and counter zero/nonzero
-// combination — the registration-time gate that keeps a mis-declared spec
-// from silently diverging from the golden scalar path.
-func (e *Core) validateLaneProgram(prog *kernel.Program, gated bool) error {
-	spec := prog.Spec()
-	if spec.UseGate != gated {
-		return fmt.Errorf("gate lane %v but mid-round gate export %v", spec.UseGate, gated)
-	}
-	if spec.UseB != e.useB {
-		return fmt.Errorf("spec UseB=%v but rule counter-B usage is %v", spec.UseB, e.useB)
-	}
-	for c := 0; c < 4; c++ {
-		s := spec.StateOf[c]
-		if s == 0 {
-			continue
-		}
-		if int(s) > e.rule.NumStates() {
-			return fmt.Errorf("code %d maps to state %d > NumStates %d", c, s, e.rule.NumStates())
-		}
-		if black := c&1 == 1; e.rule.Black(s) != black {
-			return fmt.Errorf("code %d (state %d): lo bit %v but Black says %v", c, s, black, e.rule.Black(s))
-		}
-		cl := e.rule.Class(s)
-		if (cl&ClassA != 0) != (c&1 == 1) {
-			return fmt.Errorf("code %d (state %d): ClassA %v disagrees with the lo bit", c, s, cl&ClassA != 0)
-		}
-		if (cl&ClassB != 0) != (spec.UseB && c == 3) {
-			return fmt.Errorf("code %d (state %d): ClassB states must be exactly code 3 of a UseB program", c, s)
-		}
-		for _, a := range []int32{0, 1} {
-			for _, b := range []int32{0, 1} {
-				if got, want := prog.ActiveBit(c, a > 0, b > 0), e.rule.Active(0, s, a, b); got != want {
-					return fmt.Errorf("code %d (state %d) a=%d b=%d: Active table %v, rule says %v", c, s, a, b, got, want)
-				}
-				if got, want := prog.TouchedBit(c, a > 0, b > 0), e.rule.Touched(0, s, a, b); got != want {
-					return fmt.Errorf("code %d (state %d) a=%d b=%d: Touched table %v, rule says %v", c, s, a, b, got, want)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// exportGate re-fills the gate lane from the rule's mid-round sub-process;
-// called after every MidRound and during Rebuild so EvalWords always reads
-// the value the scalar Evaluate would (σ of the last completed round).
-func (e *Core) exportGate() {
-	if e.kern != nil && e.kGate != nil {
-		e.kGate.ExportGate(e.kern.GateWords())
-	}
-}
-
-// commitKernel is commit specialized to the kernel path: it mirrors the
-// scalar commit's class-delta bookkeeping and additionally lands the lane
-// code of every change and maintains the neighbor lanes incrementally — a
-// hasANbr/hasBNbr bit flips exactly when the neighbor's counter crosses
-// zero (the crossing tests nv == da / nv == 0 fire only on the matching
-// delta sign, since counters never go negative). Dirty tracking is per lane
-// word (dirtyW), not per vertex — the refresh re-derives whole words
-// anyway, and the word-index set is small enough to stay cache-resident
-// under the random neighbor writes. The lane flips write the raw hbn words
-// directly (kernel.HBNWords) and the loops are split per (da, db) shape:
-// this is the dominant flat cost of the whole kernel path, and a call or a
-// loop-invariant branch per neighbor is measurable at n = 10^6.
-func (e *Core) commitKernel(changes []change) {
+// commit applies a batch of transitions: it lands every change's state and
+// lane code, keeps the class totals, maintains the neighbor lanes
+// incrementally — a hasANbr/hasBNbr bit flips exactly when the neighbor's
+// counter crosses zero (the crossing tests nv == da / nv == 0 fire only on
+// the matching delta sign, since counters never go negative) — and records
+// the dirty frontier. Dirty tracking is per lane word (dirtyW), not per
+// vertex: the refresh re-derives whole words anyway, and the word-index set
+// is small enough to stay cache-resident under the random neighbor writes.
+// The lane flips write the raw hbn words directly (kernel.HBNWords) and the
+// loops are split per (da, db) shape: this is the dominant flat cost of the
+// whole engine, and a call or a loop-invariant branch per neighbor is
+// measurable at n = 10^6. Off the complete-graph fast path the neighbor
+// scatter dispatches once per batch on the counter plane's tail width.
+func (e *Core) commit(changes []change) {
 	if e.complete {
-		e.commitKernelComplete(changes)
+		e.commitComplete(changes)
 		return
 	}
 	switch e.plane.width {
 	case 1:
-		commitKernelT(e, changes, e.plane.t8a, e.plane.t8b)
+		commitT(e, changes, e.plane.t8a, e.plane.t8b)
 	case 2:
-		commitKernelT(e, changes, e.plane.t16a, e.plane.t16b)
+		commitT(e, changes, e.plane.t16a, e.plane.t16b)
 	default:
-		commitKernelT(e, changes, e.plane.t32a, e.plane.t32b)
+		commitT(e, changes, e.plane.t32a, e.plane.t32b)
 	}
 }
 
-// commitKernelComplete is the kernel commit on the complete-graph fast
-// path: lane codes land, class changes dirty the whole universe, and the
+// commitComplete is the commit on the complete-graph fast path: lane codes land, class changes dirty the whole universe, and the
 // refresh refills the neighbor lanes from the class totals.
-func (e *Core) commitKernelComplete(changes []change) {
+func (e *Core) commitComplete(changes []change) {
 	loL, hiL := e.kern.StateWords()
-	prog := e.kern.Program()
+	prog := e.prog
 	useHi := prog.UseHi()
 	for _, c := range changes {
 		u := int(c.U)
@@ -223,26 +99,26 @@ func (e *Core) commitKernelComplete(changes []change) {
 		if oldCl == newCl {
 			continue
 		}
-		e.totalA += int(newCl&ClassA) - int(oldCl&ClassA)
-		e.totalB += (int(newCl&ClassB) - int(oldCl&ClassB)) >> 1
+		e.totalA += int(newCl&classA) - int(oldCl&classA)
+		e.totalB += (int(newCl&classB) - int(oldCl&classB)) >> 1
 		e.dirtyAll = true
 	}
 }
 
-// commitKernelT is the kernel commit over a counter plane with tail cell
-// type T — the engine's hottest loop, stenciled per width so the neighbor
-// scatter carries no width dispatch; the hub test (vi < hubLen) is a
-// single predictable branch (always false on flat/narrow planes). The
-// deltas are single steps (da, db in {-1,0,1}), so the zero-crossing tests
-// mirror the original flat commit exactly; tail writes round-trip through
-// int32 so a narrow lane can never wrap silently (the check folds away at
-// full width).
-func commitKernelT[T cell](e *Core, changes []change, tailA, tailB []T) {
+// commitT is the commit over a counter plane with tail cell type T — the
+// engine's hottest loop, stenciled per width so the neighbor scatter
+// carries no width dispatch; the hub test (vi < hubLen) is a single
+// predictable branch (always false on flat/narrow planes). The deltas are
+// single steps (da, db in {-1,0,1}; db is 0 unless the program engages
+// counter B), so a counter crosses zero exactly when its new value is da
+// (rising) or 0 (falling); tail writes round-trip through int32 so a narrow
+// lane can never wrap silently (the check folds away at full width).
+func commitT[T cell](e *Core, changes []change, tailA, tailB []T) {
 	p := e.plane
 	hubLen := p.hubLen
 	hbnA, hbnB := e.kern.HBNWords()
 	loL, hiL := e.kern.StateWords()
-	prog := e.kern.Program()
+	prog := e.prog
 	useHi := prog.UseHi()
 	for _, c := range changes {
 		u := int(c.U)
@@ -272,13 +148,10 @@ func commitKernelT[T cell](e *Core, changes []change, tailA, tailB []T) {
 		if oldCl == newCl {
 			continue
 		}
-		da := int32(newCl&ClassA) - int32(oldCl&ClassA)
-		db := (int32(newCl&ClassB) - int32(oldCl&ClassB)) >> 1
+		da := int32(newCl&classA) - int32(oldCl&classA)
+		db := (int32(newCl&classB) - int32(oldCl&classB)) >> 1
 		e.totalA += int(da)
 		e.totalB += int(db)
-		if !e.useB {
-			db = 0
-		}
 		switch {
 		case da != 0 && db != 0:
 			for _, v := range e.g.Neighbors(u) {
@@ -356,150 +229,6 @@ func commitKernelT[T cell](e *Core, changes []change, tailA, tailB []T) {
 				}
 				e.dirtyW.Add(vi >> 6)
 			}
-		}
-	}
-}
-
-// refreshKernelWord re-derives the memberships of word wi's 64 vertices
-// from the lanes: one store per bitset word, popcount deltas, and the new
-// stable-core entrants stamped in ascending order. When the rule's touched
-// and active tables coincide (2-state) the second predicate evaluation is
-// skipped.
-func (e *Core) refreshKernelWord(wi int) {
-	tw := e.kern.TouchedWord(wi)
-	if old := e.work.Word(wi); tw != old {
-		e.work.SetWord(wi, tw)
-		e.workCnt += bits.OnesCount64(tw) - bits.OnesCount64(old)
-	}
-	aw := tw
-	if !e.kern.Program().TouchedIsActive() {
-		aw = e.kern.ActiveWord(wi)
-	}
-	if old := e.active.Word(wi); aw != old {
-		e.active.SetWord(wi, aw)
-		e.activeCnt += bits.OnesCount64(aw) - bits.OnesCount64(old)
-	}
-	if ent := e.kern.CoreWord(wi) &^ e.inI.Word(wi); ent != 0 {
-		base := wi * 64
-		for w := ent; w != 0; w &= w - 1 {
-			e.enterCore(base + bits.TrailingZeros64(w))
-		}
-	}
-}
-
-// refreshKernelSeq is the sequential kernel refresh. The incremental
-// neighbor-lane maintenance in commitKernel keeps the lanes exact here
-// except on the complete-graph path, which re-derives them from the class
-// totals in O(n/64) words.
-func (e *Core) refreshKernelSeq() {
-	if e.dirtyAll || e.opts.FullRescan {
-		if e.complete {
-			e.kern.FillHBNComplete(e.totalA, e.totalB)
-		}
-		words := e.kern.Words()
-		for wi := 0; wi < words; wi++ {
-			e.refreshKernelWord(wi)
-		}
-	} else {
-		e.dirtyW.ForEachWord(func(base int, w uint64) {
-			for ; w != 0; w &= w - 1 {
-				e.refreshKernelWord(base + bits.TrailingZeros64(w))
-			}
-		})
-	}
-	e.dirtyAll = false
-	e.dirtyW.Clear()
-}
-
-// refreshKernelParallel is the two-phase partitioned refresh on lanes.
-// Phase 1 first settles the neighbor bits the parallel commit could not
-// flip — re-deriving each partition's dirty words (or, on a full rescan,
-// its whole word range) from the post-commit counter plane — then derives
-// memberships per word; entrants are collected per worker and stamped
-// sequentially in phase 2, exactly as the scalar refreshParallel does.
-// Words fully inside the hub prefix need no settling: the sequential delta
-// merge already flipped their zero-crossing bits exactly.
-func (e *Core) refreshKernelParallel(full bool) {
-	n := e.g.N()
-	workers := e.opts.Workers
-	bufs := e.refreshBufsFor(workers)
-	sameTA := e.kern.Program().TouchedIsActive()
-	hubSkip := 0
-	if !e.complete {
-		hubSkip = e.plane.hubWords
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		bufs[w].dWork, bufs[w].dActive = 0, 0
-		bufs[w].entrants = bufs[w].entrants[:0]
-		lo, hi := partitionRange(n, workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			loWord, hiWord := lo/64, (hi+63)/64
-			dw, da := 0, 0
-			entrants := bufs[w].entrants
-			scanWord := func(wi int) {
-				tw := e.kern.TouchedWord(wi)
-				if old := e.work.Word(wi); tw != old {
-					e.work.SetWord(wi, tw)
-					dw += bits.OnesCount64(tw) - bits.OnesCount64(old)
-				}
-				aw := tw
-				if !sameTA {
-					aw = e.kern.ActiveWord(wi)
-				}
-				if old := e.active.Word(wi); aw != old {
-					e.active.SetWord(wi, aw)
-					da += bits.OnesCount64(aw) - bits.OnesCount64(old)
-				}
-				if ent := e.kern.CoreWord(wi) &^ e.inI.Word(wi); ent != 0 {
-					base := wi * 64
-					for x := ent; x != 0; x &= x - 1 {
-						entrants = append(entrants, int32(base+bits.TrailingZeros64(x)))
-					}
-				}
-			}
-			if full {
-				if e.complete {
-					e.kern.FillHBNCompleteWords(e.totalA, e.totalB, loWord, hiWord)
-				} else if hiWord > hubSkip {
-					e.settleHBNWords(max(loWord, hubSkip), hiWord)
-				}
-				for wi := loWord; wi < hiWord; wi++ {
-					scanWord(wi)
-				}
-			} else {
-				e.dirtyW.ForEachWordInRange(loWord, hiWord, func(base int, w uint64) {
-					for ; w != 0; w &= w - 1 {
-						wi := base + bits.TrailingZeros64(w)
-						if !e.complete && wi >= hubSkip {
-							e.settleHBNWords(wi, wi+1)
-						}
-						// Complete graph: only class-preserving changes reach
-						// here (anything else sets dirtyAll), so the lanes are
-						// already exact and only memberships need re-deriving.
-						// Pure-hub words: exact since the delta merge.
-						scanWord(wi)
-					}
-				})
-			}
-			bufs[w].dWork, bufs[w].dActive, bufs[w].entrants = dw, da, entrants
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range bufs {
-		e.workCnt += bufs[w].dWork
-		e.activeCnt += bufs[w].dActive
-	}
-	// Phase 2: per-worker entrant lists are ascending and the partition is
-	// ordered, so concatenation stamps in ascending vertex order.
-	for w := range bufs {
-		for _, v := range bufs[w].entrants {
-			e.enterCore(int(v))
 		}
 	}
 }

@@ -6,18 +6,16 @@ package engine
 // regardless of goroutine scheduling. The universe is partitioned into
 // word-aligned vertex ranges (partitionRange); workers evaluate their
 // ranges of the worklist against the frozen pre-round state, then commit
-// their change lists with atomic counter updates and atomic dirty
-// insertion — per vertex on the scalar path, per lane word on the kernel
-// path, whose refresh re-derives whole words anyway (the word-index set is
-// 64x smaller, so the commit's random marking stays cache-resident). The
-// membership refresh that follows the commit uses the same
-// partition (refresh.go): its cost is O(|dirty|) only on frontier rounds —
-// under FullRescan, on the complete-graph fast path, and on high-churn
-// rounds it is O(n), which is why it is partitioned and parallel too
-// rather than left sequential.
+// their change lists with atomic counter updates and atomic dirty-word
+// insertion (the refresh re-derives whole lane words anyway, and the
+// word-index set stays cache-resident under the commit's random marking).
+// The membership refresh that follows the commit uses the same partition
+// (refresh.go): its cost is O(|dirty words|) only on frontier rounds — on
+// the complete-graph fast path and on high-churn rounds it is O(n/64),
+// which is why it is partitioned and parallel too rather than left
+// sequential.
 
 import (
-	mbits "math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -67,37 +65,17 @@ func (e *Core) stepParallel() {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			if e.kern != nil {
-				// Word-aligned partitions are disjoint word ranges, so
-				// workers evaluate whole active words independently.
-				changes, drawn := e.kern.EvalWords(lo/64, (hi+63)/64, e.rngs, e.opts.Bias, nil)
-				changesPer[w] = changes
-				atomic.AddInt64(&bits, drawn)
-				return
-			}
-			d := Draw{rngs: e.rngs, bias: e.opts.Bias}
-			var changes []change
-			e.work.ForEachWordInRange(lo, hi, func(base int, bw uint64) {
-				for ; bw != 0; bw &= bw - 1 {
-					u := base + mbits.TrailingZeros64(bw)
-					s := e.state[u]
-					ns := e.rule.Evaluate(u, s, e.countA(u), e.countB(u), &d)
-					if ns != s {
-						changes = append(changes, change{U: int32(u), S: ns})
-					}
-				}
-			})
+			// Word-aligned partitions are disjoint word ranges, so workers
+			// evaluate whole touched words independently.
+			changes, drawn := e.kern.EvalWords(lo/64, (hi+63)/64, e.rngs, e.opts.Bias, nil)
 			changesPer[w] = changes
-			atomic.AddInt64(&bits, d.bits)
+			atomic.AddInt64(&bits, drawn)
 		}(w, lo, hi)
 	}
 	wg.Wait()
 	e.bits += bits
 
-	if mr, ok := e.rule.(MidRound); ok {
-		mr.MidRound()
-		e.exportGate()
-	}
+	e.midRound()
 
 	if e.complete {
 		// Counter updates are class-total bumps; committing sequentially is
@@ -114,14 +92,15 @@ func (e *Core) stepParallel() {
 }
 
 // commitParallel applies the per-worker change lists concurrently. State
-// writes are disjoint (one change per vertex per round) and the dirty
-// frontier uses atomic bit insertion. Counter updates split by the plane's
-// hub prefix: hub-row updates — the contended ones, every worker hits the
-// same few hubs — accumulate into per-worker dense delta arrays merged
-// sequentially in worker order after the join (mergeHubDeltas, which also
-// flips the kernel's hub zero-crossing bits); tail updates stay concurrent
-// via native atomic adds at full width or CAS loops on the aligned word
-// backing for the narrow widths. Counter sums are commutative, so the
+// writes are disjoint (one change per vertex per round), lane codes land
+// with atomic word operations, and the dirty frontier uses atomic bit
+// insertion. Counter updates split by the plane's hub prefix: hub-row
+// updates — the contended ones, every worker hits the same few hubs —
+// accumulate into per-worker dense delta arrays merged sequentially in
+// worker order after the join (mergeHubDeltas, which also flips the hub
+// words' zero-crossing bits); tail updates stay concurrent via native
+// atomic adds at full width or CAS loops on the aligned word backing for
+// the narrow widths. Counter sums are commutative, so the
 // settled values — and with them every membership, coin, and stamp — are
 // bit-identical to the sequential commit's.
 func (e *Core) commitParallel(changesPer [][]change) {
@@ -162,26 +141,22 @@ func commitParallelT[T cell](e *Core, changesPer [][]change, tailA, tailB []T) {
 				t.stateCnt[s]--
 				t.stateCnt[ns]++
 				e.state[u] = ns
-				if e.kern != nil {
-					// Only the state code lands here; the tail neighbor-lane
-					// flips cannot be ordered race-free against the atomic
-					// counter adds below, so the partitioned refresh
-					// re-derives them for the dirty words from the settled
-					// plane (hub flips happen in the sequential merge).
-					e.kern.SetStateAtomic(u, ns)
-					e.dirtyW.AddAtomic(u >> 6)
-				} else {
-					e.dirty.AddAtomic(u)
-				}
+				// Only the state code lands here; the tail neighbor-lane
+				// flips cannot be ordered race-free against the atomic
+				// counter adds below, so the partitioned refresh re-derives
+				// them for the dirty words from the settled plane (hub
+				// flips happen in the sequential merge).
+				e.kern.SetStateAtomic(u, ns)
+				e.dirtyW.AddAtomic(u >> 6)
 				oldCl, newCl := e.classTab[s], e.classTab[ns]
 				if oldCl == newCl {
 					continue
 				}
-				da := int32(newCl&ClassA) - int32(oldCl&ClassA)
-				db := (int32(newCl&ClassB) - int32(oldCl&ClassB)) >> 1
+				da := int32(newCl&classA) - int32(oldCl&classA)
+				db := (int32(newCl&classB) - int32(oldCl&classB)) >> 1
 				t.a += int(da)
 				t.b += int(db)
-				if db != 0 && e.useB {
+				if db != 0 {
 					for _, v := range e.g.Neighbors(u) {
 						vi := int(v)
 						if vi < hubLen {
@@ -194,11 +169,7 @@ func commitParallelT[T cell](e *Core, changesPer [][]change, tailA, tailB []T) {
 						}
 						atomicTailAdd(p.backA, tailA, vi, da)
 						atomicTailAdd(p.backB, tailB, vi, db)
-						if e.kern != nil {
-							e.dirtyW.AddAtomic(vi >> 6)
-						} else {
-							e.dirty.AddAtomic(vi)
-						}
+						e.dirtyW.AddAtomic(vi >> 6)
 					}
 				} else if da != 0 {
 					for _, v := range e.g.Neighbors(u) {
@@ -211,11 +182,7 @@ func commitParallelT[T cell](e *Core, changesPer [][]change, tailA, tailB []T) {
 							continue
 						}
 						atomicTailAdd(p.backA, tailA, vi, da)
-						if e.kern != nil {
-							e.dirtyW.AddAtomic(vi >> 6)
-						} else {
-							e.dirty.AddAtomic(vi)
-						}
+						e.dirtyW.AddAtomic(vi >> 6)
 					}
 				}
 			}

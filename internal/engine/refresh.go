@@ -2,21 +2,21 @@ package engine
 
 // Membership refresh. After a commit, the engine re-derives the cached
 // work/active memberships and advances the monotone coverage tracking for
-// every vertex whose state or neighborhood changed (the dirty frontier) —
-// or for all of [0, n) under FullRescan and on the complete-graph fast
-// path, where counters are class totals and any change can touch every
-// vertex. Those full-rescan rounds are O(n), and on high-churn rounds even
-// the dirty frontier approaches the whole graph, so with Workers > 1 the
+// every lane word whose vertices' state or neighborhood changed (the dirty
+// frontier) — or for every word on the complete-graph fast path, where
+// counters are class totals and a class change can touch every vertex.
+// Those full rounds are O(n/64) words, and on high-churn rounds even the
+// dirty frontier approaches the whole graph, so with Workers > 1 the
 // refresh is partitioned and parallel in two phases:
 //
-//  1. Vertex-local re-derive. The universe is cut into the same
+//  1. Word-local re-derive. The lane words are cut into the same
 //     word-aligned partitions the parallel step uses (partitionRange), and
-//     each worker re-derives the work/active bits of the dirty vertices in
-//     its own partition. The bits land in disjoint bitset words; the
-//     workCnt/activeCnt movements accumulate in per-worker deltas, merged
-//     in worker order after the join. Everything this phase reads — state,
-//     counters, the dirty set, I_t — is frozen, so it is a pure per-vertex
-//     function (deriveMembership).
+//     each worker first settles the neighbor bits of its dirty words that
+//     the parallel commit could not flip, then re-derives their work/active
+//     words. The words are disjoint across workers; the workCnt/activeCnt
+//     movements accumulate in per-worker deltas, merged in worker order
+//     after the join. Everything this phase reads — lanes, counters, the
+//     dirty set, I_t — is frozen outside the worker's own words.
 //
 //  2. Ordered coverage stamping. A vertex newly entering the stable core
 //     I_t stamps coveredAt on itself AND its neighbors — a cross-partition
@@ -26,7 +26,7 @@ package engine
 //     is bounded by this round's changes, not by n: the scan is the part
 //     worth parallelizing, the stamping is not.
 //
-// Determinism: phase 1's membership bits and count deltas are
+// Determinism: phase 1's membership words and count deltas are
 // order-independent, and phase 2 stamps every covered vertex with the same
 // current round the sequential path would, so the refresh is bit-identical
 // at every worker count — including the coveredAt stamps that back the
@@ -38,85 +38,64 @@ import (
 )
 
 // refresh re-derives worklist/active/coverage membership for the dirty
-// frontier (or every vertex under FullRescan / the complete-graph path).
+// frontier (or every word on a complete-graph round that moved a class
+// total).
 func (e *Core) refresh() {
 	if e.opts.Workers > 1 {
-		if e.kern != nil {
-			e.refreshKernelParallel(e.dirtyAll || e.opts.FullRescan)
-			e.dirtyAll = false
-			e.dirtyW.Clear()
-			return
-		}
-		e.refreshParallel(e.dirtyAll || e.opts.FullRescan)
-		e.dirtyAll = false
-		e.dirty.Clear()
+		e.refreshPartitioned()
 		return
 	}
 	e.refreshSeq()
 }
 
-// refreshSeq is refresh forced down the sequential path regardless of the
-// worker count. DaemonStep uses it: a daemon step moves a handful of
-// vertices, so the dirty frontier is O(Σ deg(moved)) and spawning the
-// worker pool per step would be pure coordination overhead. Both paths are
-// bit-identical, so this is a scheduling choice, never a semantic one.
+// refreshSeq is the sequential refresh. The incremental neighbor-lane
+// maintenance in commit keeps the lanes exact here except on the
+// complete-graph path, which re-derives them from the class totals in
+// O(n/64) words. DaemonStep calls it directly whatever the worker count: a
+// daemon step moves a handful of vertices, so spawning the worker pool per
+// step would be pure coordination overhead (both paths are bit-identical,
+// so this is a scheduling choice, never a semantic one).
 func (e *Core) refreshSeq() {
-	if e.kern != nil {
-		e.refreshKernelSeq()
-		return
-	}
-	if e.dirtyAll || e.opts.FullRescan {
-		n := e.g.N()
-		for v := 0; v < n; v++ {
-			e.refreshVertex(v)
+	if e.dirtyAll {
+		e.kern.FillHBNComplete(e.totalA, e.totalB)
+		for wi := 0; wi < e.kern.Words(); wi++ {
+			e.refreshWord(wi)
 		}
 	} else {
-		e.dirty.ForEachWord(func(base int, w uint64) {
+		e.dirtyW.ForEachWord(func(base int, w uint64) {
 			for ; w != 0; w &= w - 1 {
-				e.refreshVertex(base + bits.TrailingZeros64(w))
+				e.refreshWord(base + bits.TrailingZeros64(w))
 			}
 		})
 	}
 	e.dirtyAll = false
-	e.dirty.Clear()
+	e.dirtyW.Clear()
 }
 
-// refreshVertex is the sequential path: both phases fused per vertex.
-func (e *Core) refreshVertex(v int) {
-	dw, da, enters := e.deriveMembership(v)
-	e.workCnt += dw
-	e.activeCnt += da
-	if enters {
-		e.enterCore(v)
+// refreshWord re-derives the memberships of word wi's 64 vertices from the
+// lanes: one store per bitset word, popcount deltas, and the new stable-core
+// entrants stamped in ascending order. When the rule's touched and active
+// tables coincide (2-state) the second predicate evaluation is skipped.
+func (e *Core) refreshWord(wi int) {
+	tw := e.kern.TouchedWord(wi)
+	if old := e.work.Word(wi); tw != old {
+		e.work.SetWord(wi, tw)
+		e.workCnt += bits.OnesCount64(tw) - bits.OnesCount64(old)
 	}
-}
-
-// deriveMembership re-derives the work/active bits of v from its state and
-// counters (phase 1). It writes only v's own bitset words, returns the
-// workCnt/activeCnt movement instead of mutating the shared counts, and
-// reports whether v newly enters the stable core — the stamping itself is
-// phase 2 (enterCore).
-func (e *Core) deriveMembership(v int) (dWork, dActive int, entersCore bool) {
-	s := e.state[v]
-	a, b := e.countA(v), e.countB(v)
-	if t := e.rule.Touched(v, s, a, b); t != e.work.Contains(v) {
-		e.work.SetTo(v, t)
-		if t {
-			dWork = 1
-		} else {
-			dWork = -1
+	aw := tw
+	if !e.prog.TouchedIsActive() {
+		aw = e.kern.ActiveWord(wi)
+	}
+	if old := e.active.Word(wi); aw != old {
+		e.active.SetWord(wi, aw)
+		e.activeCnt += bits.OnesCount64(aw) - bits.OnesCount64(old)
+	}
+	if ent := e.kern.CoreWord(wi) &^ e.inI.Word(wi); ent != 0 {
+		base := wi * 64
+		for w := ent; w != 0; w &= w - 1 {
+			e.enterCore(base + bits.TrailingZeros64(w))
 		}
 	}
-	if act := e.rule.Active(v, s, a, b); act != e.active.Contains(v) {
-		e.active.SetTo(v, act)
-		if act {
-			dActive = 1
-		} else {
-			dActive = -1
-		}
-	}
-	entersCore = e.rule.Black(s) && a == 0 && !e.inI.Contains(v)
-	return dWork, dActive, entersCore
 }
 
 // enterCore records v's entry into the stable core: v joins I_t and its
@@ -158,12 +137,24 @@ func (e *Core) refreshBufsFor(workers int) []refreshScratch {
 	return e.refreshScr
 }
 
-// refreshParallel runs the two-phase partitioned refresh with opts.Workers
-// goroutines over the full universe (full=true) or the dirty frontier.
-func (e *Core) refreshParallel(full bool) {
+// refreshPartitioned is the two-phase partitioned refresh with
+// opts.Workers goroutines. Phase 1 first settles the neighbor bits the
+// parallel commit could not flip — re-deriving each partition's dirty words
+// from the post-commit counter plane, or on a complete-graph full round
+// refilling its words from the class totals — then derives memberships per
+// word; entrants are collected per worker and stamped sequentially in
+// phase 2. Words fully inside the hub prefix need no settling: the
+// sequential delta merge already flipped their zero-crossing bits exactly.
+func (e *Core) refreshPartitioned() {
 	n := e.g.N()
 	workers := e.opts.Workers
 	bufs := e.refreshBufsFor(workers)
+	sameTA := e.prog.TouchedIsActive()
+	full := e.dirtyAll // set only on the complete-graph path
+	hubSkip := 0
+	if !e.complete {
+		hubSkip = e.plane.hubWords
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		bufs[w].dWork, bufs[w].dActive = 0, 0
@@ -175,24 +166,47 @@ func (e *Core) refreshParallel(full bool) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
+			loWord, hiWord := lo/64, (hi+63)/64
 			dw, da := 0, 0
 			entrants := bufs[w].entrants
-			scan := func(v int) {
-				w1, a1, enters := e.deriveMembership(v)
-				dw += w1
-				da += a1
-				if enters {
-					entrants = append(entrants, int32(v))
+			scanWord := func(wi int) {
+				tw := e.kern.TouchedWord(wi)
+				if old := e.work.Word(wi); tw != old {
+					e.work.SetWord(wi, tw)
+					dw += bits.OnesCount64(tw) - bits.OnesCount64(old)
+				}
+				aw := tw
+				if !sameTA {
+					aw = e.kern.ActiveWord(wi)
+				}
+				if old := e.active.Word(wi); aw != old {
+					e.active.SetWord(wi, aw)
+					da += bits.OnesCount64(aw) - bits.OnesCount64(old)
+				}
+				if ent := e.kern.CoreWord(wi) &^ e.inI.Word(wi); ent != 0 {
+					base := wi * 64
+					for x := ent; x != 0; x &= x - 1 {
+						entrants = append(entrants, int32(base+bits.TrailingZeros64(x)))
+					}
 				}
 			}
 			if full {
-				for v := lo; v < hi; v++ {
-					scan(v)
+				e.kern.FillHBNCompleteWords(e.totalA, e.totalB, loWord, hiWord)
+				for wi := loWord; wi < hiWord; wi++ {
+					scanWord(wi)
 				}
 			} else {
-				e.dirty.ForEachWordInRange(lo, hi, func(base int, w uint64) {
+				e.dirtyW.ForEachWordInRange(loWord, hiWord, func(base int, w uint64) {
 					for ; w != 0; w &= w - 1 {
-						scan(base + bits.TrailingZeros64(w))
+						wi := base + bits.TrailingZeros64(w)
+						if !e.complete && wi >= hubSkip {
+							e.settleHBNWords(wi, wi+1)
+						}
+						// Complete graph: only class-preserving changes reach
+						// here (anything else sets dirtyAll), so the lanes are
+						// already exact and only memberships need re-deriving.
+						// Pure-hub words: exact since the delta merge.
+						scanWord(wi)
 					}
 				})
 			}
@@ -211,4 +225,6 @@ func (e *Core) refreshParallel(full bool) {
 			e.enterCore(int(v))
 		}
 	}
+	e.dirtyAll = false
+	e.dirtyW.Clear()
 }

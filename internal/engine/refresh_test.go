@@ -7,40 +7,6 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// The partitioned refresh must reproduce the sequential refresh exactly on
-// the full-rescan path — the O(n) cost model the parallel refresh exists
-// for — at several worker counts, with intact incremental structures.
-func TestParallelRefreshFullRescanMatchesSequential(t *testing.T) {
-	master := xrand.New(21)
-	for trial := 0; trial < 6; trial++ {
-		r := master.Split(uint64(trial))
-		n := 100 + r.Intn(300)
-		g := graph.Gnp(n, 4/float64(n)+r.Float64()*0.05, r)
-		for _, workers := range []int{2, 8} {
-			seq := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, FullRescan: true})
-			par := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, FullRescan: true, Workers: workers})
-			for i := 0; i < 5000 && !seq.Stabilized(); i++ {
-				seq.Step()
-				par.Step()
-				if !statesEqual(seq, par) {
-					t.Fatalf("trial %d workers %d round %d: full-rescan refresh diverged",
-						trial, workers, seq.Round())
-				}
-				if seq.ActiveCount() != par.ActiveCount() || seq.StableCoreCount() != par.StableCoreCount() {
-					t.Fatalf("trial %d workers %d round %d: membership counts diverged",
-						trial, workers, seq.Round())
-				}
-				if err := par.CheckIntegrity(); err != nil {
-					t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-				}
-			}
-			if !par.Stabilized() || seq.Bits() != par.Bits() {
-				t.Fatalf("trial %d workers %d: accounting differs", trial, workers)
-			}
-		}
-	}
-}
-
 // The complete-graph fast path sets dirtyAll every changing round, forcing
 // the refresh-heavy full scan — the worst case the partitioned refresh
 // targets. Workers ∈ {2, 8} must stay byte-identical to sequential,
@@ -87,7 +53,7 @@ func TestParallelRefreshRunContextBitIdentical(t *testing.T) {
 	for trial, n := range sizes {
 		g := graph.Gnp(n, 0.03, xrand.New(uint64(40+trial)))
 		fresh := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, Workers: 4})
-		leased := newTestCoreCtx(g, uint64(trial), Options{NoopWhenIdle: true, Workers: 4, Ctx: ctx})
+		leased := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, Workers: 4, Ctx: ctx})
 		for i := 0; i < 5000 && !fresh.Stabilized(); i++ {
 			fresh.Step()
 			leased.Step()
@@ -99,23 +65,4 @@ func TestParallelRefreshRunContextBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: accounting differs", trial)
 		}
 	}
-}
-
-// newTestCoreCtx mirrors newTestCore but leases scratch from ctx via opts.
-func newTestCoreCtx(g *graph.Graph, seed uint64, opts Options) *Core {
-	master := xrand.New(seed)
-	n := g.N()
-	state := opts.Ctx.Uint8Buf(n)
-	init := master.Split(uint64(n) + 1)
-	for u := range state {
-		state[u] = tWhite
-		if init.Bit() {
-			state[u] = tBlack
-		}
-	}
-	rngs := opts.Ctx.VertexStreams(n, master)
-	if opts.Bias == 0 {
-		opts.Bias = 0.5
-	}
-	return New(g, testRule{}, state, rngs, opts)
 }

@@ -28,17 +28,17 @@ import (
 // after the context's next lease. Checkpoints taken from context-backed
 // processes copy what they need and stay valid.
 type RunContext struct {
-	work, active, inI, dirty bitset.Set
-	coveredAt                []int32
-	plane                    counterPlane
-	stateCnt                 []int
-	classTab                 []uint8
-	changes                  []change
-	priv                     []int
-	refreshScr               []refreshScratch
-	hubDeltas                []hubDelta
-	lanes                    kernel.Lanes
-	dirtyW                   bitset.Set
+	work, active, inI bitset.Set
+	coveredAt         []int32
+	plane             counterPlane
+	stateCnt          []int
+	classTab          []uint8
+	changes           []change
+	priv              []int
+	refreshScr        []refreshScratch
+	hubDeltas         []hubDelta
+	lanes             kernel.Lanes
+	dirtyW            bitset.Set
 
 	state []uint8
 	mask  []bool
@@ -52,26 +52,44 @@ type RunContext struct {
 	clockTop, clockFlips []int32
 
 	// Locality-ordering memo: batch shards run thousands of seeds over one
-	// shared graph, and the degree-bucketed ordering is a pure function of
-	// the graph, so it is computed once per (context, graph) pair. ordG is
-	// the key; ord may be nil (the computed order was the identity).
+	// shared graph, and both the degree-bucketed ordering and the auto
+	// policy's verdict on it are pure functions of the graph, so each is
+	// computed once per (context, graph) pair. ordG is the key.
 	ordG *graph.Graph
-	ord  *graph.Ordering
+	ord  OrderingMemo
 }
 
-// CachedOrdering returns the memoized locality ordering for g and whether
-// one has been stored (the stored ordering itself may be nil: identity).
-func (c *RunContext) CachedOrdering(g *graph.Graph) (*graph.Ordering, bool) {
-	if c.ordG == g {
-		return c.ord, true
+// OrderingMemo is a RunContext's per-graph locality-ordering memo. The
+// ordering and the auto policy's verdict are kept apart: a forced
+// relabeling must not inherit an identity verdict, and an auto construction
+// must not inherit an ordering its policy rejects.
+type OrderingMemo struct {
+	// Ordering is the graph's degree-bucketed relabeling; nil until
+	// computed.
+	Ordering *graph.Ordering
+	// Judged reports that Relabel holds the auto policy's verdict.
+	Judged, Relabel bool
+}
+
+// OrderingMemo returns the memo for g, emptied first when the previous call
+// was for a different graph.
+func (c *RunContext) OrderingMemo(g *graph.Graph) *OrderingMemo {
+	if c.ordG != g {
+		c.ordG, c.ord = g, OrderingMemo{}
 	}
-	return nil, false
+	return &c.ord
 }
 
-// StoreOrdering memoizes the locality ordering computed for g.
-func (c *RunContext) StoreOrdering(g *graph.Graph, ord *graph.Ordering) {
-	c.ordG = g
-	c.ord = ord
+// CachedOrdering returns the ordering the auto policy chose for g and
+// whether the policy has judged g; (nil, true) means it chose the identity.
+func (c *RunContext) CachedOrdering(g *graph.Graph) (*graph.Ordering, bool) {
+	if c.ordG != g || !c.ord.Judged {
+		return nil, false
+	}
+	if !c.ord.Relabel {
+		return nil, true
+	}
+	return c.ord.Ordering, true
 }
 
 // NewRunContext returns an empty context; buffers grow on first lease and
@@ -189,20 +207,21 @@ func (c *RunContext) VertexStreamsPerm(n int, master *xrand.Rand, ord *graph.Ord
 	return c.rngs
 }
 
-// lease wires the context's scratch into e in place of fresh allocations.
-// Called from New before Rebuild derives every structure. The context holds
-// no reference back to e (that would pin the previous run's graph for the
-// worker's whole lifetime); instead the engine returns append-grown scratch
-// through syncScratch after every round.
-func (c *RunContext) lease(e *Core, n, numStates int) {
+// lease wires the context's scratch into e in place of fresh allocations,
+// including the bit-sliced lanes configured for prog and the word-granular
+// dirty set the commit marks. Called from New before Rebuild derives every
+// structure. Configure fully zeroes every lane the program engages, so a
+// context switching between rules (2-state → 3-state → back) never leaks
+// stale lane words. The context holds no reference back to e (that would
+// pin the previous run's graph for the worker's whole lifetime); instead the
+// engine returns append-grown scratch through syncScratch after every round.
+func (c *RunContext) lease(e *Core, prog *kernel.Program, n, numStates int) {
 	c.work.Reset(n)
 	c.active.Reset(n)
 	c.inI.Reset(n)
-	c.dirty.Reset(n)
 	e.work = &c.work
 	e.active = &c.active
 	e.inI = &c.inI
-	e.dirty = &c.dirty
 	c.coveredAt = growI32(c.coveredAt, n)
 	e.coveredAt = c.coveredAt
 	c.stateCnt = growInts(c.stateCnt, numStates+1)
@@ -216,6 +235,10 @@ func (c *RunContext) lease(e *Core, n, numStates int) {
 	// The counter plane (Rebuild configures it per graph) and the parallel
 	// commit's hub delta buffers reuse the context's backing across runs.
 	e.plane = &c.plane
+	c.lanes.Configure(prog, n)
+	c.dirtyW.Reset(c.lanes.Words())
+	e.kern = &c.lanes
+	e.dirtyW = &c.dirtyW
 }
 
 // syncScratch hands the engine's append-grown per-round scratch back to the
@@ -228,16 +251,4 @@ func (e *Core) syncScratch() {
 		e.ctx.refreshScr = e.refreshScr
 		e.ctx.hubDeltas = e.hubDeltas
 	}
-}
-
-// leaseLanes leases the context's bit-sliced kernel lanes, configured to
-// run the given compiled lane program over [0, n), together with the
-// word-granular dirty set the kernel commit marks — the engine requests
-// them only when the rule qualifies for the kernel path. Configure fully
-// zeroes every lane the program engages, so a context switching between
-// rules (2-state → 3-state → back) never leaks stale lane words.
-func (c *RunContext) leaseLanes(prog *kernel.Program, n int) (*kernel.Lanes, *bitset.Set) {
-	c.lanes.Configure(prog, n)
-	c.dirtyW.Reset(c.lanes.Words())
-	return &c.lanes, &c.dirtyW
 }

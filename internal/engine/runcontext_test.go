@@ -7,26 +7,6 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// newCtxCore mirrors newTestCore but leases all scratch (including the
-// per-vertex streams and the state vector) from a RunContext.
-func newCtxCore(g *graph.Graph, seed uint64, ctx *RunContext, opts Options) *Core {
-	master := xrand.New(seed)
-	n := g.N()
-	state := ctx.Uint8Buf(n)
-	init := master.Split(uint64(n) + 1)
-	for u := range state {
-		state[u] = tWhite
-		if init.Bit() {
-			state[u] = tBlack
-		}
-	}
-	if opts.Bias == 0 {
-		opts.Bias = 0.5
-	}
-	opts.Ctx = ctx
-	return New(g, testRule{}, state, ctx.VertexStreams(n, master), opts)
-}
-
 // run advances e to stabilization (bounded) and returns (rounds, bits, states copy).
 func runToStable(t *testing.T, e *Core) (int, int64, []uint8) {
 	t.Helper()
@@ -59,7 +39,7 @@ func TestRunContextBitIdentical(t *testing.T) {
 		fresh := newTestCore(g, seed, Options{NoopWhenIdle: true})
 		fr, fb, fs := runToStable(t, fresh)
 
-		leased := newCtxCore(g, seed, ctx, Options{NoopWhenIdle: true})
+		leased := newTestCore(g, seed, Options{NoopWhenIdle: true, Ctx: ctx})
 		lr, lb, ls := runToStable(t, leased)
 		if fr != lr || fb != lb {
 			t.Fatalf("trial %d: fresh (rounds=%d bits=%d) vs leased (rounds=%d bits=%d)",
@@ -82,9 +62,9 @@ func TestRunContextAmortizesAllocations(t *testing.T) {
 	g := graph.Gnp(400, 0.02, xrand.New(5))
 	ctx := NewRunContext()
 	// Warm the context to its steady-state capacity.
-	runToStable(t, newCtxCore(g, 1, ctx, Options{NoopWhenIdle: true}))
+	runToStable(t, newTestCore(g, 1, Options{NoopWhenIdle: true, Ctx: ctx}))
 	avg := testing.AllocsPerRun(20, func() {
-		e := newCtxCore(g, 2, ctx, Options{NoopWhenIdle: true})
+		e := newTestCore(g, 2, Options{NoopWhenIdle: true, Ctx: ctx})
 		for i := 0; !e.Stabilized() && i < 1<<20; i++ {
 			e.Step()
 		}
@@ -103,8 +83,8 @@ func TestRunContextAmortizesAllocations(t *testing.T) {
 func TestRunContextReusesHubDeltaBuffers(t *testing.T) {
 	g := graph.CompleteBipartite(80, 100) // every degree >= HubDegreeMin: hubLen = 180
 	ctx := NewRunContext()
-	opts := Options{NoopWhenIdle: true, Workers: 4}
-	runToStable(t, newCtxCore(g, 1, ctx, opts))
+	opts := Options{NoopWhenIdle: true, Workers: 4, Ctx: ctx}
+	runToStable(t, newTestCore(g, 1, opts))
 	if len(ctx.hubDeltas) != opts.Workers {
 		t.Fatalf("context holds %d hub delta buffers, want %d", len(ctx.hubDeltas), opts.Workers)
 	}
@@ -115,7 +95,7 @@ func TestRunContextReusesHubDeltaBuffers(t *testing.T) {
 		}
 		before[w] = &ctx.hubDeltas[w].dA[0]
 	}
-	runToStable(t, newCtxCore(g, 2, ctx, opts))
+	runToStable(t, newTestCore(g, 2, opts))
 	for w := range before {
 		if before[w] != &ctx.hubDeltas[w].dA[0] {
 			t.Fatalf("worker %d hub delta buffer reallocated across runs", w)
@@ -123,7 +103,7 @@ func TestRunContextReusesHubDeltaBuffers(t *testing.T) {
 	}
 	// Steady-state re-lease: sizing the accumulators for the warm plane is
 	// allocation-free (the per-round path of the parallel commit).
-	e := newCtxCore(g, 3, ctx, opts)
+	e := newTestCore(g, 3, opts)
 	runToStable(t, e)
 	if avg := testing.AllocsPerRun(50, func() { e.hubDeltaBufsFor(opts.Workers, 180) }); avg != 0 {
 		t.Fatalf("hub delta lease averaged %.1f allocations at steady state, want 0", avg)

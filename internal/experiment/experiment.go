@@ -40,14 +40,8 @@ type Config struct {
 	// cells into a sweep checkpoint and replays any journaled prefix on
 	// resume (the missweep -checkpoint/-resume flags); see checkpoint.go.
 	Checkpoint *ExperimentCheckpoint
-	// ScalarEngine forces every process the harness constructs onto the
-	// engine's scalar interface path instead of the bit-sliced kernels (the
-	// missweep -scalar flag). The paths are coin-for-coin identical, so the
-	// tables must not change — the CI kernel-vs-scalar sweep smoke compares
-	// them byte for byte.
-	ScalarEngine bool
 	// IdentityOrder opts every process out of the locality relabeling the
-	// kernel path auto-selects on large graphs (the missweep -identity-order
+	// engine auto-selects on large graphs (the missweep -identity-order
 	// flag). Relabeled runs are graph isomorphisms of identity-ordered ones,
 	// so the tables must not change — the CI relabel sweep smoke compares
 	// them byte for byte.
@@ -55,25 +49,18 @@ type Config struct {
 }
 
 // ProcOpts prepends the configuration-level process options (the
-// scalar-engine and identity-order switches) to a cell's own options; every
-// runner that constructs a process directly must route its options through
-// here so the -scalar and -identity-order invariance smokes cover it.
+// identity-order switch) to a cell's own options; every runner that
+// constructs a process directly must route its options through here so the
+// -identity-order invariance smoke covers it.
 func (c Config) ProcOpts(opts ...mis.Option) []mis.Option { return c.procOpts(opts...) }
 
 // procOpts prepends the configuration-level process options (the
-// scalar-engine and identity-order switches) to a cell's own options.
+// identity-order switch) to a cell's own options.
 func (c Config) procOpts(opts ...mis.Option) []mis.Option {
-	var pre []mis.Option
-	if c.ScalarEngine {
-		pre = append(pre, mis.WithScalarEngine())
-	}
-	if c.IdentityOrder {
-		pre = append(pre, mis.WithIdentityOrder())
-	}
-	if len(pre) == 0 {
+	if !c.IdentityOrder {
 		return opts
 	}
-	return append(pre, opts...)
+	return append([]mis.Option{mis.WithIdentityOrder()}, opts...)
 }
 
 // CellLog accumulates per-cell wall-time measurements; safe for concurrent

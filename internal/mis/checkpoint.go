@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"ssmis/internal/engine"
+	"ssmis/internal/engine/kernel"
 	"ssmis/internal/graph"
 	"ssmis/internal/phaseclock"
 	"ssmis/internal/snapshot"
@@ -99,8 +100,8 @@ func restoreOptions(c *Checkpoint, opts []Option) (options, error) {
 // stream resumes daemon scheduling coin-for-coin (nil when the checkpoint
 // carries none). Checkpoints are keyed by original ids, so a run saved
 // under one ordering restores under any other.
-func restoreCore(g *graph.Graph, ord *graph.Ordering, rule engine.Rule, state []uint8, rngs []*xrand.Rand, o options, noop bool, c *Checkpoint) (*engine.Core, *xrand.Rand, error) {
-	core := engine.New(engineGraph(g, ord), rule, state, rngs, o.engine(noop, ord))
+func restoreCore(g *graph.Graph, ord *graph.Ordering, prog *kernel.Program, sub engine.SubProcess, state []uint8, rngs []*xrand.Rand, o options, noop bool, c *Checkpoint) (*engine.Core, *xrand.Rand, error) {
+	core := engine.New(engineGraph(g, ord), prog, sub, state, rngs, o.engine(noop, ord))
 	schedRng, err := c.RestoreEngine(core)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mis: %w", err)
@@ -153,7 +154,7 @@ func RestoreTwoState(g *graph.Graph, c *Checkpoint, opts ...Option) (*TwoState, 
 		}
 		state[ord.NewID(u)] = ns
 	}
-	core, schedRng, err := restoreCore(g, ord, twoStateRule{}, state, permuteRngs(ord, rngs), o, true, c)
+	core, schedRng, err := restoreCore(g, ord, twoStateProg, nil, state, permuteRngs(ord, rngs), o, true, c)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +198,7 @@ func RestoreThreeState(g *graph.Graph, c *Checkpoint, opts ...Option) (*ThreeSta
 			return nil, fmt.Errorf("mis: invalid 3-state value %d at vertex %d", s, u)
 		}
 	}
-	core, schedRng, err := restoreCore(g, ord, threeStateRule{}, state, permuteRngs(ord, rngs), o, false, c)
+	core, schedRng, err := restoreCore(g, ord, threeStateProg, nil, state, permuteRngs(ord, rngs), o, false, c)
 	if err != nil {
 		return nil, err
 	}
@@ -213,12 +214,12 @@ func (p *ThreeColor) Checkpoint() (*Checkpoint, error) {
 	n := p.N()
 	levels := make([]uint8, n)
 	for i := 0; i < n; i++ {
-		levels[p.ord.OldID(i)] = p.rule.clock.Level(i)
+		levels[p.ord.OldID(i)] = p.sw.clock.Level(i)
 	}
 	c.Process = "3-color"
 	c.States = unpermuteU8(p.ord, p.core.States())
 	c.Levels = levels
-	c.ClockBits = p.rule.clock.RandomBits()
+	c.ClockBits = p.sw.clock.RandomBits()
 	c.ZetaLog2 = p.opts.switchZetaLog2
 	return c, nil
 }
@@ -255,10 +256,10 @@ func RestoreThreeColor(g *graph.Graph, c *Checkpoint, opts ...Option) (*ThreeCol
 		}
 	}
 	engineRngs := permuteRngs(ord, rngs)
-	rule := &threeColorRule{clock: newRestoredClock(engineGraph(g, ord), c, ord), rngs: engineRngs}
-	core, _, err := restoreCore(g, ord, rule, state, engineRngs, o, false, c)
+	sw := &logSwitch{clock: newRestoredClock(engineGraph(g, ord), c, ord), rngs: engineRngs}
+	core, _, err := restoreCore(g, ord, threeColorProg, sw, state, engineRngs, o, false, c)
 	if err != nil {
 		return nil, err
 	}
-	return &ThreeColor{core: core, rule: rule, opts: o, g: g, ord: ord}, nil
+	return &ThreeColor{core: core, sw: sw, opts: o, g: g, ord: ord}, nil
 }

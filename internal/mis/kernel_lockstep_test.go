@@ -11,26 +11,47 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// The kernel-vs-scalar lockstep matrix for the multi-lane rules: the
-// 3-state and 3-color processes auto-select the bit-sliced kernel, and
-// every configuration — workers {1, 2, 8} × frontier/full-rescan ×
-// sparse/dense/complete — must replay the scalar interface path
-// coin-for-coin, round by round: colors, full states (black0 vs black1,
-// switch levels), active counts, bit accounting, and the final coveredAt
-// stamps. The 2-state rows of this matrix live in refresh_test.go.
-func TestKernelLockstepMatrix(t *testing.T) {
-	type mk func(g *graph.Graph, opts ...Option) Process
-	procs := []struct {
-		name string
-		mk   mk
-		// stateOf exposes the full per-vertex state (beyond the Black
-		// projection) for the round-by-round comparison.
-		stateOf func(p Process, u int) int
-	}{
+// lockstepProc is one rule under the lockstep matrices: its constructor, its
+// full per-vertex state (beyond the Black projection), and its reference
+// transcription (reference.go) seeded from a process's initial
+// configuration, exposing the same full state.
+type lockstepProc struct {
+	name    string
+	mk      func(g *graph.Graph, opts ...Option) Process
+	stateOf func(p Process, u int) int
+	ref     func(g *graph.Graph, seed uint64, p Process) refRun
+}
+
+// refRun is a reference oracle under lockstep: one verbatim round per Step,
+// and the full state of vertex u in lockstepProc.stateOf's encoding.
+type refRun struct {
+	step  func()
+	state func(u int) int
+}
+
+func lockstepProcs() []lockstepProc {
+	return []lockstepProc{
+		{
+			"2-state",
+			func(g *graph.Graph, opts ...Option) Process { return NewTwoState(g, opts...) },
+			func(p Process, u int) int { return boolInt(p.Black(u)) },
+			func(g *graph.Graph, seed uint64, p Process) refRun {
+				ref := NewRefTwoState(g, seed, p.(*TwoState).BlackMask())
+				return refRun{ref.Step, func(u int) int { return boolInt(ref.Black(u)) }}
+			},
+		},
 		{
 			"3-state",
 			func(g *graph.Graph, opts ...Option) Process { return NewThreeState(g, opts...) },
 			func(p Process, u int) int { return int(p.(*ThreeState).State(u)) },
+			func(g *graph.Graph, seed uint64, p Process) refRun {
+				initial := make([]TriState, g.N())
+				for u := range initial {
+					initial[u] = p.(*ThreeState).State(u)
+				}
+				ref := NewRefThreeState(g, seed, initial)
+				return refRun{ref.Step, func(u int) int { return int(ref.State(u)) }}
+			},
 		},
 		{
 			"3-color",
@@ -39,8 +60,36 @@ func TestKernelLockstepMatrix(t *testing.T) {
 				tc := p.(*ThreeColor)
 				return int(tc.ColorOf(u))<<8 | int(tc.SwitchLevel(u))
 			},
+			func(g *graph.Graph, seed uint64, p Process) refRun {
+				colors := make([]Color, g.N())
+				levels := make([]uint8, g.N())
+				for u := range colors {
+					colors[u] = p.(*ThreeColor).ColorOf(u)
+					levels[u] = p.(*ThreeColor).SwitchLevel(u)
+				}
+				ref := NewRefThreeColor(g, seed, colors, levels)
+				return refRun{ref.Step, func(u int) int { return int(ref.ColorOf(u))<<8 | int(ref.Level(u)) }}
+			},
 		},
 	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The lockstep matrix for all three rules on the bit-sliced engine. The
+// default process (workers=1, auto counter layout, identity order) must
+// replay its reference transcription state for state, every round, until it
+// stabilizes on a valid MIS; then every variant — workers {1, 2, 8} × the
+// degree-bucketed relabeling × each forced counter-plane geometry — must
+// replay the default run round by round: full states (black0 vs black1,
+// switch levels), active counts, bit accounting, and the final coveredAt
+// stamps.
+func TestKernelLockstepMatrix(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -52,10 +101,6 @@ func TestKernelLockstepMatrix(t *testing.T) {
 		// counter-layout axis below exercises the hub/tail split for real.
 		{"powerlaw", graph.ChungLu(1500, 2.0, 8, xrand.New(6))},
 	}
-	// The relabel axis runs the kernel over the degree-bucketed locality
-	// ordering; the layout axis forces each counter-plane geometry (flat,
-	// narrow lanes, hub/tail split). Either way the run must replay the
-	// identity-ordered, auto-layout scalar reference coin for coin.
 	axes := []struct {
 		relabel bool
 		layout  engine.CounterLayout
@@ -66,63 +111,66 @@ func TestKernelLockstepMatrix(t *testing.T) {
 		{false, engine.LayoutNarrow},
 		{false, engine.LayoutSplit},
 	}
-	for _, pr := range procs {
+	type timed interface{ StabilizationTimes() []int }
+	for _, pr := range lockstepProcs() {
 		for _, gc := range graphs {
 			cap := 4 * DefaultRoundCap(gc.g.N())
-			scal := pr.mk(gc.g, WithSeed(99), WithLocalTimes(), WithScalarEngine())
-			if kernelEngaged(scal) {
-				t.Fatalf("%s/%s: scalar process engaged the kernel", pr.name, gc.name)
+			base := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
+			ref := pr.ref(gc.g, 99, base)
+			for !base.Stabilized() && base.Round() < cap {
+				base.Step()
+				ref.step()
+				for u := 0; u < gc.g.N(); u++ {
+					if pr.stateOf(base, u) != ref.state(u) {
+						t.Fatalf("%s/%s: state of %d diverged from the reference at round %d",
+							pr.name, gc.name, u, base.Round())
+					}
+				}
 			}
-			scalRes := Run(scal, cap)
-			if !scalRes.Stabilized {
-				t.Fatalf("%s/%s: scalar run did not stabilize", pr.name, gc.name)
+			baseRes := Result{base.Round(), base.Stabilized(), base.RandomBits()}
+			if !baseRes.Stabilized {
+				t.Fatalf("%s/%s: default run did not stabilize", pr.name, gc.name)
 			}
-			if err := verify.MIS(gc.g, scal.Black); err != nil {
+			if err := verify.MIS(gc.g, base.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				for _, rescan := range []bool{false, true} {
-					for _, ax := range axes {
-						name := fmt.Sprintf("%s/%s/workers=%d rescan=%v relabel=%v layout=%v",
-							pr.name, gc.name, workers, rescan, ax.relabel, ax.layout)
-						opts := []Option{WithSeed(99), WithLocalTimes(), WithWorkers(workers),
-							WithCounterLayout(ax.layout)}
-						if rescan {
-							opts = append(opts, WithFullRescan())
+				for _, ax := range axes {
+					if workers == 1 && !ax.relabel && ax.layout == engine.LayoutAuto {
+						continue // the default run itself
+					}
+					name := fmt.Sprintf("%s/%s/workers=%d relabel=%v layout=%v",
+						pr.name, gc.name, workers, ax.relabel, ax.layout)
+					opts := []Option{WithSeed(99), WithLocalTimes(), WithWorkers(workers),
+						WithCounterLayout(ax.layout)}
+					if ax.relabel {
+						opts = append(opts, WithDegreeOrder())
+					}
+					p := pr.mk(gc.g, opts...)
+					// Round-by-round, against a fresh default twin, so a
+					// divergence is pinned to the exact round it appears.
+					twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
+					for !p.Stabilized() && p.Round() < cap {
+						p.Step()
+						twin.Step()
+						if p.ActiveCount() != twin.ActiveCount() || p.RandomBits() != twin.RandomBits() {
+							t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
+								name, p.Round(), p.ActiveCount(), p.RandomBits(),
+								twin.ActiveCount(), twin.RandomBits())
 						}
-						if ax.relabel {
-							opts = append(opts, WithDegreeOrder())
-						}
-						kern := pr.mk(gc.g, opts...)
-						if !kernelEngaged(kern) {
-							t.Fatalf("%s: kernel did not engage", name)
-						}
-						// Round-by-round, against a fresh scalar twin, so a
-						// divergence is pinned to the exact round it appears.
-						twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes(), WithScalarEngine())
-						for !kern.Stabilized() && kern.Round() < cap {
-							kern.Step()
-							twin.Step()
-							if kern.ActiveCount() != twin.ActiveCount() || kern.RandomBits() != twin.RandomBits() {
-								t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
-									name, kern.Round(), kern.ActiveCount(), kern.RandomBits(),
-									twin.ActiveCount(), twin.RandomBits())
-							}
-							for u := 0; u < gc.g.N(); u++ {
-								if pr.stateOf(kern, u) != pr.stateOf(twin, u) {
-									t.Fatalf("%s: state of %d diverged at round %d", name, u, kern.Round())
-								}
+						for u := 0; u < gc.g.N(); u++ {
+							if pr.stateOf(p, u) != pr.stateOf(twin, u) {
+								t.Fatalf("%s: state of %d diverged at round %d", name, u, p.Round())
 							}
 						}
-						if res := (Result{kern.Round(), kern.Stabilized(), kern.RandomBits()}); res != scalRes {
-							t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
-						}
-						type timed interface{ StabilizationTimes() []int }
-						kt := kern.(timed).StabilizationTimes()
-						for u, st := range scal.(timed).StabilizationTimes() {
-							if kt[u] != st {
-								t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, kt[u], st)
-							}
+					}
+					if res := (Result{p.Round(), p.Stabilized(), p.RandomBits()}); res != baseRes {
+						t.Fatalf("%s: summary %+v, default %+v", name, res, baseRes)
+					}
+					pt := p.(timed).StabilizationTimes()
+					for u, st := range base.(timed).StabilizationTimes() {
+						if pt[u] != st {
+							t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pt[u], st)
 						}
 					}
 				}
@@ -131,108 +179,129 @@ func TestKernelLockstepMatrix(t *testing.T) {
 	}
 }
 
-// kernelEngaged reports whether the process's engine core runs the
-// bit-sliced kernel.
-func kernelEngaged(p Process) bool {
-	switch q := p.(type) {
-	case *TwoState:
-		return q.core.Kernel()
-	case *ThreeState:
-		return q.core.Kernel()
-	case *ThreeColor:
-		return q.core.Kernel()
-	default:
-		return false
-	}
-}
-
-// Daemon scheduling on a kernel-backed 3-state process routes every commit
-// and refresh through the lanes; under each fair daemon it must replay the
-// scalar engine's execution move for move.
+// Daemon steps move vertices through the program's per-vertex transition
+// and share Step's commit and refresh. Under each fair daemon a 3-state
+// process must replay the default (workers=1, identity-order) execution
+// move for move whatever the worker count and ordering, with intact
+// incremental structures, and end on a valid MIS.
 func TestKernelDaemonLockstep(t *testing.T) {
 	g := graph.Gnp(150, 0.05, xrand.New(3))
 	daemons := []sched.Daemon{sched.Synchronous{}, sched.CentralRandom{}, sched.DistributedRandom{}}
 	for _, d := range daemons {
-		kern := NewThreeState(g, WithSeed(5))
-		scal := NewThreeState(g, WithSeed(5), WithScalarEngine())
-		if !kernelEngaged(kern) || kernelEngaged(scal) {
-			t.Fatalf("%s: kernel engagement wrong", d.Name())
+		base := NewThreeState(g, WithSeed(5))
+		variants := []*ThreeState{
+			NewThreeState(g, WithSeed(5), WithWorkers(8)),
+			NewThreeState(g, WithSeed(5), WithDegreeOrder()),
 		}
 		cap := DefaultDaemonStepCap(g.N())
-		for i := 0; i < cap && !kern.Stabilized(); i++ {
-			kern.DaemonStep(d)
-			scal.DaemonStep(d)
-			if kern.Moves() != scal.Moves() || kern.RandomBits() != scal.RandomBits() {
-				t.Fatalf("%s: step %d moves/bits diverged", d.Name(), i)
+		for i := 0; i < cap && !base.Stabilized(); i++ {
+			base.DaemonStep(d)
+			for _, v := range variants {
+				v.DaemonStep(d)
+				if v.Moves() != base.Moves() || v.RandomBits() != base.RandomBits() {
+					t.Fatalf("%s: step %d moves/bits diverged", d.Name(), i)
+				}
+			}
+			if err := base.core.CheckIntegrity(); err != nil {
+				t.Fatalf("%s: step %d: %v", d.Name(), i, err)
 			}
 		}
-		if !kern.Stabilized() || !scal.Stabilized() {
+		if !base.Stabilized() {
 			t.Fatalf("%s: did not stabilize", d.Name())
 		}
-		for u := 0; u < g.N(); u++ {
-			if kern.State(u) != scal.State(u) {
-				t.Fatalf("%s: state of %d diverged", d.Name(), u)
+		for _, v := range variants {
+			if !v.Stabilized() {
+				t.Fatalf("%s: variant did not stabilize", d.Name())
+			}
+			for u := 0; u < g.N(); u++ {
+				if v.State(u) != base.State(u) {
+					t.Fatalf("%s: state of %d diverged", d.Name(), u)
+				}
 			}
 		}
-		if err := verify.MIS(g, kern.Black); err != nil {
+		if err := verify.MIS(g, base.Black); err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
 	}
 }
 
 // Mid-run corruption followed by Rebuild must re-derive the lanes (states,
-// both neighbor counters, and the 3-color gate) identically on the kernel
-// and scalar paths.
+// both neighbor counters, and the 3-color gate): after identical corruption
+// of the process and of its reference transcription — mid-run, so the
+// per-vertex streams are already advanced — the two must keep agreeing
+// state for state every round until the process stabilizes.
 func TestKernelRebuildLockstep(t *testing.T) {
 	g := graph.Gnp(180, 0.06, xrand.New(4))
 	mut := xrand.New(7)
+	cap := 4 * DefaultRoundCap(g.N())
 
-	kern3s := NewThreeState(g, WithSeed(11))
-	scal3s := NewThreeState(g, WithSeed(11), WithScalarEngine())
-	kern3c := NewThreeColor(g, WithSeed(11))
-	scal3c := NewThreeColor(g, WithSeed(11), WithScalarEngine())
-	if !kernelEngaged(kern3s) || !kernelEngaged(kern3c) {
-		t.Fatal("kernel did not engage")
+	p3s := NewThreeState(g, WithSeed(11))
+	ref3s := NewRefThreeState(g, 11, triStates(p3s))
+	p3c := NewThreeColor(g, WithSeed(11))
+	colors, levels := colorStates(p3c)
+	ref3c := NewRefThreeColor(g, 11, colors, levels)
+	check := func(when string) {
+		t.Helper()
+		for u := 0; u < g.N(); u++ {
+			if p3s.State(u) != ref3s.State(u) {
+				t.Fatalf("3-state: state of %d diverged %s (round %d)", u, when, p3s.Round())
+			}
+			if p3c.ColorOf(u) != ref3c.ColorOf(u) || p3c.SwitchLevel(u) != ref3c.Level(u) {
+				t.Fatalf("3-color: state of %d diverged %s (round %d)", u, when, p3c.Round())
+			}
+		}
 	}
 	for i := 0; i < 6; i++ {
-		kern3s.Step()
-		scal3s.Step()
-		kern3c.Step()
-		scal3c.Step()
+		p3s.Step()
+		ref3s.Step()
+		p3c.Step()
+		ref3c.Step()
+		check("before corruption")
 	}
 	for i := 0; i < 12; i++ {
 		u := mut.Intn(g.N())
 		ts := TriState(1 + mut.Intn(3))
-		kern3s.Corrupt(u, ts)
-		scal3s.Corrupt(u, ts)
+		p3s.Corrupt(u, ts)
+		ref3s.state[u] = ts
 		c := Color(1 + mut.Intn(3))
 		lvl := uint8(mut.Intn(6))
-		kern3c.Corrupt(u, c, lvl)
-		scal3c.Corrupt(u, c, lvl)
+		p3c.Corrupt(u, c, lvl)
+		ref3c.color[u], ref3c.level[u] = c, lvl
 	}
-	cap := 4 * DefaultRoundCap(g.N())
-	r1, r2 := Run(kern3s, cap), Run(scal3s, cap)
-	if r1 != r2 {
-		t.Fatalf("3-state post-corruption: kernel %+v vs scalar %+v", r1, r2)
+	for !(p3s.Stabilized() && p3c.Stabilized()) && p3c.Round() < cap {
+		p3s.Step()
+		ref3s.Step()
+		p3c.Step()
+		ref3c.Step()
+		check("after corruption")
 	}
-	r3, r4 := Run(kern3c, cap), Run(scal3c, cap)
-	if r3 != r4 {
-		t.Fatalf("3-color post-corruption: kernel %+v vs scalar %+v", r3, r4)
+	if !p3s.Stabilized() || !p3c.Stabilized() {
+		t.Fatal("post-corruption runs did not stabilize")
 	}
-	for u := 0; u < g.N(); u++ {
-		if kern3s.State(u) != scal3s.State(u) {
-			t.Fatalf("3-state: state of %d diverged after rebuild", u)
-		}
-		if kern3c.ColorOf(u) != scal3c.ColorOf(u) || kern3c.SwitchLevel(u) != scal3c.SwitchLevel(u) {
-			t.Fatalf("3-color: state of %d diverged after rebuild", u)
-		}
+}
+
+// triStates and colorStates snapshot a process's initial configuration for
+// its reference transcription.
+func triStates(p *ThreeState) []TriState {
+	out := make([]TriState, p.N())
+	for u := range out {
+		out[u] = p.State(u)
 	}
+	return out
+}
+
+func colorStates(p *ThreeColor) ([]Color, []uint8) {
+	colors := make([]Color, p.N())
+	levels := make([]uint8, p.N())
+	for u := range colors {
+		colors[u], levels[u] = p.ColorOf(u), p.SwitchLevel(u)
+	}
+	return colors, levels
 }
 
 // A run context leased across rule switches (2-state → 3-state → 3-color →
 // back) must reconfigure the lanes without leaking bits between rules: each
-// context-backed run must equal its context-free (and hence its scalar)
-// execution exactly. The sizes shrink and grow so stale words beyond the
+// context-backed run must equal its context-free execution exactly. The sizes shrink and grow so stale words beyond the
 // new tail would be caught.
 func TestKernelRunContextRuleSwitch(t *testing.T) {
 	ctx := engine.NewRunContext()

@@ -97,19 +97,3 @@ func TestBlackBiasActsOnAllProcesses(t *testing.T) {
 		}
 	}
 }
-
-func TestFullRescanMatchesFrontier(t *testing.T) {
-	g := graph.Gnp(250, 0.03, xrand.New(57))
-	for name, newProc := range map[string]func(opts ...Option) Process{
-		"2-state": func(opts ...Option) Process { return NewTwoState(g, opts...) },
-		"3-state": func(opts ...Option) Process { return NewThreeState(g, opts...) },
-		"3-color": func(opts ...Option) Process { return NewThreeColor(g, opts...) },
-	} {
-		frontier := newProc(WithSeed(4))
-		rescan := newProc(WithSeed(4), WithFullRescan())
-		rf, rr := Run(frontier, 20000), Run(rescan, 20000)
-		if rf != rr {
-			t.Fatalf("%s: full-rescan result %+v != frontier %+v", name, rr, rf)
-		}
-	}
-}

@@ -2,7 +2,7 @@ package mis
 
 // Locality relabeling: the process constructors can run the engine over a
 // degree-bucketed reordering of the graph (graph.DegreeBucketOrder) so the
-// kernel's hottest loop — the commit phase's neighbor-counter writes —
+// engine's hottest loop — the commit phase's neighbor-counter writes —
 // touches hub counters packed into a few contiguous cache lines. The
 // relabeling is invisible from outside the package: stream identity is keyed
 // by ORIGINAL vertex ids (the stream of vertex u is always master.Split(u)),
@@ -19,8 +19,8 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// relabelAutoThreshold is the graph order at which the kernel path engages
-// the locality relabeling by default. Below it the working set fits in cache
+// relabelAutoThreshold is the graph order at which the engine engages the
+// locality relabeling by default. Below it the working set fits in cache
 // and the reorder only costs construction time.
 const relabelAutoThreshold = 1 << 15
 
@@ -28,71 +28,67 @@ const relabelAutoThreshold = 1 << 15
 type orderMode uint8
 
 const (
-	// orderAuto engages the degree-bucketed relabeling behind the kernel
-	// path on graphs of at least relabelAutoThreshold vertices whose hubs
-	// are scattered through the id space (autoRelabelWorthwhile) — but only
-	// when a run context is attached to memoize the ordering. Computing the
-	// reorder (degree sort + BFS + CSR rebuild) costs about as much as a
-	// full run at n = 10^6, so it only pays when amortized across the many
-	// runs of a sweep; one-shot constructions without a context stay in
-	// original order.
+	// orderAuto engages the degree-bucketed relabeling on graphs of at least
+	// relabelAutoThreshold vertices whose hubs are scattered through the id
+	// space (autoRelabelWorthwhile) — but only when a run context is
+	// attached to memoize the ordering. Computing the reorder (degree sort +
+	// BFS + CSR rebuild) costs about as much as a full run at n = 10^6, so
+	// it only pays when amortized across the many runs of a sweep; one-shot
+	// constructions without a context stay in original order.
 	orderAuto orderMode = iota
-	// orderIdentity opts out (mirrors the scalar opt-out): the engine runs
-	// in original vertex order.
+	// orderIdentity opts out: the engine runs in original vertex order.
 	orderIdentity
-	// orderDegree forces the relabeling regardless of size or engine path;
+	// orderDegree forces the relabeling regardless of size or context;
 	// differential tests use it to pin relabeled-vs-identity equivalence on
 	// small graphs.
 	orderDegree
 )
 
-// WithIdentityOrder opts out of the locality relabeling the kernel path
-// otherwise auto-selects on large graphs, running the engine in original
-// vertex order. Like WithScalarEngine this is a diagnostic/benchmark knob,
-// never a semantic one: the two orderings replay coin-for-coin identical
-// executions.
+// WithIdentityOrder opts out of the locality relabeling the engine
+// otherwise auto-selects on large graphs, running it in original vertex
+// order. This is a diagnostic/benchmark knob, never a semantic one: the two
+// orderings replay coin-for-coin identical executions.
 func WithIdentityOrder() Option {
 	return func(o *options) { o.order = orderIdentity }
 }
 
 // WithDegreeOrder forces the degree-bucketed locality relabeling regardless
-// of graph size or engine path (the auto policy only engages it behind the
-// kernel path at scale). Differential tests use it to pin relabeled
-// executions against identity ones on small graphs.
+// of graph size, context, or the auto policy's verdict. Differential tests
+// use it to pin relabeled executions against identity ones on small graphs.
 func WithDegreeOrder() Option {
 	return func(o *options) { o.order = orderDegree }
 }
 
 // orderingFor resolves the constructor's locality ordering: nil for the
-// identity. The ordering is a pure function of the graph, so batch workers
-// memoize it on their run context (thousands of seeds share one graph).
+// identity. The ordering and the auto policy's verdict are pure functions
+// of the graph, so batch workers memoize both on their run context
+// (thousands of seeds share one graph) — separately, so a forced ordering
+// never inherits an identity verdict and an auto construction never
+// inherits an ordering its policy rejects.
 func orderingFor(g *graph.Graph, o options) *graph.Ordering {
 	switch o.order {
 	case orderIdentity:
 		return nil
-	case orderDegree:
-		// forced
-	default:
-		if o.scalar || o.ctx == nil || g.N() < relabelAutoThreshold {
+	case orderAuto:
+		if o.ctx == nil || g.N() < relabelAutoThreshold {
+			return nil
+		}
+		m := o.ctx.OrderingMemo(g)
+		if !m.Judged {
+			m.Judged, m.Relabel = true, autoRelabelWorthwhile(g)
+		}
+		if !m.Relabel {
 			return nil
 		}
 	}
-	if o.ctx != nil {
-		if ord, ok := o.ctx.CachedOrdering(g); ok {
-			return ord
-		}
+	if o.ctx == nil {
+		return graph.DegreeBucketOrder(g)
 	}
-	if o.order != orderDegree && !autoRelabelWorthwhile(g) {
-		if o.ctx != nil {
-			o.ctx.StoreOrdering(g, nil)
-		}
-		return nil
+	m := o.ctx.OrderingMemo(g)
+	if m.Ordering == nil {
+		m.Ordering = graph.DegreeBucketOrder(g)
 	}
-	ord := graph.DegreeBucketOrder(g)
-	if o.ctx != nil {
-		o.ctx.StoreOrdering(g, ord)
-	}
-	return ord
+	return m.Ordering
 }
 
 // autoRelabelWorthwhile reports whether the auto policy should relabel g.

@@ -1,7 +1,10 @@
 // Package mis implements the paper's three self-stabilizing MIS processes —
 // the 2-state process (Definition 4), the 3-state process (Definition 5) and
-// the 3-color process with logarithmic switch (Definition 28) — on top of a
-// fast array-based synchronous simulator.
+// the 3-color process with logarithmic switch (Definition 28) — on top of
+// the shared bit-sliced round engine. Each rule is defined once, as a
+// kernel.Spec (twostate.go, threestate.go, threecolor.go); reference.go
+// holds their literal O(n·Δ) transcriptions, the oracles the Specs and the
+// engine are tested against together with the golden seed lineage.
 //
 // All processes share the same contract: states are arbitrary initially
 // (self-stabilization), all vertices update in parallel rounds, and the
@@ -115,17 +118,11 @@ type options struct {
 	trackLocal bool
 	// workers > 1 enables intra-round parallelism (all processes).
 	workers int
-	// fullRescan disables the engine's frontier worklist refresh — the
-	// pre-engine cost model, kept for differential tests and benchmarks.
-	fullRescan bool
 	// ctx, when non-nil, leases all per-run scratch (engine structures,
 	// state vector, vertex streams) from a per-worker run context.
 	ctx *engine.RunContext
-	// scalar opts out of the engine's bit-sliced kernel (all three
-	// processes auto-select it otherwise).
-	scalar bool
-	// order selects the locality-relabeling policy (order.go): auto behind
-	// the kernel path, identity opt-out, or forced degree-bucketed.
+	// order selects the locality-relabeling policy (order.go): auto,
+	// identity opt-out, or forced degree-bucketed.
 	order orderMode
 	// counterLayout selects the engine's neighbor-counter plane layout
 	// (default auto; forced values for differential tests and benchmarks).
@@ -140,9 +137,7 @@ func (o options) engine(noopWhenIdle bool, ord *graph.Ordering) engine.Options {
 		Bias:          o.blackBias,
 		Workers:       o.workers,
 		NoopWhenIdle:  noopWhenIdle,
-		FullRescan:    o.fullRescan,
 		Ctx:           o.ctx,
-		Scalar:        o.scalar,
 		CounterLayout: o.counterLayout,
 		Order:         ord,
 	}
@@ -192,30 +187,13 @@ func WithSwitchZetaLog2(k uint) Option {
 	return func(o *options) { o.switchZetaLog2 = k }
 }
 
-// WithFullRescan disables the engine's frontier worklist and re-derives
-// every vertex's membership from scratch each round — the pre-engine cost
-// model. Diagnostic/benchmark knob: results are identical, rounds are
-// strictly slower.
-func WithFullRescan() Option {
-	return func(o *options) { o.fullRescan = true }
-}
-
-// WithScalarEngine forces the per-vertex interface path instead of the
-// engine's bit-sliced kernel, which all three processes otherwise
-// auto-select. The two paths are coin-for-coin bit-identical — the scalar
-// engine is the golden reference the kernels are differentially pinned
-// against — so this is a diagnostic/benchmark knob, never a semantic one.
-func WithScalarEngine() Option {
-	return func(o *options) { o.scalar = true }
-}
-
 // WithCounterLayout forces the engine's neighbor-counter plane layout
 // (engine.LayoutFlat/LayoutNarrow/LayoutSplit) instead of the auto
 // resolution from the degree profile. Every layout replays the same
 // execution coin-for-coin — the plane changes only where counters live,
-// never what a read returns — so like WithScalarEngine this is a
-// diagnostic/benchmark knob, never a semantic one. The determinism and
-// lockstep matrices pin all layouts against each other.
+// never what a read returns — so this is a test and benchmark hook, never a
+// semantic knob; it is not part of the public ssmis API. The determinism and
+// lockstep matrices pin all layouts against the default one.
 func WithCounterLayout(l engine.CounterLayout) Option {
 	return func(o *options) { o.counterLayout = l }
 }

@@ -13,9 +13,13 @@ import (
 // Determinism matrix for the engine's partitioned two-phase refresh: every
 // process × forced uneven frontiers (star: one hub word saturates, leaf
 // words go quiet; caterpillar: churn concentrates on the spine; complete:
-// dirtyAll forces the O(n) full rescan every changing round) × workers ∈
-// {1, 2, 8}. Summaries, per-vertex colors, and the coveredAt stamps behind
-// the local-times instrument must be byte-identical to the sequential run.
+// dirtyAll forces the full O(n/64) refresh every changing round; power-law:
+// a hub prefix with a whole pure-hub lane word) × variants — workers {2, 8},
+// the degree-bucketed relabeling at workers {1, 2, 8}, and every forced
+// counter-plane geometry at workers {1, 2, 8}. Summaries, per-vertex
+// colors, and the coveredAt stamps behind the local-times instrument must
+// be byte-identical to the default workers=1 run, which TestKernelLockstep
+// Matrix pins to the reference transcriptions.
 func TestRefreshDeterminismMatrix(t *testing.T) {
 	type proc struct {
 		name string
@@ -38,6 +42,23 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		// word — the geometry the parallel refresh skips after a delta merge.
 		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42))},
 	}
+	type variant struct {
+		name   string
+		opts   []Option
+		layout engine.CounterLayout // forced plane geometry, or auto
+	}
+	var variants []variant
+	for _, workers := range []int{2, 8} {
+		variants = append(variants, variant{fmt.Sprintf("workers=%d", workers), []Option{WithWorkers(workers)}, engine.LayoutAuto})
+	}
+	for _, workers := range []int{1, 2, 8} {
+		variants = append(variants, variant{fmt.Sprintf("relabel workers=%d", workers),
+			[]Option{WithWorkers(workers), WithDegreeOrder()}, engine.LayoutAuto})
+		for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
+			variants = append(variants, variant{fmt.Sprintf("layout=%v workers=%d", layout, workers),
+				[]Option{WithWorkers(workers), WithCounterLayout(layout)}, layout})
+		}
+	}
 	type timed interface{ StabilizationTimes() []int }
 	for _, pr := range procs {
 		for _, gc := range graphs {
@@ -45,17 +66,20 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 			base := pr.mk(gc.g, WithSeed(77), WithLocalTimes())
 			baseRes := Run(base, cap)
 			if !baseRes.Stabilized {
-				t.Fatalf("%s/%s: sequential run did not stabilize", pr.name, gc.name)
+				t.Fatalf("%s/%s: default run did not stabilize", pr.name, gc.name)
 			}
 			if err := verify.MIS(gc.g, base.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
 			baseTimes := base.(timed).StabilizationTimes()
-			for _, workers := range []int{2, 8} {
-				name := fmt.Sprintf("%s/%s/workers=%d", pr.name, gc.name, workers)
-				p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithWorkers(workers))
+			for _, v := range variants {
+				name := fmt.Sprintf("%s/%s/%s", pr.name, gc.name, v.name)
+				p := pr.mk(gc.g, append([]Option{WithSeed(77), WithLocalTimes()}, v.opts...)...)
+				if info := counterPlaneOf(p); v.layout != engine.LayoutAuto && info.Active && info.Layout != v.layout {
+					t.Fatalf("%s: plane resolved to %v", name, info.Layout)
+				}
 				if res := Run(p, cap); res != baseRes {
-					t.Fatalf("%s: summary %+v, sequential %+v", name, res, baseRes)
+					t.Fatalf("%s: summary %+v, default %+v", name, res, baseRes)
 				}
 				for u := 0; u < gc.g.N(); u++ {
 					if p.Black(u) != base.Black(u) {
@@ -65,103 +89,7 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 				pts := p.(timed).StabilizationTimes()
 				for u, bt := range baseTimes {
 					if pts[u] != bt {
-						t.Fatalf("%s: coveredAt stamp of %d is %d, sequential %d", name, u, pts[u], bt)
-					}
-				}
-			}
-			// The full-rescan path parallelizes over [0, n) the same way;
-			// it must agree with everything above too.
-			p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithWorkers(8), WithFullRescan())
-			if res := Run(p, cap); res != baseRes {
-				t.Fatalf("%s/%s full-rescan workers=8: summary %+v, sequential %+v",
-					pr.name, gc.name, res, baseRes)
-			}
-		}
-	}
-
-	// Kernel-vs-scalar and relabel axes. All three processes above execute
-	// on the bit-sliced kernel (auto-selected); here the scalar interface
-	// path in original vertex order is forced as the golden reference and
-	// every kernel configuration — workers {1, 2, 8}, frontier and
-	// full-rescan, with and without the degree-bucketed locality
-	// relabeling — must reproduce it byte for byte: summaries, colors, and
-	// the coveredAt stamps.
-	for _, pr := range procs {
-		for _, gc := range graphs {
-			cap := 4 * DefaultRoundCap(gc.g.N())
-			scal := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithScalarEngine(), WithIdentityOrder())
-			scalRes := Run(scal, cap)
-			if !scalRes.Stabilized {
-				t.Fatalf("%s/%s: scalar run did not stabilize", pr.name, gc.name)
-			}
-			scalTimes := scal.(timed).StabilizationTimes()
-			for _, workers := range []int{1, 2, 8} {
-				for _, rescan := range []bool{false, true} {
-					for _, relabel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/kernel workers=%d rescan=%v relabel=%v",
-							pr.name, gc.name, workers, rescan, relabel)
-						opts := []Option{WithSeed(77), WithLocalTimes(), WithWorkers(workers)}
-						if rescan {
-							opts = append(opts, WithFullRescan())
-						}
-						if relabel {
-							opts = append(opts, WithDegreeOrder())
-						} else {
-							opts = append(opts, WithIdentityOrder())
-						}
-						p := pr.mk(gc.g, opts...)
-						if !kernelEngaged(p) {
-							t.Fatalf("%s: kernel did not engage", name)
-						}
-						if res := Run(p, cap); res != scalRes {
-							t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if p.Black(u) != scal.Black(u) {
-								t.Fatalf("%s: color of %d diverged", name, u)
-							}
-						}
-						for u, st := range scalTimes {
-							if pt := p.(timed).StabilizationTimes()[u]; pt != st {
-								t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, pt, st)
-							}
-						}
-					}
-				}
-			}
-			// Counter-layout axis: every forced plane layout — flat, narrow,
-			// width-adaptive lanes, hub/tail split — at workers {1, 2, 8} on
-			// the frontier and full-rescan refresh paths must reproduce the
-			// same scalar golden byte for byte: summaries, colors, coveredAt
-			// stamps. The plane changes where counters are stored, never what
-			// a read returns.
-			for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
-				for _, workers := range []int{1, 2, 8} {
-					for _, rescan := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/kernel layout=%v workers=%d rescan=%v",
-							pr.name, gc.name, layout, workers, rescan)
-						opts := []Option{WithSeed(77), WithLocalTimes(), WithWorkers(workers),
-							WithIdentityOrder(), WithCounterLayout(layout)}
-						if rescan {
-							opts = append(opts, WithFullRescan())
-						}
-						p := pr.mk(gc.g, opts...)
-						if info := counterPlaneOf(p); info.Active && info.Layout != layout {
-							t.Fatalf("%s: plane resolved to %v", name, info.Layout)
-						}
-						if res := Run(p, cap); res != scalRes {
-							t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if p.Black(u) != scal.Black(u) {
-								t.Fatalf("%s: color of %d diverged", name, u)
-							}
-						}
-						for u, st := range scalTimes {
-							if pt := p.(timed).StabilizationTimes()[u]; pt != st {
-								t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, pt, st)
-							}
-						}
+						t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pts[u], bt)
 					}
 				}
 			}
@@ -170,8 +98,8 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 }
 
 // The refresh-heavy worst case: on a complete graph every changing round
-// sets dirtyAll and the refresh rescans all n vertices — exactly the O(n)
-// phase the partitioned refresh parallelizes. workers=8 must reproduce the
+// sets dirtyAll and the refresh re-derives every lane word — exactly the
+// full phase the partitioned refresh parallelizes. workers=8 must reproduce the
 // sequential execution on all three processes; CI runs this test under
 // -race by name.
 func TestParallelRefreshCompleteGraphWorkers8(t *testing.T) {

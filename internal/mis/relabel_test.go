@@ -68,9 +68,9 @@ func relabelProcs() []relabelProc {
 // one, and every public surface is keyed by original ids — so a relabeled
 // process and an identity process on the same seed must agree EXACTLY,
 // round by round: summaries, per-vertex states/colors/levels, random-bit
-// accounting, and the coveredAt stamps. 3 rules × frontier/full-rescan ×
-// workers {1, 8}, forced via WithDegreeOrder on graphs small enough that
-// the auto policy would stay identity.
+// accounting, and the coveredAt stamps. 3 rules × workers {1, 8}, forced
+// via WithDegreeOrder on graphs small enough that the auto policy would
+// stay identity.
 func TestRelabelEquivalenceMatrix(t *testing.T) {
 	// graph.Star itself keeps the identity order (hub already at id 0), so
 	// the star here puts its hub at the HIGHEST id to force a real move.
@@ -103,52 +103,37 @@ func TestRelabelEquivalenceMatrix(t *testing.T) {
 			}
 			identTimes := ident.(timed).StabilizationTimes()
 			for _, workers := range []int{1, 8} {
-				for _, rescan := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%s/workers=%d rescan=%v", pr.name, gc.name, workers, rescan)
-					opts := []Option{WithSeed(42), WithLocalTimes(), WithWorkers(workers), WithDegreeOrder()}
-					if rescan {
-						opts = append(opts, WithFullRescan())
+				name := fmt.Sprintf("%s/%s/workers=%d", pr.name, gc.name, workers)
+				rel := pr.mk(gc.g, WithSeed(42), WithLocalTimes(), WithWorkers(workers), WithDegreeOrder())
+				if !relabelEngaged(rel) {
+					t.Fatalf("%s: relabeling did not engage", name)
+				}
+				// Round-by-round against a fresh identity twin so a
+				// divergence is pinned to the round it appears.
+				twin := pr.mk(gc.g, WithSeed(42), WithLocalTimes(), WithIdentityOrder())
+				for !rel.Stabilized() && rel.Round() < cap {
+					rel.Step()
+					twin.Step()
+					if rel.ActiveCount() != twin.ActiveCount() || rel.RandomBits() != twin.RandomBits() {
+						t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
+							name, rel.Round(), rel.ActiveCount(), rel.RandomBits(),
+							twin.ActiveCount(), twin.RandomBits())
 					}
-					rel := pr.mk(gc.g, opts...)
-					if !relabelEngaged(rel) {
-						t.Fatalf("%s: relabeling did not engage", name)
-					}
-					// Round-by-round against a fresh identity twin so a
-					// divergence is pinned to the round it appears.
-					twin := pr.mk(gc.g, WithSeed(42), WithLocalTimes(), WithIdentityOrder())
-					for !rel.Stabilized() && rel.Round() < cap {
-						rel.Step()
-						twin.Step()
-						if rel.ActiveCount() != twin.ActiveCount() || rel.RandomBits() != twin.RandomBits() {
-							t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
-								name, rel.Round(), rel.ActiveCount(), rel.RandomBits(),
-								twin.ActiveCount(), twin.RandomBits())
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if pr.stateOf(rel, u) != pr.stateOf(twin, u) {
-								t.Fatalf("%s: state of %d diverged at round %d", name, u, rel.Round())
-							}
-						}
-					}
-					if res := (Result{rel.Round(), rel.Stabilized(), rel.RandomBits()}); res != identRes {
-						t.Fatalf("%s: summary %+v, identity %+v", name, res, identRes)
-					}
-					rt := rel.(timed).StabilizationTimes()
-					for u, st := range identTimes {
-						if rt[u] != st {
-							t.Fatalf("%s: coveredAt stamp of %d is %d, identity %d", name, u, rt[u], st)
+					for u := 0; u < gc.g.N(); u++ {
+						if pr.stateOf(rel, u) != pr.stateOf(twin, u) {
+							t.Fatalf("%s: state of %d diverged at round %d", name, u, rel.Round())
 						}
 					}
 				}
-			}
-			// Relabeling composes with the scalar path too (WithDegreeOrder
-			// overrides the auto policy's kernel-only gate).
-			scal := pr.mk(gc.g, WithSeed(42), WithScalarEngine(), WithDegreeOrder())
-			if kernelEngaged(scal) || !relabelEngaged(scal) {
-				t.Fatalf("%s/%s: scalar+relabel engagement wrong", pr.name, gc.name)
-			}
-			if res := Run(scal, cap); res != identRes {
-				t.Fatalf("%s/%s scalar+relabel: summary %+v, identity %+v", pr.name, gc.name, res, identRes)
+				if res := (Result{rel.Round(), rel.Stabilized(), rel.RandomBits()}); res != identRes {
+					t.Fatalf("%s: summary %+v, identity %+v", name, res, identRes)
+				}
+				rt := rel.(timed).StabilizationTimes()
+				for u, st := range identTimes {
+					if rt[u] != st {
+						t.Fatalf("%s: coveredAt stamp of %d is %d, identity %d", name, u, rt[u], st)
+					}
+				}
 			}
 		}
 	}
@@ -381,7 +366,7 @@ func TestRelabelRebindEquivalence(t *testing.T) {
 	}
 }
 
-// The auto policy: relabeling engages only behind the kernel path and only
+// The auto policy: relabeling engages only with a run context and only
 // at relabelAutoThreshold vertices and beyond; WithIdentityOrder opts out.
 // randPermI32 returns a deterministic pseudo-random permutation of [0, n).
 func randPermI32(n int, rng *xrand.Rand) []int32 {
@@ -421,9 +406,6 @@ func TestRelabelAutoPolicy(t *testing.T) {
 	if relabelEngaged(NewTwoState(big, WithSeed(1))) {
 		t.Fatal("auto relabeling engaged without a run context to memoize the ordering")
 	}
-	if relabelEngaged(NewTwoState(big, WithSeed(1), WithRunContext(ctx), WithScalarEngine())) {
-		t.Fatal("auto relabeling engaged on the scalar path")
-	}
 	// Flat-degree family at threshold size: no hubs to pack, auto stays
 	// identity (the pure BFS reorder measures as a slight loss there).
 	flat := graph.Gnp(relabelAutoThreshold, 8.0/float64(relabelAutoThreshold), xrand.New(3))
@@ -442,5 +424,50 @@ func TestRelabelAutoPolicy(t *testing.T) {
 	ident := NewTwoState(big, WithSeed(1), WithIdentityOrder())
 	if r1, r2 := Run(auto, cap), Run(ident, cap); r1 != r2 {
 		t.Fatalf("auto %+v vs identity %+v", r1, r2)
+	}
+}
+
+// The run-context ordering memo keeps the degree-bucketed ordering and the
+// auto policy's verdict apart. On a hubless graph at the size threshold the
+// policy says identity, yet WithDegreeOrder must still relabel on a context
+// that memoized that verdict — and, in the other order, an auto
+// construction must stay identity on a context that already holds the
+// forced ordering.
+func TestRelabelMemoSeparatesVerdictFromOrdering(t *testing.T) {
+	g := graph.GnpAvgDegree(relabelAutoThreshold, 10, xrand.New(4))
+	if autoRelabelWorthwhile(g) {
+		t.Fatal("test premise broken: the auto policy would relabel this graph")
+	}
+	forced := func(ctx *engine.RunContext) *TwoState {
+		return NewTwoState(g, WithSeed(1), WithRunContext(ctx), WithDegreeOrder())
+	}
+	auto := func(ctx *engine.RunContext) *TwoState {
+		return NewTwoState(g, WithSeed(1), WithRunContext(ctx))
+	}
+
+	ctx := engine.NewRunContext()
+	if relabelEngaged(auto(ctx)) {
+		t.Fatal("auto relabeled a graph its policy rejects")
+	}
+	if ord, judged := ctx.CachedOrdering(g); !judged || ord != nil {
+		t.Fatalf("auto verdict not memoized as identity: (%v, %v)", ord, judged)
+	}
+	if !relabelEngaged(forced(ctx)) {
+		t.Fatal("WithDegreeOrder returned the memoized identity verdict instead of relabeling")
+	}
+
+	ctx = engine.NewRunContext()
+	first := forced(ctx)
+	if !relabelEngaged(first) {
+		t.Fatal("WithDegreeOrder did not relabel")
+	}
+	if relabelEngaged(auto(ctx)) {
+		t.Fatal("auto reused the forced ordering its policy rejects")
+	}
+	if ord, judged := ctx.CachedOrdering(g); !judged || ord != nil {
+		t.Fatalf("auto verdict after a forced construction: (%v, %v), want identity", ord, judged)
+	}
+	if again := forced(ctx); again.ord != first.ord {
+		t.Fatal("forced constructions on one context recomputed the ordering")
 	}
 }

@@ -37,84 +37,17 @@ func (c Color) String() string {
 	}
 }
 
-// threeColorRule is Definition 28 as an engine rule: the 2-state update rule
-// with two changes — an active black vertex randomizes between black and
-// gray (not white), and a gray vertex becomes white only when its
-// (a, 3)-logarithmic switch (Definition 26, a = 512, ζ = 2^-7) is on. The
-// switch runs as the rule's mid-round sub-process on the same per-vertex
-// streams: a vertex draws its color coin first (if active) and its switch
-// coin second (if at the top level), the order the goroutine runtime
-// replays.
-//
-// Every gray vertex stays on the worklist — whether it drains is decided by
-// the switch value at evaluation time, which changes round to round outside
-// the engine's counter model.
-type threeColorRule struct {
-	clock *phaseclock.Clock
-	rngs  []*xrand.Rand
-}
-
-func (*threeColorRule) NumStates() int { return 3 }
-
-func (*threeColorRule) Class(s uint8) uint8 {
-	if Color(s) == ColorBlack {
-		return engine.ClassA
-	}
-	return 0
-}
-
-func (*threeColorRule) Black(s uint8) bool { return Color(s) == ColorBlack }
-
-// Active mirrors the 2-state predicate: black with a black neighbor, or
-// white with no black neighbor. Gray vertices are never active — their only
-// transition is the switch-gated gray→white.
-func (*threeColorRule) Active(_ int, s uint8, a, _ int32) bool {
-	switch Color(s) {
-	case ColorBlack:
-		return a > 0
-	case ColorWhite:
-		return a == 0
-	default:
-		return false
-	}
-}
-
-func (r *threeColorRule) Touched(u int, s uint8, a, b int32) bool {
-	return Color(s) == ColorGray || r.Active(u, s, a, b)
-}
-
-func (r *threeColorRule) Evaluate(u int, s uint8, _, _ int32, d *engine.Draw) uint8 {
-	switch Color(s) {
-	case ColorBlack: // active: has a black neighbor
-		if d.Coin(u) {
-			return uint8(ColorBlack)
-		}
-		return uint8(ColorGray)
-	case ColorWhite: // active: no black neighbor
-		if d.Coin(u) {
-			return uint8(ColorBlack)
-		}
-		return uint8(ColorWhite)
-	default: // gray, gated by the switch value σ_{t-1}
-		if r.clock.On(u) {
-			return uint8(ColorWhite)
-		}
-		return uint8(ColorGray)
-	}
-}
-
-// MidRound advances the switch one synchronous round on the shared
-// per-vertex streams, after the color coins and before the commit.
-func (r *threeColorRule) MidRound() {
-	r.clock.Step(r.rngs)
-}
-
-// threeColorProg is Definition 28 as a compiled lane program: the 2-state
-// tables plus a gray code (10) that is always touched, never active, and
-// whose forced transition is gated — gray→white when the vertex's switch
-// bit is on, gray→gray otherwise. The engine re-exports the gate lane after
-// every MidRound (ExportGate below), so evaluation reads σ_{t-1} exactly as
-// the scalar Evaluate does.
+// threeColorProg is Definition 28 as a compiled lane program — the rule's
+// one definition: the 2-state update rule with two changes — an active black
+// vertex randomizes between black and gray (not white), and a gray vertex
+// becomes white only when its (a, 3)-logarithmic switch (Definition 26,
+// a = 512, ζ = 2^-7) is on. The 2-state tables plus a gray code (10) that is
+// always touched, never active, and whose forced transition is gated —
+// gray→white when the vertex's switch bit is on, gray→gray otherwise. Every
+// gray vertex stays on the worklist: whether it drains is decided by the
+// switch value at evaluation time, which changes round to round outside the
+// engine's counter model. RefThreeColor (reference.go) is its literal
+// transcription.
 var threeColorProg = kernel.MustCompile(kernel.Spec{
 	StateOf: [4]uint8{uint8(ColorWhite), uint8(ColorBlack), uint8(ColorGray), 0},
 	UseGate: true,
@@ -146,21 +79,30 @@ var threeColorProg = kernel.MustCompile(kernel.Spec{
 	ForcedOff: [4]uint8{0, 0, 2, 0}, // gray with switch off stays gray
 })
 
-// LaneProgram marks the rule for the engine's bit-sliced kernel; the
-// mid-round switch participates through ExportGate.
-func (*threeColorRule) LaneProgram() *kernel.Program { return threeColorProg }
+// logSwitch is the 3-color process's switch as the engine's sub-process:
+// the phase clock runs on the same per-vertex streams as the color coins, a
+// vertex drawing its color coin first (if active) and its switch coin
+// second (if at the top level) — the order the goroutine runtime replays.
+type logSwitch struct {
+	clock *phaseclock.Clock
+	rngs  []*xrand.Rand
+}
 
-// ExportGate packs the per-vertex switch values into the kernel's gate lane
-// (engine.KernelGate), called by the engine after every MidRound and at
-// Rebuild.
-func (r *threeColorRule) ExportGate(dst []uint64) { r.clock.ExportOn(dst) }
+// MidRound advances the switch one synchronous round, after the color coins
+// and before the commit (engine.SubProcess).
+func (s *logSwitch) MidRound() { s.clock.Step(s.rngs) }
+
+// ExportGate packs the per-vertex switch values into the program's gate
+// lane (engine.SubProcess), so evaluation reads σ_{t-1}.
+func (s *logSwitch) ExportGate(dst []uint64) { s.clock.ExportOn(dst) }
 
 // ThreeColor is the paper's 3-color MIS process (Definition 28) with the
 // randomized logarithmic switch sub-process; total state space is 3 × 6 = 18
-// states per vertex. It is a thin rule over the shared frontier engine.
+// states per vertex. It is a thin wrapper over the shared frontier engine
+// running threeColorProg with the switch as its sub-process.
 type ThreeColor struct {
 	core *engine.Core
-	rule *threeColorRule
+	sw   *logSwitch
 	opts options
 	// g is the caller's graph in original vertex ids; ord the locality
 	// relabeling the engine and switch run under (nil = identity, order.go).
@@ -208,14 +150,14 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 	} else {
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2))
 	}
-	rule := &threeColorRule{
+	sw := &logSwitch{
 		clock: clock,
 		rngs:  splitVertexStreams(n, master, o.ctx, ord),
 	}
-	rule.clock.RandomizeLevelsPerm(irng, ordPerm(ord))
+	sw.clock.RandomizeLevelsPerm(irng, ordPerm(ord))
 	return &ThreeColor{
-		core: engine.New(eg, rule, state, rule.rngs, o.engine(false, ord)),
-		rule: rule,
+		core: engine.New(eg, threeColorProg, sw, state, sw.rngs, o.engine(false, ord)),
+		sw:   sw,
 		opts: o,
 		g:    g,
 		ord:  ord,
@@ -238,10 +180,10 @@ func (p *ThreeColor) N() int { return p.core.Graph().N() }
 func (p *ThreeColor) Round() int { return p.core.Round() }
 
 // States implements Process: 3 colors × 6 switch levels.
-func (p *ThreeColor) States() int { return 3 * p.rule.clock.States() }
+func (p *ThreeColor) States() int { return 3 * p.sw.clock.States() }
 
 // RandomBits implements Process; includes the switch's coins.
-func (p *ThreeColor) RandomBits() int64 { return p.core.Bits() + p.rule.clock.RandomBits() }
+func (p *ThreeColor) RandomBits() int64 { return p.core.Bits() + p.sw.clock.RandomBits() }
 
 // ActiveCount implements Process.
 func (p *ThreeColor) ActiveCount() int { return p.core.ActiveCount() }
@@ -253,10 +195,10 @@ func (p *ThreeColor) Black(u int) bool { return Color(p.core.State(p.ord.NewID(u
 func (p *ThreeColor) ColorOf(u int) Color { return Color(p.core.State(p.ord.NewID(u))) }
 
 // SwitchLevel returns u's current switch level (0..5).
-func (p *ThreeColor) SwitchLevel(u int) uint8 { return p.rule.clock.Level(p.ord.NewID(u)) }
+func (p *ThreeColor) SwitchLevel(u int) uint8 { return p.sw.clock.Level(p.ord.NewID(u)) }
 
 // SwitchOn returns u's current switch value.
-func (p *ThreeColor) SwitchOn(u int) bool { return p.rule.clock.On(p.ord.NewID(u)) }
+func (p *ThreeColor) SwitchOn(u int) bool { return p.sw.clock.On(p.ord.NewID(u)) }
 
 // GrayCount returns |Γ_t|.
 func (p *ThreeColor) GrayCount() int { return p.core.StateCount(uint8(ColorGray)) }
@@ -280,11 +222,11 @@ func (p *ThreeColor) Rebind(g *graph.Graph) {
 	p.g = g
 	if p.ord != nil {
 		p.ord = p.ord.Rebind(g)
-		p.rule.clock.Rebind(p.ord.G)
+		p.sw.clock.Rebind(p.ord.G)
 		p.core.RebindOrdered(p.ord)
 		return
 	}
-	p.rule.clock.Rebind(g)
+	p.sw.clock.Rebind(g)
 	p.core.Rebind(g)
 }
 
@@ -292,6 +234,6 @@ func (p *ThreeColor) Rebind(g *graph.Graph) {
 func (p *ThreeColor) Corrupt(u int, c Color, level uint8) {
 	i := p.ord.NewID(u)
 	p.core.States()[i] = uint8(c)
-	p.rule.clock.SetLevel(i, level)
+	p.sw.clock.SetLevel(i, level)
 	p.core.Rebuild()
 }

@@ -38,8 +38,9 @@ func (s TriState) String() string {
 // Black reports whether the state presents as black.
 func (s TriState) Black() bool { return s == TriBlack0 || s == TriBlack1 }
 
-// threeStateRule is Definition 5 as an engine rule. Counter A counts black
-// neighbors, counter B counts black1 neighbors:
+// threeStateProg is Definition 5 as a compiled lane program — the rule's
+// one definition. Counter A counts black neighbors, counter B black1
+// neighbors:
 //
 //	if c(u) = black1, or (c(u) = black0 and no neighbor is black1), or
 //	   (c(u) = white and all neighbors are white):
@@ -48,57 +49,14 @@ func (s TriState) Black() bool { return s == TriBlack0 || s == TriBlack1 }
 //	else:                    c'(u) = c(u)     // white with a black neighbor
 //
 // The worklist therefore holds every black vertex plus the active whites.
-type threeStateRule struct{}
-
-func (threeStateRule) NumStates() int { return 3 }
-
-func (threeStateRule) Class(s uint8) uint8 {
-	switch TriState(s) {
-	case TriBlack0:
-		return engine.ClassA
-	case TriBlack1:
-		return engine.ClassA | engine.ClassB
-	default:
-		return 0
-	}
-}
-
-func (threeStateRule) Black(s uint8) bool { return TriState(s).Black() }
-
-func (threeStateRule) Active(_ int, s uint8, a, b int32) bool {
-	switch TriState(s) {
-	case TriBlack1:
-		return true
-	case TriBlack0:
-		return b == 0
-	default: // white
-		return a == 0
-	}
-}
-
-func (threeStateRule) Touched(_ int, s uint8, a, _ int32) bool {
-	return TriState(s).Black() || a == 0
-}
-
-func (r threeStateRule) Evaluate(u int, s uint8, a, b int32, d *engine.Draw) uint8 {
-	if r.Active(u, s, a, b) {
-		if d.Coin(u) {
-			return uint8(TriBlack1)
-		}
-		return uint8(TriBlack0)
-	}
-	// Touched but not active: black0 with a black1 neighbor demotes.
-	return uint8(TriWhite)
-}
-
-// threeStateProg is Definition 5 as a compiled lane program. The encoding
-// follows the kernel contract — lo is the black projection, so black0 is
-// code 1 and black1 (the only ClassB state) is code 3 — and the hasBNbr
-// lane carries "has a black1 neighbor", maintained incrementally from
-// counter B's zero crossings (the black1→black0 demotion is its db = −1
-// step). An active vertex's coin picks black1/black0; a black0 vertex that
-// hears a black1 neighbor is touched-but-not-active and demotes to white
-// with no coin, exactly as the scalar Evaluate above.
+// The encoding follows the kernel contract — lo is the black projection, so
+// black0 is code 1 and black1 (the only counter-B state) is code 3 — and the
+// hasBNbr lane carries "has a black1 neighbor", maintained incrementally
+// from counter B's zero crossings (the black1→black0 demotion is its
+// db = −1 step). An active vertex's coin picks black1/black0; a black0
+// vertex that hears a black1 neighbor is touched-but-not-active and demotes
+// to white with no coin. RefThreeState (reference.go) is its literal
+// transcription.
 var threeStateProg = kernel.MustCompile(kernel.Spec{
 	StateOf: [4]uint8{uint8(TriWhite), uint8(TriBlack0), 0, uint8(TriBlack1)},
 	UseB:    true,
@@ -121,11 +79,8 @@ var threeStateProg = kernel.MustCompile(kernel.Spec{
 	ForcedOff: [4]uint8{0, 0, 0, 0},
 })
 
-// LaneProgram marks the rule for the engine's bit-sliced kernel.
-func (threeStateRule) LaneProgram() *kernel.Program { return threeStateProg }
-
-// ThreeState is the paper's 3-state MIS process (Definition 5), a thin rule
-// over the shared frontier engine. Stable black vertices alternate between
+// ThreeState is the paper's 3-state MIS process (Definition 5), a thin
+// wrapper over the shared frontier engine running threeStateProg. Stable black vertices alternate between
 // black1 and black0 forever, so stabilization is detected through the
 // monotone core I_t (black vertices with no black neighbors) covering the
 // graph, not through state quiescence.
@@ -168,7 +123,7 @@ func NewThreeState(g *graph.Graph, opts ...Option) *ThreeState {
 		}
 	}
 	return &ThreeState{
-		core: engine.New(engineGraph(g, ord), threeStateRule{}, state,
+		core: engine.New(engineGraph(g, ord), threeStateProg, nil, state,
 			splitVertexStreams(n, master, o.ctx, ord), o.engine(false, ord)),
 		opts: o,
 		g:    g,

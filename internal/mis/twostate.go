@@ -13,44 +13,13 @@ const (
 	twoBlack uint8 = 2
 )
 
-// twoStateRule is Definition 4 as an engine rule: a vertex is active — and
-// privileged under a daemon — when black with a black neighbor or white with
-// no black neighbor, and an active vertex resets to a random color.
-type twoStateRule struct{}
-
-func (twoStateRule) NumStates() int { return 2 }
-
-func (twoStateRule) Class(s uint8) uint8 {
-	if s == twoBlack {
-		return engine.ClassA
-	}
-	return 0
-}
-
-func (twoStateRule) Black(s uint8) bool { return s == twoBlack }
-
-func (twoStateRule) Active(_ int, s uint8, a, _ int32) bool {
-	if s == twoBlack {
-		return a > 0
-	}
-	return a == 0
-}
-
-func (r twoStateRule) Touched(u int, s uint8, a, b int32) bool {
-	return r.Active(u, s, a, b)
-}
-
-func (twoStateRule) Evaluate(u int, _ uint8, _, _ int32, d *engine.Draw) uint8 {
-	if d.Coin(u) {
-		return twoBlack
-	}
-	return twoWhite
-}
-
-// twoStateProg is Definition 4 as a compiled lane program: codes {white,
-// black}, activity ¬(black ⊕ hasBlackNbr), and the coin as the next state —
-// the canonical shape the kernel's XOR-flip fast path recognizes. Compiled
-// once; shared by every engine.
+// twoStateProg is Definition 4 as a compiled lane program — the rule's one
+// definition: a vertex is active (and privileged under a daemon) when black
+// with a black neighbor or white with no black neighbor, and an active
+// vertex resets to a random color. Codes {white, black}, activity
+// ¬(black ⊕ hasBlackNbr), and the coin as the next state: the canonical
+// shape the kernel's XOR-flip fast path recognizes. Compiled once; shared by
+// every engine. RefTwoState (reference.go) is its literal transcription.
 var twoStateProg = kernel.MustCompile(kernel.Spec{
 	StateOf: [4]uint8{twoWhite, twoBlack, 0, 0},
 	Active: kernel.TruthTable(func(code int, a, _ bool) bool {
@@ -63,19 +32,15 @@ var twoStateProg = kernel.MustCompile(kernel.Spec{
 	CoinLo: [4]uint8{0, 0, 0, 0},
 })
 
-// LaneProgram marks the rule for the engine's bit-sliced kernel: the engine
-// evaluates 64 vertices per word unless WithScalarEngine opts out.
-func (twoStateRule) LaneProgram() *kernel.Program { return twoStateProg }
-
 // TwoState is the paper's 2-state MIS process (Definition 4). Each vertex is
 // black or white; in every round, each active vertex — black with a black
 // neighbor, or white with no black neighbor — resets to a uniformly random
 // color. The process has stabilized exactly when no vertex is active, at
 // which point the black vertices form an MIS.
 //
-// The process is a thin rule over the shared frontier engine: a round costs
-// O(|active| + Σ_{flipped u} deg(u)), and complete graphs take a fast path
-// using the global black count.
+// The process is a thin wrapper over the shared frontier engine running
+// twoStateProg: a round costs O(|active|/64 + Σ_{flipped u} deg(u)), and
+// complete graphs take a fast path using the global black count.
 type TwoState struct {
 	core *engine.Core
 	opts options
@@ -108,7 +73,7 @@ func NewTwoState(g *graph.Graph, opts ...Option) *TwoState {
 		state[ord.NewID(u)] = s
 	}
 	return &TwoState{
-		core: engine.New(engineGraph(g, ord), twoStateRule{}, state,
+		core: engine.New(engineGraph(g, ord), twoStateProg, nil, state,
 			splitVertexStreams(n, master, o.ctx, ord), o.engine(true, ord)),
 		opts: o,
 		g:    g,

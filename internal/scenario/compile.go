@@ -4,7 +4,7 @@ package scenario
 // Run submits the exact cell structure the hand-coded experiments submit —
 // ScalingSpec/RunScalingSweep for sync scaling units, RuntimeScalingSpec
 // for the alternative media, DaemonMatrixSpec and FaultMatrixSpec for the
-// matrices. Checkpointing, cell timing, -scalar/-identity-order invariance
+// matrices. Checkpointing, cell timing, -identity-order invariance
 // and -workers independence all come for free from that shared path.
 
 import (

@@ -1,7 +1,6 @@
 package ssmis
 
 import (
-	"ssmis/internal/engine"
 	"ssmis/internal/graph"
 	"ssmis/internal/mis"
 	"ssmis/internal/sched"
@@ -115,46 +114,17 @@ func WithLocalTimes() Option { return mis.WithLocalTimes() }
 // engine. Negative k panics.
 func WithWorkers(k int) Option { return mis.WithWorkers(k) }
 
-// WithScalarEngine opts a process out of the engine's bit-sliced kernel
-// (all three processes auto-select it), forcing the per-vertex interface
-// path. The two paths are coin-for-coin bit-identical; this is a
-// diagnostic/benchmark knob.
-func WithScalarEngine() Option { return mis.WithScalarEngine() }
-
 // WithIdentityOrder opts a process out of the locality relabeling the
-// kernel path auto-selects on large graphs, keeping engine storage in
-// original vertex ids. Relabeled executions are graph isomorphisms of
+// engine auto-selects on large graphs, keeping engine storage in original
+// vertex ids. Relabeled executions are graph isomorphisms of
 // identity-ordered ones — outcomes, coins, and histories are identical —
 // so this is a diagnostic/benchmark knob.
 func WithIdentityOrder() Option { return mis.WithIdentityOrder() }
 
 // WithDegreeOrder forces the degree-bucketed locality relabeling on
-// regardless of graph size or engine path. Primarily for tests and
+// regardless of graph size or run context. Primarily for tests and
 // benchmarks; the auto policy already selects it where it pays off.
 func WithDegreeOrder() Option { return mis.WithDegreeOrder() }
-
-// CounterLayout selects where the engine keeps its per-vertex neighbor
-// counters; see the layout constants. Every layout stores exactly the same
-// values, so executions are bit-identical across layouts — this is a
-// diagnostic/benchmark knob, like WithScalarEngine.
-type CounterLayout = engine.CounterLayout
-
-// Counter-plane layouts for WithCounterLayout. The default (CounterAuto)
-// resolves from the graph's degree profile: the hub/tail split when hubs are
-// packed first and the tail fits a narrow width, narrow lanes when the whole
-// graph fits, flat int32 otherwise.
-const (
-	CounterAuto   = engine.LayoutAuto
-	CounterFlat   = engine.LayoutFlat
-	CounterNarrow = engine.LayoutNarrow
-	CounterSplit  = engine.LayoutSplit
-)
-
-// WithCounterLayout forces a counter-plane layout instead of the automatic
-// degree-profile resolution. A narrow/split request on a graph whose tail
-// degrees exceed 16 bits falls back to full-width cells loudly (the engine
-// reports FellBack through its plane info rather than wrapping a counter).
-func WithCounterLayout(l CounterLayout) Option { return mis.WithCounterLayout(l) }
 
 // ToggleEdge returns a copy of g with edge {u,v} added if absent, removed
 // if present. Combine with a process's Rebind method to model topology
