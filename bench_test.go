@@ -130,8 +130,8 @@ func BenchmarkStepTwoStateGnp100k(b *testing.B) {
 }
 
 // --- shared-engine benchmarks: the bit-sliced engine on sparse, heavy-tailed
-// and complete graphs, sequential and with workers, for all three rules (see
-// BENCH_engine.json for recorded results). ---
+// and complete graphs for all three rules (see BENCH_engine.json for
+// recorded results). ---
 
 // benchEngine measures full time-to-stabilization of the 2-state process on
 // a fixed graph under the given extra options.
@@ -167,20 +167,6 @@ func BenchmarkEngineFrontierGnp100k(b *testing.B) {
 
 func BenchmarkEngineFrontierChungLu100k(b *testing.B) {
 	benchEngine(b, ssmis.ChungLu(100000, 2.5, 10, 7))
-}
-
-func BenchmarkEngineWorkersGnp1M(b *testing.B) {
-	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7), ssmis.WithWorkers(8))
-}
-
-func BenchmarkEngineWorkersClique4k(b *testing.B) {
-	// The complete-graph workload through the partitioned two-phase refresh
-	// at workers=8.
-	benchEngine(b, ssmis.Complete(4096), ssmis.WithWorkers(8))
-}
-
-func BenchmarkEngineWorkersChungLu1M(b *testing.B) {
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7), ssmis.WithWorkers(8))
 }
 
 func BenchmarkEngineKernelGnp1M(b *testing.B) {
@@ -228,14 +214,6 @@ func BenchmarkCountersSplitChungLu1M(b *testing.B) {
 	// tail lives in byte lanes.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
 		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutSplit))
-}
-
-func BenchmarkCountersSplitWorkersChungLu1M(b *testing.B) {
-	// The delta-buffered parallel commit: hub updates accumulate in
-	// per-worker dense delta arrays merged sequentially after the join (no
-	// atomics on the contended hub rows); tail updates CAS the byte lanes.
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutSplit), ssmis.WithWorkers(8))
 }
 
 func mk3State(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process {

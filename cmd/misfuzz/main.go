@@ -132,14 +132,13 @@ func fuzzTwoState(g *graph.Graph, seed uint64) string {
 	return ""
 }
 
-// fuzzKernel differentially fuzzes the engine at a random worker count in
-// {1, 8} against the reference transcriptions of the paper's definitions
-// (mis.NewRef*) for all three rules — 2-state, 3-state, and 3-color: same
+// fuzzKernel differentially fuzzes the engine against the reference
+// transcriptions of the paper's definitions (mis.NewRef*) for all three
+// rules — 2-state, 3-state, and 3-color: same
 // graph, same seed, compared state-for-state (full states: black0 vs
 // black1, colors AND switch levels) every round, and a valid MIS at
 // stabilization.
 func fuzzKernel(g *graph.Graph, seed uint64) string {
-	r := xrand.New(seed ^ 0x9e3779b97f4a7c15)
 	n := g.N()
 	variants := []struct {
 		name string
@@ -197,8 +196,7 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 		},
 	}
 	for _, v := range variants {
-		workers := []int{1, 8}[r.Intn(2)]
-		p := v.mk(mis.WithSeed(seed), mis.WithWorkers(workers))
+		p := v.mk(mis.WithSeed(seed))
 		refStep, refState := v.ref(p)
 		limit := v.limitMul * mis.DefaultRoundCap(n)
 		for rd := 0; rd < limit && !p.Stabilized(); rd++ {
@@ -206,8 +204,8 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 			refStep()
 			for u := 0; u < n; u++ {
 				if v.state(p, u) != refState(u) {
-					return fmt.Sprintf("%s workers=%d round %d vertex %d: engine=%#x reference=%#x",
-						v.name, workers, rd+1, u, v.state(p, u), refState(u))
+					return fmt.Sprintf("%s round %d vertex %d: engine=%#x reference=%#x",
+						v.name, rd+1, u, v.state(p, u), refState(u))
 				}
 			}
 		}
@@ -230,9 +228,8 @@ func boolInt(b bool) int {
 
 // fuzzRelabel differentially fuzzes the locality relabeling (forced via
 // WithDegreeOrder) against the identity ordering for all three rules: same
-// graph, same seed, a random worker count in {1, 8}, compared
-// state-for-state in original vertex ids every round with exact random-bit
-// accounting at stabilization. Each case also ships a
+// graph, same seed, compared state-for-state in original vertex ids every
+// round with exact random-bit accounting at stabilization. Each case also ships a
 // mid-run checkpoint ACROSS the ordering boundary — saved under the
 // relabeling, resumed without it — and the resumed run must replay the
 // identity execution to stabilization.
@@ -272,8 +269,7 @@ func fuzzRelabel(g *graph.Graph, seed uint64) string {
 		},
 	}
 	for _, v := range variants {
-		workers := []int{1, 8}[r.Intn(2)]
-		rel := v.mk(mis.WithSeed(seed), mis.WithWorkers(workers), mis.WithDegreeOrder())
+		rel := v.mk(mis.WithSeed(seed), mis.WithDegreeOrder())
 		ident := v.mk(mis.WithSeed(seed), mis.WithIdentityOrder())
 		limit := v.limitMul * mis.DefaultRoundCap(g.N())
 		for rd := 0; rd < limit && !ident.Stabilized(); rd++ {
@@ -281,20 +277,20 @@ func fuzzRelabel(g *graph.Graph, seed uint64) string {
 			ident.Step()
 			for u := 0; u < g.N(); u++ {
 				if v.stateOf(rel, u) != v.stateOf(ident, u) {
-					return fmt.Sprintf("%s workers=%d round %d vertex %d: relabeled=%#x identity=%#x",
-						v.name, workers, rd+1, u, v.stateOf(rel, u), v.stateOf(ident, u))
+					return fmt.Sprintf("%s round %d vertex %d: relabeled=%#x identity=%#x",
+						v.name, rd+1, u, v.stateOf(rel, u), v.stateOf(ident, u))
 				}
 			}
 			if rel.Stabilized() != ident.Stabilized() {
-				return fmt.Sprintf("%s workers=%d round %d: stabilization flags disagree", v.name, workers, rd+1)
+				return fmt.Sprintf("%s round %d: stabilization flags disagree", v.name, rd+1)
 			}
 		}
 		if !ident.Stabilized() {
 			return fmt.Sprintf("%s: no stabilization within %d rounds", v.name, limit)
 		}
 		if rel.RandomBits() != ident.RandomBits() {
-			return fmt.Sprintf("%s workers=%d bit accounting: relabeled=%d identity=%d",
-				v.name, workers, rel.RandomBits(), ident.RandomBits())
+			return fmt.Sprintf("%s bit accounting: relabeled=%d identity=%d",
+				v.name, rel.RandomBits(), ident.RandomBits())
 		}
 		if err := verify.MIS(g, rel.Black); err != nil {
 			return v.name + " relabeled stabilized to non-MIS: " + err.Error()

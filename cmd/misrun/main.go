@@ -105,10 +105,16 @@ func run() int {
 	)
 	flag.Parse()
 
-	// The engine validates WithWorkers < 0 loudly; the pool's 0 = GOMAXPROCS
-	// convention must not swallow negative typos (-workers -3) silently.
+	// The pool's 0 = GOMAXPROCS convention must not swallow negative typos
+	// (-workers -3) silently.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "misrun: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
+		return 2
+	}
+	// -workers and -batch shape the -trials pool; a single run has no pool,
+	// so either flag without -trials would be silently ignored.
+	if *trials <= 1 && (*workers != 0 || *chunk != 0) {
+		fmt.Fprintln(os.Stderr, "misrun: -workers and -batch size the -trials pool; they need -trials > 1")
 		return 2
 	}
 

@@ -12,25 +12,35 @@ import (
 
 // TestNegativeWorkersRejected drives the real flag path: the test binary
 // re-executes itself with MISRUN_ARGS set, and the child runs run() on
-// those arguments. A negative -workers must fail loudly at flag parsing
-// (exit 2) instead of being silently coerced to GOMAXPROCS by the pool.
+// those arguments. Each pool flag misrun cannot honour must fail loudly at
+// flag parsing (exit 2): a negative -workers instead of being silently
+// coerced to GOMAXPROCS by the pool, and -workers or -batch without
+// -trials, where there is no pool for them to size.
 func TestNegativeWorkersRejected(t *testing.T) {
 	if args := os.Getenv("MISRUN_ARGS"); args != "" {
 		os.Args = append([]string{"misrun"}, strings.Fields(args)...)
 		os.Exit(run())
 	}
-	cmd := exec.Command(os.Args[0], "-test.run", "TestNegativeWorkersRejected")
-	cmd.Env = append(os.Environ(), "MISRUN_ARGS=-graph clique -n 8 -workers -3")
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("want exit error for -workers -3, got err=%v output=%q", err, out)
+	cases := []struct{ args, diag string }{
+		{"-graph clique -n 8 -workers -3", "-workers must be >= 0"},
+		{"-graph gnp -n 500 -p 0.02 -proc 2state -seed 1 -workers 4", "need -trials > 1"},
+		{"-graph clique -n 8 -batch 2", "need -trials > 1"},
+		{"-graph clique -n 8 -trials 1 -workers 2", "need -trials > 1"},
 	}
-	if code := ee.ExitCode(); code != 2 {
-		t.Fatalf("exit code = %d, want 2; output: %q", code, out)
-	}
-	if !strings.Contains(string(out), "-workers must be >= 0") {
-		t.Fatalf("missing diagnostic in output: %q", out)
+	for _, c := range cases {
+		cmd := exec.Command(os.Args[0], "-test.run", "TestNegativeWorkersRejected")
+		cmd.Env = append(os.Environ(), "MISRUN_ARGS="+c.args)
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s: want exit error, got err=%v output=%q", c.args, err, out)
+		}
+		if code := ee.ExitCode(); code != 2 {
+			t.Fatalf("%s: exit code = %d, want 2; output: %q", c.args, code, out)
+		}
+		if !strings.Contains(string(out), c.diag) {
+			t.Fatalf("%s: missing diagnostic %q in output: %q", c.args, c.diag, out)
+		}
 	}
 }
 

@@ -84,8 +84,8 @@ func run() int {
 	)
 	flag.Parse()
 
-	// The engine validates WithWorkers < 0 loudly; the pool's 0 = GOMAXPROCS
-	// convention must not swallow negative typos (-workers -3) silently.
+	// The pool's 0 = GOMAXPROCS convention must not swallow negative typos
+	// (-workers -3) silently.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "missweep: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
 		return 2

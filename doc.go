@@ -54,21 +54,14 @@
 // Stabilization is detected through the monotone stable core I_t (black
 // vertices with no black neighbor) covering the graph, whose first-cover
 // stamps double as the per-vertex local stabilization times
-// (WithLocalTimes). The engine also provides intra-round parallelism for
-// every process (WithWorkers): the universe is cut into word-aligned
-// partitions dealt evenly across workers (a ceil-divide in 64-bit word
-// units, so no worker idles while another owns two chunks), and every phase
-// of a round scales with the worker count — evaluation, commit, and the
-// membership refresh, which runs in two phases: (1) each worker re-derives
-// work/active words for the dirty lane words of its own partition (disjoint
-// bitset words; per-worker count deltas merged in worker order), then (2)
-// the few vertices newly entering the stable core stamp coveredAt on their
-// closed neighborhoods sequentially, in ascending vertex order, because
-// those writes cross partitions. Both phases are pure functions of the
-// committed state and stamp with the same round number the sequential scan
-// would, so a parallel run — coverage stamps and all — is bit-identical to
-// the sequential one at every worker count. The engine further provides
-// daemon-scheduled execution bridging
+// (WithLocalTimes). One goroutine owns a run: evaluation, commit and
+// refresh all run on it, so the engine's counters, lanes and bitsets are
+// plain single-writer slices with no atomics. Parallelism lives one layer
+// up, in the batch pool (Layer 2), which runs independent runs side by
+// side — a vertex's update reads only its own colour, its neighbours'
+// colours and its own coin, and the workloads that need throughput (sweeps,
+// misrun -trials) are many runs, not one huge one. The engine further
+// provides daemon-scheduled execution bridging
 // internal/sched into the randomized processes (the DaemonRun methods, the
 // misrun -daemon flag and experiment E18), and reusable per-worker run
 // contexts (engine.RunContext): all per-run scratch — bitsets, counters,
@@ -95,14 +88,11 @@
 //
 // so core = lo AND NOT hbnA and the class totals are rule-generic word
 // loops. The hasANbr/hasBNbr lanes are maintained incrementally by the
-// sequential commit: a vertex's bit flips exactly when the corresponding
-// neighbor counter crosses zero, so the lanes cost nothing on the
-// (overwhelmingly common) counter updates that do not cross. The parallel
-// commit cannot order those flips race-free against its atomic counter
-// adds, so it only lands state codes atomically and the partitioned refresh
-// re-derives the neighbor-lane words of the dirty frontier from the settled
-// counters; on complete graphs both lanes fill from the class totals in
-// O(n/64) words. The dirty frontier itself is tracked per lane word, not
+// commit: a vertex's bit flips exactly when the corresponding neighbor
+// counter crosses zero, so the lanes cost nothing on the (overwhelmingly
+// common) counter updates that do not cross; Rebuild settles them once from
+// the recounted counters, and on complete graphs both lanes fill from the
+// class totals in O(n/64) words. The dirty frontier itself is tracked per lane word, not
 // per vertex — the refresh re-derives whole words anyway, and the
 // word-index set is 64x smaller (2KB at n=10^6), so the commit's random
 // neighbor marking stays cache-resident. The 3-color switch participates
@@ -164,7 +154,7 @@
 // counters are behind every commit's hottest loop — a random-access
 // read-modify-write scatter into one cell per touched neighbor — and the
 // counter plane restructures that storage without changing a single value
-// anyone reads. Three mechanisms, resolved per graph from the degree
+// anyone reads. Two mechanisms, resolved per graph from the degree
 // profile at Rebuild (mis.WithCounterLayout forces one for tests and
 // benchmarks; auto is the default):
 // width-adaptive tail lanes — a counter never exceeds its vertex's degree,
@@ -176,20 +166,15 @@
 // are packed first, naturally by the generators' weight-sorted ids or by
 // the locality relabeling above, the hub prefix keeps a dense full-width
 // int32 plane small enough to stay cache-resident across a round while the
-// tail (always low-degree) shrinks to its narrow width; and the
-// delta-buffered parallel commit — workers accumulate hub-row updates,
-// exactly the rows every worker contends on, into per-worker dense delta
-// arrays leased from the RunContext and the engine merges them sequentially
-// in worker order after the join (no atomics on hub rows, and the merge
-// flips the lanes' hasANbr/hasBNbr bits for hub words exactly, so the
-// refresh skips pure-hub words entirely), while tail updates stay
-// concurrent through native atomic adds at full width or CAS loops on the
-// aligned word backing for the narrow widths. Counter updates are
-// commutative integer sums, so every layout at every worker count replays
-// coin-for-coin bit-identical executions — the determinism and lockstep
-// matrices pin the layout axis against the default run, CheckIntegrity
-// re-verifies both the layout-selection invariants and a flat recount every
-// time it runs, and the BENCH_kernel.json counter row pairs gate the split
+// tail (always low-degree) shrinks to its narrow width. Each width keeps
+// its own typed slices ([]uint8, []uint16, []int32), written in place by
+// the single-writer commit and reused across RunContext leases. A layout
+// changes only where counters are stored, never what a read returns, so
+// every layout replays coin-for-coin bit-identical executions — the
+// determinism and lockstep matrices pin the layout axis against the
+// default run, CheckIntegrity re-verifies both the layout-selection
+// invariants and a flat recount every time it runs, and the
+// BENCH_kernel.json counter row pairs gate the split
 // at >= 1.1x (flat vs auto on relabeled Chung-Lu n=10^6) and the narrow
 // lanes at >= 1.0x (Gnp n=10^6, must never lose).
 //
@@ -224,15 +209,16 @@
 // bit accounting are those of the literal rule; the package's oracle test
 // checks that every round.
 //
-// Layer 2 — internal/batch, many runs. Every multi-run workload executes on
-// a work-stealing batch scheduler: work is submitted as shards (one graph,
-// many seeds — the graph builds once, lazily, and is shared read-only
-// across all its seeds), shards are cut into chunks dealt onto per-worker
-// deques, and an idle worker steals from the top of another's deque, so a
-// few huge cells spread across the pool while small cells stay local. Runs
-// are pure functions of (graph, seed); outcomes are delivered to each
-// batch's sink in job order through a reorder buffer and folded into
-// streaming aggregates (Welford mean/CI and counting-map quantiles in
+// Layer 2 — internal/batch, many runs, and the module's only parallelism:
+// each pool worker owns one run at a time. Every multi-run workload
+// executes on a work-stealing batch scheduler: work is submitted as shards
+// (one graph, many seeds — the graph builds once, lazily, and is shared
+// read-only across all its seeds), shards are cut into chunks dealt onto
+// per-worker deques, and an idle worker steals from the top of another's
+// deque, so a few huge cells spread across the pool while small cells stay
+// local. Runs are pure functions of (graph, seed); outcomes are delivered
+// to each batch's sink in job order through a reorder buffer and folded
+// into streaming aggregates (Welford mean/CI and counting-map quantiles in
 // internal/stats), so summaries never materialize per-run slices and are
 // bit-identical at any worker count, under any steal schedule.
 //
@@ -341,7 +327,7 @@
 //
 // Because every vertex draws coins from its own stream split off the master
 // seed, an execution is a pure function of (graph, seed, initializer) — and
-// the engine, its parallel path, its batch-scheduled runs, the
+// the engine, its batch-scheduled runs at any pool width, the
 // goroutine-per-node runtimes in internal/beeping and internal/stoneage,
 // and the asynchronous medium in internal/async (whose clock streams are
 // disjoint from the coin streams) all draw exactly the same coins.

@@ -124,11 +124,10 @@ func (st *shardState) graph() *graph.Graph {
 	return st.g
 }
 
-// worker is one pool worker: a deque of chunks and the run context its jobs
-// lease engine scratch from.
+// worker is one pool worker's shared state: its deque of chunks, which
+// other workers steal from. Its run context lives in workerLoop.
 type worker struct {
 	id int
-	rc *engine.RunContext
 
 	mu   sync.Mutex
 	dq   []chunk
@@ -196,8 +195,9 @@ type Pool struct {
 }
 
 // NewPool starts a pool with the given number of workers (0 selects
-// GOMAXPROCS). A negative count panics, matching the engine's loud
-// WithWorkers validation — it used to be silently coerced to GOMAXPROCS,
+// GOMAXPROCS). The pool is the module's only parallelism: each worker runs
+// one single-goroutine execution at a time on its own RunContext. A
+// negative count panics — it used to be silently coerced to GOMAXPROCS,
 // which let CLI typos like `-workers -3` pass unnoticed.
 func NewPool(workers int) *Pool {
 	if workers < 0 {
@@ -209,7 +209,7 @@ func NewPool(workers int) *Pool {
 	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < workers; i++ {
-		p.workers = append(p.workers, &worker{id: i, rc: engine.NewRunContext()})
+		p.workers = append(p.workers, &worker{id: i})
 	}
 	p.wg.Add(workers)
 	for _, w := range p.workers {
@@ -378,6 +378,10 @@ func (p *Pool) SubmitOpts(shards []Shard, opt SubmitOptions, sink func(Outcome))
 // workerLoop runs chunks until the pool is closed and no work remains.
 func (p *Pool) workerLoop(w *worker) {
 	defer p.wg.Done()
+	// The run context is local to the worker's goroutine: every run it
+	// executes leases from this one context, and no other goroutine can
+	// reach it.
+	rc := engine.NewRunContext()
 	for {
 		c, ok := p.take(w)
 		if !ok {
@@ -385,7 +389,7 @@ func (p *Pool) workerLoop(w *worker) {
 		}
 		g := c.shard.graph()
 		for i := c.lo; i < c.hi; i++ {
-			o := c.shard.Run(w.rc, g, i, c.shard.Seeds[i])
+			o := c.shard.Run(rc, g, i, c.shard.Seeds[i])
 			o.Index = c.shard.base + i
 			o.Seed = c.shard.Seeds[i]
 			c.shard.b.deliver(o)

@@ -268,90 +268,6 @@ func TestSweepModelsAgree(t *testing.T) {
 	}
 }
 
-// wideShard is a refresh-heavy cell for the intra-round-workers benchmarks:
-// complete graphs keep dirtyAll set on every changing round, so each run is
-// dominated by the engine's full membership refreshes — the phase the
-// partitioned two-phase refresh parallelizes.
-func wideShard(n, trials, workers int) Shard {
-	seeds := make([]uint64, trials)
-	for t := range seeds {
-		seeds[t] = uint64(t + 1)
-	}
-	return Shard{
-		Build: func() *graph.Graph { return graph.Complete(n) },
-		Seeds: seeds,
-		Run: func(rc *engine.RunContext, g *graph.Graph, _ int, seed uint64) Outcome {
-			opts := []mis.Option{mis.WithRunContext(rc), mis.WithSeed(seed)}
-			if workers > 1 {
-				opts = append(opts, mis.WithWorkers(workers))
-			}
-			p := mis.NewTwoState(g, opts...)
-			res := mis.Run(p, mis.DefaultRoundCap(g.N()))
-			if !res.Stabilized {
-				return Outcome{Failed: true}
-			}
-			return Outcome{Rounds: res.Rounds}
-		},
-	}
-}
-
-// runWide executes one wide cell on a pool and returns the in-order rounds.
-func runWide(poolWorkers, n, trials, runWorkers int) []int {
-	pool := NewPool(poolWorkers)
-	defer pool.Close()
-	var rounds []int
-	b := pool.Submit([]Shard{wideShard(n, trials, runWorkers)}, func(o Outcome) {
-		if o.Failed {
-			rounds = append(rounds, -1)
-			return
-		}
-		rounds = append(rounds, o.Rounds)
-	})
-	b.Wait()
-	return rounds
-}
-
-// Intra-round workers compose with the pool: a batch whose runs enable
-// mis.WithWorkers — engine goroutines inside a pool worker's job, exercising
-// the partitioned commit and two-phase refresh — must deliver outcomes
-// identical to the same batch run with sequential engines, at any pool
-// width. The parallel round changes throughput, never results.
-func TestBatchIntraRoundWorkersAgree(t *testing.T) {
-	base := runWide(1, 160, 40, 1)
-	for _, cfg := range []struct{ pool, run int }{{1, 4}, {4, 2}, {4, 8}} {
-		got := runWide(cfg.pool, 160, 40, cfg.run)
-		if len(got) != len(base) {
-			t.Fatalf("pool=%d runWorkers=%d: %d outcomes, want %d", cfg.pool, cfg.run, len(got), len(base))
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("pool=%d runWorkers=%d: outcome %d is %d rounds, sequential engine got %d",
-					cfg.pool, cfg.run, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-// Refresh-heavy wide cells through the pool with sequential engines: the
-// baseline for BenchmarkSweepWideIntraRoundWorkers. On multi-core hardware
-// the workers variant should win once n is large; on a 1-CPU container both
-// measure the same work plus coordination overhead.
-func BenchmarkSweepWideSequentialRuns(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runWide(benchWorkers(), 512, 24, 1)
-	}
-}
-
-func BenchmarkSweepWideIntraRoundWorkers(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runWide(benchWorkers(), 512, 24, 4)
-	}
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -8,7 +8,6 @@ package bitset
 import (
 	"math/bits"
 	"strings"
-	"sync/atomic"
 )
 
 const wordBits = 64
@@ -68,13 +67,6 @@ func (s *Set) SetTo(i int, v bool) {
 	} else {
 		s.Remove(i)
 	}
-}
-
-// AddAtomic inserts i with an atomic OR on the containing word, making
-// concurrent insertions from multiple goroutines safe. Mixing AddAtomic with
-// the non-atomic mutators on the same set concurrently is not safe.
-func (s *Set) AddAtomic(i int) {
-	atomic.OrUint64(&s.words[i/wordBits], 1<<(uint(i)%wordBits))
 }
 
 // Contains reports whether i is in the set.
@@ -249,67 +241,6 @@ func (s *Set) ForEachWord(fn func(base int, w uint64)) {
 	for wi, w := range s.words {
 		if w != 0 {
 			fn(wi*wordBits, w)
-		}
-	}
-}
-
-// ForEachWordInRange calls fn once per backing word with at least one
-// element in [lo, hi), masked so only bits inside the range appear. lo and
-// hi are clamped to the universe. Word-aligned ranges see their words
-// unmasked, so partitioned callers pay no extra work.
-func (s *Set) ForEachWordInRange(lo, hi int, fn func(base int, w uint64)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return
-	}
-	for wi := lo / wordBits; wi <= (hi-1)/wordBits; wi++ {
-		w := s.words[wi]
-		base := wi * wordBits
-		if base < lo {
-			w &^= (1 << uint(lo-base)) - 1
-		}
-		if base+wordBits > hi {
-			w &= (1 << uint(hi-base)) - 1
-		}
-		if w != 0 {
-			fn(base, w)
-		}
-	}
-}
-
-// ForEachInRange calls fn for every element of s in [lo, hi), in increasing
-// order. lo and hi are clamped to the universe; the common caller partitions
-// the universe into word-aligned chunks, making per-chunk iteration touch
-// disjoint words.
-func (s *Set) ForEachInRange(lo, hi int, fn func(i int)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return
-	}
-	for wi := lo / wordBits; wi <= (hi-1)/wordBits; wi++ {
-		w := s.words[wi]
-		base := wi * wordBits
-		// Mask off bits below lo in the first word and at/above hi in the last.
-		if base < lo {
-			w &^= (1 << uint(lo-base)) - 1
-		}
-		if base+wordBits > hi {
-			w &= (1 << uint(hi-base)) - 1
-		}
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(base + tz)
-			w &= w - 1
 		}
 	}
 }

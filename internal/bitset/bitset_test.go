@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -254,59 +253,4 @@ func BenchmarkForEach(b *testing.B) {
 		s.ForEach(func(j int) { sink += j })
 	}
 	_ = sink
-}
-
-func TestForEachInRange(t *testing.T) {
-	s := New(200)
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
-		s.Add(i)
-	}
-	collect := func(lo, hi int) []int {
-		var out []int
-		s.ForEachInRange(lo, hi, func(i int) { out = append(out, i) })
-		return out
-	}
-	cases := []struct {
-		lo, hi int
-		want   []int
-	}{
-		{0, 200, []int{0, 1, 63, 64, 65, 127, 128, 199}},
-		{1, 64, []int{1, 63}},
-		{63, 65, []int{63, 64}},
-		{64, 128, []int{64, 65, 127}},
-		{128, 199, []int{128}},
-		{-5, 1000, []int{0, 1, 63, 64, 65, 127, 128, 199}},
-		{70, 70, nil},
-		{80, 60, nil},
-	}
-	for _, c := range cases {
-		got := collect(c.lo, c.hi)
-		if len(got) != len(c.want) {
-			t.Fatalf("range [%d,%d): got %v, want %v", c.lo, c.hi, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("range [%d,%d): got %v, want %v", c.lo, c.hi, got, c.want)
-			}
-		}
-	}
-}
-
-func TestAddAtomicConcurrent(t *testing.T) {
-	const n = 4096
-	s := New(n)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 8 {
-				s.AddAtomic(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Count() != n {
-		t.Fatalf("concurrent AddAtomic: count = %d, want %d", s.Count(), n)
-	}
 }

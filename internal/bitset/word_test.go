@@ -40,33 +40,6 @@ func TestForEachWordMatchesForEach(t *testing.T) {
 	}
 }
 
-// ForEachWordInRange must agree with ForEachInRange element-for-element,
-// including ranges that split words and ranges clamped to the universe.
-func TestForEachWordInRangeMatchesForEachInRange(t *testing.T) {
-	s := New(200)
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
-		s.Add(i)
-	}
-	ranges := [][2]int{{0, 200}, {1, 64}, {63, 65}, {64, 128}, {128, 199}, {-5, 1000}, {70, 70}, {80, 60}, {190, 200}}
-	for _, r := range ranges {
-		var perBit, perWord []int
-		s.ForEachInRange(r[0], r[1], func(i int) { perBit = append(perBit, i) })
-		s.ForEachWordInRange(r[0], r[1], func(base int, w uint64) {
-			for ; w != 0; w &= w - 1 {
-				perWord = append(perWord, base+bits.TrailingZeros64(w))
-			}
-		})
-		if len(perBit) != len(perWord) {
-			t.Fatalf("range %v: %v per-bit vs %v per-word", r, perBit, perWord)
-		}
-		for i := range perBit {
-			if perBit[i] != perWord[i] {
-				t.Fatalf("range %v: %v per-bit vs %v per-word", r, perBit, perWord)
-			}
-		}
-	}
-}
-
 func TestSetWordMasksTail(t *testing.T) {
 	s := New(70) // two words, 6 live bits in the tail word
 	s.SetWord(0, ^uint64(0))

@@ -1,36 +1,11 @@
 package engine
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"ssmis/internal/graph"
+	"ssmis/internal/xrand"
 )
-
-// byteNonzeroMask against the obvious per-byte loop, over structured
-// patterns and a pseudo-random sweep.
-func TestByteNonzeroMask(t *testing.T) {
-	ref := func(w uint64) uint64 {
-		var m uint64
-		for i := 0; i < 8; i++ {
-			if byte(w>>(8*i)) != 0 {
-				m |= 1 << i
-			}
-		}
-		return m
-	}
-	words := []uint64{0, ^uint64(0), 0x0100000000000001, 0x8080808080808080, 0x00FF00FF00FF00FF, 1 << 63}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		words = append(words, rng.Uint64(), rng.Uint64()&rng.Uint64()&rng.Uint64())
-	}
-	for _, w := range words {
-		if got, want := byteNonzeroMask(w), ref(w); got != want {
-			t.Fatalf("byteNonzeroMask(%#x) = %#x, want %#x", w, got, want)
-		}
-	}
-}
 
 // The layout resolution table: request x degree profile. Star(700) has one
 // hub and a unit tail; Star(70000) exceeds 16 bits, so narrow falls back;
@@ -69,68 +44,56 @@ func TestResolveCounterLayout(t *testing.T) {
 	}
 }
 
-// Concurrent CAS adds on the narrow widths must land exact sums on every
-// cell of a shared backing word, including cells a neighboring goroutine is
-// hammering.
-func TestAtomicTailAddConcurrent(t *testing.T) {
-	const n = 64 // one lane word: 8 backing words at width 1, 16 at width 2
-	const perWorker = 500
-	const workers = 8
-	run := func(t *testing.T, width uint8) {
-		back := make([]uint64, n) // oversized; alignment is what matters
-		t8, t16, _ := tailViews(back, width, n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < perWorker; i++ {
-					cell := rng.Intn(n)
-					if width == 1 {
-						atomicTailAdd(back, t8, cell, 1)
-					} else {
-						atomicTailAdd(back, t16, cell, 1)
-					}
-				}
-			}(w)
+// The exact width cut-overs under LayoutNarrow: stars whose centre degree
+// is 255, 256, 65535 and 65536. All-black starts put the centre's counter at
+// its lane's limit, and the first commit moves it. rebuildCountsT has no
+// overflow guard, so a width resolved one degree too narrow shows up in
+// CheckIntegrity as a counter mismatch instead of a panic.
+func TestNarrowLaneWidthBoundaries(t *testing.T) {
+	cases := []struct {
+		degree    int
+		widthBits int
+		fellBack  bool
+	}{
+		{255, 8, false},
+		{256, 16, false},
+		{65535, 16, false},
+		{65536, 32, true},
+	}
+	for _, c := range cases {
+		g := graph.Star(c.degree + 1)
+		n := g.N()
+		master := xrand.New(uint64(c.degree))
+		state, rngs := make([]uint8, n), make([]*xrand.Rand, n)
+		for u := range state {
+			state[u] = tBlack
+			rngs[u] = master.Split(uint64(u))
 		}
-		wg.Wait()
-		total := int32(0)
-		for u := 0; u < n; u++ {
-			if width == 1 {
-				total += int32(t8[u])
-			} else {
-				total += int32(t16[u])
+		e := New(g, testProg, nil, state, rngs, Options{Bias: 0.5, NoopWhenIdle: true, CounterLayout: LayoutNarrow})
+		info := e.CounterPlane()
+		if info.Layout != LayoutNarrow || info.WidthBits != c.widthBits || info.FellBack != c.fellBack {
+			t.Fatalf("degree %d: resolved %+v, want narrow w%d fellBack=%v", c.degree, info, c.widthBits, c.fellBack)
+		}
+		if got := e.countA(0); got != int32(c.degree) {
+			t.Fatalf("degree %d: centre counter %d after rebuild", c.degree, got)
+		}
+		if err := e.CheckIntegrity(); err != nil {
+			t.Fatalf("degree %d: %v", c.degree, err)
+		}
+		for i := 0; i < 1000 && !e.Stabilized(); i++ {
+			e.Step()
+			if err := e.CheckIntegrity(); err != nil {
+				t.Fatalf("degree %d: %v", c.degree, err)
 			}
 		}
-		if total != workers*perWorker {
-			t.Fatalf("width %d: cells sum to %d, want %d", width, total, workers*perWorker)
+		if !e.Stabilized() {
+			t.Fatalf("degree %d: did not stabilize", c.degree)
 		}
 	}
-	t.Run("uint8", func(t *testing.T) { run(t, 1) })
-	t.Run("uint16", func(t *testing.T) { run(t, 2) })
 }
 
-// The overflow guard is loud: pushing a byte cell past 255 panics instead of
-// wrapping into a neighboring counter.
-func TestAtomicTailAddOverflowPanics(t *testing.T) {
-	back := make([]uint64, 1)
-	t8, _, _ := tailViews(back, 1, 8)
-	for i := 0; i < 255; i++ {
-		atomicTailAdd(back, t8, 3, 1)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("256th increment of a byte cell did not panic")
-		}
-	}()
-	atomicTailAdd(back, t8, 3, 1)
-}
-
-// configure reuses capacity across reshapes and keeps the lane views aliased
-// to the backing; a plane leased across graphs of different widths must not
-// leak cells (the RunContext reuse path).
+// configure reuses capacity across reshapes; a plane leased across graphs
+// of different widths must not leak cells (the RunContext reuse path).
 func TestCounterPlaneReconfigure(t *testing.T) {
 	var p counterPlane
 	g1 := graph.Star(700)    // split: hub 1, byte tail

@@ -96,9 +96,7 @@ func (e *Core) DaemonStep(d sched.Daemon, rng *xrand.Rand) bool {
 	e.commit(e.changes)
 	e.round++
 	e.steps++
-	// A step moves O(1) vertices: the partitioned refresh would be all
-	// spawn overhead here, so stay sequential (bit-identical either way).
-	e.refreshSeq()
+	e.refresh()
 	e.syncScratch()
 	return true
 }

@@ -20,17 +20,20 @@
 //     with no black neighbor) only grows, so N+(I_t) is tracked by
 //     first-cover stamps, which doubles as the per-vertex local
 //     stabilization-time instrument;
-//   - optional intra-round parallelism (parallel.go) and daemon-scheduled
-//     execution (daemon.go) shared by every rule.
+//   - daemon-scheduled execution (daemon.go) shared by every rule.
+//
+// One goroutine owns a run: a Core is single-writer by design, and
+// parallelism lives in the batch pool (internal/batch), which runs
+// independent runs side by side, each on its own worker's RunContext.
 //
 // Determinism contract: every vertex draws coins from its own stream, so an
 // execution is a pure function of (graph, program, initial state, streams) —
-// the worklist order, the worker count, and the commit order never change
-// which coins a vertex sees. This is what keeps the engine coin-for-coin
-// equivalent to the goroutine-per-node runtimes in internal/beeping and
-// internal/stoneage, to the O(n·Δ) reference transcriptions in
-// internal/mis/reference.go, and to the golden seed lineage of the
-// pre-engine simulators.
+// the worklist order and the commit order never change which coins a vertex
+// sees, and neither does the pool worker a run lands on. This is what keeps
+// the engine coin-for-coin equivalent to the goroutine-per-node runtimes in
+// internal/beeping and internal/stoneage, to the O(n·Δ) reference
+// transcriptions in internal/mis/reference.go, and to the golden seed
+// lineage of the pre-engine simulators.
 package engine
 
 import (
@@ -73,9 +76,6 @@ type Options struct {
 	// (black). 0.5 draws one bit per coin; any other value draws a 64-bit
 	// Bernoulli sample, matching the paper's bit accounting.
 	Bias float64
-	// Workers > 1 enables the parallel round path; results are bit-identical
-	// to the sequential path.
-	Workers int
 	// NoopWhenIdle makes Step return without advancing the round counter
 	// when the worklist is empty (the 2-state process's quiescence
 	// semantics: stabilization and empty worklist coincide).
@@ -145,10 +145,8 @@ type Core struct {
 	changes      []change
 	dirtyW       *bitset.Set // dirty lane words (universe = kern.Words())
 	dirtyAll     bool
-	refreshScr   []refreshScratch // per-worker phase-1 refresh accumulators
-	hubDeltas    []hubDelta       // per-worker hub accumulators (parallel commit)
-	forceGeneric bool             // DisableCompleteFastPath
-	ctx          *RunContext      // non-nil when scratch is leased, not owned
+	forceGeneric bool        // DisableCompleteFastPath
+	ctx          *RunContext // non-nil when scratch is leased, not owned
 
 	// daemon accounting (daemon.go)
 	steps int
@@ -169,9 +167,6 @@ func New(g *graph.Graph, prog *kernel.Program, sub SubProcess, initial []uint8, 
 	// Negated conjunction so NaN fails too.
 	if !(opts.Bias > 0 && opts.Bias < 1) {
 		panic(fmt.Sprintf("engine: coin bias %v outside (0,1)", opts.Bias))
-	}
-	if opts.Workers < 0 {
-		panic(fmt.Sprintf("engine: negative worker count %d", opts.Workers))
 	}
 	if opts.Order != nil && len(opts.Order.Perm) != n {
 		panic(fmt.Sprintf("engine: ordering over %d vertices for graph order %d",
@@ -356,14 +351,10 @@ func (e *Core) Step() {
 	if e.opts.NoopWhenIdle && e.workCnt == 0 {
 		return
 	}
-	if e.opts.Workers > 1 {
-		e.stepParallel()
-		return
-	}
 	// Bit-sliced evaluation: whole touched words, coins from the per-vertex
 	// streams in ascending vertex order.
 	var drawn int64
-	e.changes, drawn = e.kern.EvalWords(0, e.kern.Words(), e.rngs, e.opts.Bias, e.changes[:0])
+	e.changes, drawn = e.kern.EvalWords(e.rngs, e.opts.Bias, e.changes[:0])
 	e.bits += drawn
 	e.midRound()
 	e.commit(e.changes)
@@ -440,7 +431,7 @@ func (e *Core) Rebuild() {
 	if e.complete {
 		e.kern.FillHBNComplete(e.totalA, e.totalB)
 	} else {
-		e.settleHBNWords(0, e.kern.Words())
+		e.settleHBN()
 	}
 	e.exportGate()
 	for wi := 0; wi < e.kern.Words(); wi++ {

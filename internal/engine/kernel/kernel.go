@@ -24,16 +24,13 @@
 //
 // The neighbor lanes are not recomputed from scratch each round: the engine
 // maintains them incrementally from its counters at commit time — a bit
-// flips only when the counter crosses zero — or re-derives just the dirty
-// words during a parallel refresh (see engine/kernelpath.go for why the
-// parallel commit cannot flip bits race-free). The gate lane is re-exported
+// flips only when the counter crosses zero. The gate lane is re-exported
 // wholesale after each mid-round sub-process step (engine.SubProcess).
 package kernel
 
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"ssmis/internal/xrand"
 )
@@ -170,38 +167,12 @@ func (l *Lanes) HasBNbr(u int) bool { return laneBit(l.hbnB, u) == 1 }
 // GateBit reports the gate bit of vertex u (false when not engaged).
 func (l *Lanes) GateBit(u int) bool { return laneBit(l.gate, u) == 1 }
 
-// SetStateAtomic writes the lane code of state s at vertex u with atomic
-// word operations, so a parallel commit's workers can land codes in shared
-// words (each vertex's bits are written by exactly one worker per round).
-// Mixing with non-atomic writes to the same words concurrently is not safe.
-func (l *Lanes) SetStateAtomic(u int, s uint8) {
-	c := l.prog.codeOf[s]
-	if c == invalidCode {
-		panic(fmt.Sprintf("kernel: state %d not in the lane encoding", s))
-	}
-	bit := uint64(1) << (uint(u) % wordBits)
-	wi := u / wordBits
-	if c&1 != 0 {
-		atomic.OrUint64(&l.lo[wi], bit)
-	} else {
-		atomic.AndUint64(&l.lo[wi], ^bit)
-	}
-	if l.prog.useHi {
-		if c&2 != 0 {
-			atomic.OrUint64(&l.hi[wi], bit)
-		} else {
-			atomic.AndUint64(&l.hi[wi], ^bit)
-		}
-	}
-}
-
 // HBNWords exposes the raw hasANbr/hasBNbr lane words for the engine's
-// sequential commit, whose per-neighbor zero-crossing flips are the hottest
-// writes on the kernel path — flipping bits inline there avoids a call per
-// crossing. hbnB is nil for a program without counter B. Writers must
-// preserve the lane contract (bit u set iff counter u is nonzero, tail bits
-// zero); the engine's parallel refresh re-derives them from its counter
-// plane word by word instead.
+// commit, whose per-neighbor zero-crossing flips are the hottest writes on
+// the kernel path — flipping bits inline there avoids a call per crossing —
+// and for its Rebuild-time settle from the counter plane. hbnB is nil for a
+// program without counter B. Writers must preserve the lane contract (bit u
+// set iff counter u is nonzero, tail bits zero).
 func (l *Lanes) HBNWords() (hbnA, hbnB []uint64) { return l.hbnA, l.hbnB }
 
 // StateWords exposes the raw state-code lane words, for the same commit hot
@@ -257,23 +228,17 @@ func (l *Lanes) LoadState(state []uint8) {
 // and zero otherwise — O(n/64) for the complete-graph refresh. The hasBNbr
 // lane follows the same shape over the ClassB word lo∧hi with totalB.
 func (l *Lanes) FillHBNComplete(totalA, totalB int) {
-	l.FillHBNCompleteWords(totalA, totalB, 0, len(l.hbnA))
-}
-
-// FillHBNCompleteWords is FillHBNComplete restricted to words [loWord,
-// hiWord) — one partition of the parallel complete-graph refresh.
-func (l *Lanes) FillHBNCompleteWords(totalA, totalB, loWord, hiWord int) {
 	switch {
 	case totalA >= 2:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnA {
 			l.hbnA[wi] = l.mask(wi)
 		}
 	case totalA == 1:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnA {
 			l.hbnA[wi] = ^l.lo[wi] & l.mask(wi)
 		}
 	default:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnA {
 			l.hbnA[wi] = 0
 		}
 	}
@@ -282,15 +247,15 @@ func (l *Lanes) FillHBNCompleteWords(totalA, totalB, loWord, hiWord int) {
 	}
 	switch {
 	case totalB >= 2:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnB {
 			l.hbnB[wi] = l.mask(wi)
 		}
 	case totalB == 1:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnB {
 			l.hbnB[wi] = ^(l.lo[wi] & l.hi[wi]) & l.mask(wi)
 		}
 	default:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnB {
 			l.hbnB[wi] = 0
 		}
 	}
@@ -340,26 +305,25 @@ func coin(r *xrand.Rand, bias float64) (bool, int64) {
 	return r.Bernoulli(bias), 64
 }
 
-// EvalWords evaluates one synchronous round over the words [loWord, hiWord):
-// every touched vertex, in ascending vertex order, either draws a coin from
-// its own stream (active: next code from the CoinHi/CoinLo maps) or takes
-// its forced transition (ForcedOn/ForcedOff by its gate bit, no coin), and
-// the vertices whose state changes are appended to dst as pending changes.
+// EvalWords evaluates one synchronous round over every lane word: every
+// touched vertex, in ascending vertex order, either draws a coin from its
+// own stream (active: next code from the CoinHi/CoinLo maps) or takes its
+// forced transition (ForcedOn/ForcedOff by its gate bit, no coin), and the
+// vertices whose state changes are appended to dst as pending changes.
 // Nothing is committed — the lanes stay frozen at the pre-round state, so
-// concurrent workers may evaluate disjoint word ranges of the same round.
-// It returns the extended change list and the number of random bits drawn:
+// every vertex reads the same pre-round configuration. It returns the extended change list and the number of random bits drawn:
 // one bit per coin at bias 1/2, one 64-bit Bernoulli sample per coin
 // otherwise (Program.Next is the same transition one vertex at a time).
-func (l *Lanes) EvalWords(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
+func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	if p.fast2 {
-		return l.evalWordsFlip(loWord, hiWord, rngs, bias, dst)
+		return l.evalWordsFlip(rngs, bias, dst)
 	}
 	if p.coinConst {
-		return l.evalWordsCoinConst(loWord, hiWord, rngs, bias, dst)
+		return l.evalWordsCoinConst(rngs, bias, dst)
 	}
 	var drawn int64
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.lo {
 		low, hiw, aw, bw := l.laneWords(wi)
 		m := l.mask(wi)
 		tw := p.touched(low, hiw, aw, bw) & m
@@ -411,12 +375,12 @@ func (l *Lanes) EvalWords(loWord, hiWord int, rngs []*xrand.Rand, bias float64, 
 // vertex's own stream in ascending order (draw order across vertices is
 // irrelevant — the streams are independent), and changes are emitted in
 // ascending vertex order exactly as the generic loop does.
-func (l *Lanes) evalWordsCoinConst(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
+func (l *Lanes) evalWordsCoinConst(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	cc := &p.cc
 	stateOf := &p.spec.StateOf
 	var drawn int64
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.lo {
 		low, hiw, aw, bw := l.laneWords(wi)
 		m := l.mask(wi)
 		tw := p.touched(low, hiw, aw, bw) & m
@@ -461,10 +425,10 @@ func (l *Lanes) evalWordsCoinConst(loWord, hiWord int, rngs []*xrand.Rand, bias 
 // is the coin itself, so transitions accumulate as an XOR flip word and
 // only the flipped bits are revisited — the hot loop the CI speed gate
 // pins, kept free of the generic path's per-bit map lookups.
-func (l *Lanes) evalWordsFlip(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
+func (l *Lanes) evalWordsFlip(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	white, blk := l.prog.spec.StateOf[0], l.prog.spec.StateOf[1]
 	var drawn int64
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.lo {
 		aw := ^(l.lo[wi] ^ l.hbnA[wi]) & l.mask(wi)
 		if aw == 0 {
 			continue

@@ -10,18 +10,15 @@ import (
 )
 
 // The bit-sliced engine must replay the scalar reference (refCore) state
-// for state, round for round, on random graphs at every worker count.
+// for state, round for round, on random graphs.
 func TestKernelMatchesScalarEngine(t *testing.T) {
 	master := xrand.New(41)
 	for trial := 0; trial < 20; trial++ {
 		r := master.Split(uint64(trial))
 		n := 2 + r.Intn(300)
 		g := graph.Gnp(n, r.Float64()*0.15, r)
-		for _, workers := range []int{1, 2, 8} {
-			e := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, Workers: workers})
-			lockstep(t, fmt.Sprintf("trial %d workers %d", trial, workers), e,
-				newRefCore(g, uint64(trial), 0), 4*n+200)
-		}
+		e := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true})
+		lockstep(t, fmt.Sprintf("trial %d", trial), e, newRefCore(g, uint64(trial), 0), 4*n+200)
 	}
 }
 
@@ -45,17 +42,15 @@ func TestKernelMatchesScalarBiased(t *testing.T) {
 func TestKernelCompleteFastPath(t *testing.T) {
 	g := graph.Complete(257) // odd size: partial tail word
 	for seed := uint64(0); seed < 3; seed++ {
-		for _, workers := range []int{1, 8} {
-			e := newTestCore(g, seed, Options{NoopWhenIdle: true, Workers: workers})
-			if !e.Complete() {
-				t.Fatal("complete fast path not engaged")
-			}
-			lockstep(t, "complete", e, newRefCore(g, seed, 0), 4000)
-
-			generic := newTestCore(g, seed, Options{NoopWhenIdle: true, Workers: workers})
-			generic.DisableCompleteFastPath()
-			lockstep(t, "complete-generic", generic, newRefCore(g, seed, 0), 4000)
+		e := newTestCore(g, seed, Options{NoopWhenIdle: true})
+		if !e.Complete() {
+			t.Fatal("complete fast path not engaged")
 		}
+		lockstep(t, "complete", e, newRefCore(g, seed, 0), 4000)
+
+		generic := newTestCore(g, seed, Options{NoopWhenIdle: true})
+		generic.DisableCompleteFastPath()
+		lockstep(t, "complete-generic", generic, newRefCore(g, seed, 0), 4000)
 	}
 }
 

@@ -10,16 +10,10 @@ package engine
 //   - Step evaluates whole touched words (kernel.EvalWords) against the
 //     rule's compiled program, drawing each coin from that vertex's own
 //     stream in ascending order;
-//   - the sequential commit (this file) maintains the neighbor lanes
-//     incrementally: a bit flips exactly when the vertex's counter crosses
-//     zero (for the 3-state rule that includes the black1→black0 demotion's
-//     counter-B decrement);
-//   - the parallel commit (parallel.go) cannot flip those bits race-free
-//     (its counter updates are atomic adds whose interleaving with atomic
-//     word OR/AND could leave a bit disagreeing with the settled counter),
-//     so it only lands the state codes atomically and the partitioned
-//     refresh re-derives the neighbor bits of the dirty words from the
-//     settled counters;
+//   - the commit (this file) maintains the neighbor lanes incrementally: a
+//     bit flips exactly when the vertex's counter crosses zero (for the
+//     3-state rule that includes the black1→black0 demotion's counter-B
+//     decrement);
 //   - refresh (refresh.go) re-derives memberships a word at a time: the
 //     touched and active words come from the compiled predicates, stored
 //     wholesale into the work/active bitsets with popcount deltas, and the
@@ -34,6 +28,10 @@ package engine
 // Daemon steps (daemon.go) move a handful of vertices through the same
 // commit and refresh; only their evaluation is per vertex, through the
 // program's per-vertex transition (kernel.Program.Next).
+//
+// The whole cycle runs on the goroutine that owns the run, so the commit
+// writes counters, lanes and the dirty set in place with no atomics;
+// parallelism lives in the batch pool, across runs.
 
 import "fmt"
 

@@ -35,8 +35,6 @@ type RunContext struct {
 	classTab          []uint8
 	changes           []change
 	priv              []int
-	refreshScr        []refreshScratch
-	hubDeltas         []hubDelta
 	lanes             kernel.Lanes
 	dirtyW            bitset.Set
 
@@ -108,11 +106,11 @@ func growI32(buf []int32, n int) []int32 {
 	return buf
 }
 
-// growU64 mirrors growI32 for uint64 slices (the counter plane's tail
-// backing).
-func growU64(buf []uint64, n int) []uint64 {
+// growU16 mirrors growI32 for uint16 slices (the counter plane's 16-bit
+// tail lanes).
+func growU16(buf []uint16, n int) []uint16 {
 	if cap(buf) < n {
-		return make([]uint64, n)
+		return make([]uint16, n)
 	}
 	buf = buf[:n]
 	for i := range buf {
@@ -230,10 +228,8 @@ func (c *RunContext) lease(e *Core, prog *kernel.Program, n, numStates int) {
 	e.classTab = c.classTab
 	e.changes = c.changes[:0]
 	e.priv = c.priv[:0]
-	e.refreshScr = c.refreshScr[:0]
-	e.hubDeltas = c.hubDeltas[:0]
-	// The counter plane (Rebuild configures it per graph) and the parallel
-	// commit's hub delta buffers reuse the context's backing across runs.
+	// The counter plane (Rebuild configures it per graph) reuses the
+	// context's lanes across runs.
 	e.plane = &c.plane
 	c.lanes.Configure(prog, n)
 	c.dirtyW.Reset(c.lanes.Words())
@@ -248,7 +244,5 @@ func (e *Core) syncScratch() {
 	if e.ctx != nil {
 		e.ctx.changes = e.changes
 		e.ctx.priv = e.priv
-		e.ctx.refreshScr = e.refreshScr
-		e.ctx.hubDeltas = e.hubDeltas
 	}
 }

@@ -80,7 +80,7 @@ func capture(core *engine.Core, schedRng *xrand.Rand, o options) (*Checkpoint, e
 }
 
 // restoreOptions rebuilds the option set for a restore: caller-supplied
-// options first (workers, local times, ...), then the checkpointed values
+// options first (local times, run context, ...), then the checkpointed values
 // that shape randomness — the coin bias and the master seed, so auxiliary
 // streams derived lazily after the restore (a first daemon step's
 // selection stream) equal the streams the uninterrupted run would derive.
@@ -128,7 +128,7 @@ func (p *TwoState) Checkpoint() (*Checkpoint, error) {
 }
 
 // RestoreTwoState reconstructs a 2-state process from a checkpoint on g.
-// Extra options (e.g. WithWorkers, WithLocalTimes) may be supplied; options
+// Extra options (e.g. WithLocalTimes, WithRunContext) may be supplied; options
 // affecting randomness are taken from the checkpoint.
 func RestoreTwoState(g *graph.Graph, c *Checkpoint, opts ...Option) (*TwoState, error) {
 	if c.Process != "2-state" {

@@ -87,12 +87,12 @@ func TestCounterLayoutOverflowFallback(t *testing.T) {
 		}
 	}
 
-	split := NewTwoState(g, WithSeed(9), WithCounterLayout(engine.LayoutSplit), WithWorkers(8))
+	split := NewTwoState(g, WithSeed(9), WithCounterLayout(engine.LayoutSplit))
 	if info := counterPlaneOf(split); !info.Active || info.FellBack || info.WidthBits != 8 || info.HubLen != 1 {
 		t.Fatalf("forced split on star(70000) resolved %+v, want hub=1 byte tail", info)
 	}
 	if res := Run(split, cap); res != flatRes {
-		t.Fatalf("split workers=8 run %+v, flat %+v", res, flatRes)
+		t.Fatalf("split run %+v, flat %+v", res, flatRes)
 	}
 }
 
@@ -111,14 +111,12 @@ func TestCounterLayoutRunContextReuse(t *testing.T) {
 		graph.Gnp(500, 0.05, xrand.New(8)),          // narrow
 	}
 	for i, g := range graphs {
-		for _, workers := range []int{1, 8} {
-			seed := uint64(20 + i)
-			cap := 4 * DefaultRoundCap(g.N())
-			ref := Run(NewThreeState(g, WithSeed(seed), WithWorkers(workers)), cap)
-			got := Run(NewThreeState(g, WithSeed(seed), WithWorkers(workers), WithRunContext(ctx)), cap)
-			if got != ref {
-				t.Fatalf("graph %d workers=%d: context-backed %+v vs fresh %+v", i, workers, got, ref)
-			}
+		seed := uint64(20 + i)
+		cap := 4 * DefaultRoundCap(g.N())
+		ref := Run(NewThreeState(g, WithSeed(seed)), cap)
+		got := Run(NewThreeState(g, WithSeed(seed), WithRunContext(ctx)), cap)
+		if got != ref {
+			t.Fatalf("graph %d: context-backed %+v vs fresh %+v", i, got, ref)
 		}
 	}
 }

@@ -82,10 +82,10 @@ func boolInt(b bool) int {
 }
 
 // The lockstep matrix for all three rules on the bit-sliced engine. The
-// default process (workers=1, auto counter layout, identity order) must
-// replay its reference transcription state for state, every round, until it
-// stabilizes on a valid MIS; then every variant — workers {1, 2, 8} × the
-// degree-bucketed relabeling × each forced counter-plane geometry — must
+// default process (auto counter layout, identity order) must replay its
+// reference transcription state for state, every round, until it
+// stabilizes on a valid MIS; then every variant — the degree-bucketed
+// relabeling and each forced counter-plane geometry — must
 // replay the default run round by round: full states (black0 vs black1,
 // switch levels), active counts, bit accounting, and the final coveredAt
 // stamps.
@@ -134,44 +134,41 @@ func TestKernelLockstepMatrix(t *testing.T) {
 			if err := verify.MIS(gc.g, base.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				for _, ax := range axes {
-					if workers == 1 && !ax.relabel && ax.layout == engine.LayoutAuto {
-						continue // the default run itself
+			for _, ax := range axes {
+				if !ax.relabel && ax.layout == engine.LayoutAuto {
+					continue // the default run itself
+				}
+				name := fmt.Sprintf("%s/%s/relabel=%v layout=%v",
+					pr.name, gc.name, ax.relabel, ax.layout)
+				opts := []Option{WithSeed(99), WithLocalTimes(), WithCounterLayout(ax.layout)}
+				if ax.relabel {
+					opts = append(opts, WithDegreeOrder())
+				}
+				p := pr.mk(gc.g, opts...)
+				// Round-by-round, against a fresh default twin, so a
+				// divergence is pinned to the exact round it appears.
+				twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
+				for !p.Stabilized() && p.Round() < cap {
+					p.Step()
+					twin.Step()
+					if p.ActiveCount() != twin.ActiveCount() || p.RandomBits() != twin.RandomBits() {
+						t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
+							name, p.Round(), p.ActiveCount(), p.RandomBits(),
+							twin.ActiveCount(), twin.RandomBits())
 					}
-					name := fmt.Sprintf("%s/%s/workers=%d relabel=%v layout=%v",
-						pr.name, gc.name, workers, ax.relabel, ax.layout)
-					opts := []Option{WithSeed(99), WithLocalTimes(), WithWorkers(workers),
-						WithCounterLayout(ax.layout)}
-					if ax.relabel {
-						opts = append(opts, WithDegreeOrder())
-					}
-					p := pr.mk(gc.g, opts...)
-					// Round-by-round, against a fresh default twin, so a
-					// divergence is pinned to the exact round it appears.
-					twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
-					for !p.Stabilized() && p.Round() < cap {
-						p.Step()
-						twin.Step()
-						if p.ActiveCount() != twin.ActiveCount() || p.RandomBits() != twin.RandomBits() {
-							t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
-								name, p.Round(), p.ActiveCount(), p.RandomBits(),
-								twin.ActiveCount(), twin.RandomBits())
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if pr.stateOf(p, u) != pr.stateOf(twin, u) {
-								t.Fatalf("%s: state of %d diverged at round %d", name, u, p.Round())
-							}
+					for u := 0; u < gc.g.N(); u++ {
+						if pr.stateOf(p, u) != pr.stateOf(twin, u) {
+							t.Fatalf("%s: state of %d diverged at round %d", name, u, p.Round())
 						}
 					}
-					if res := (Result{p.Round(), p.Stabilized(), p.RandomBits()}); res != baseRes {
-						t.Fatalf("%s: summary %+v, default %+v", name, res, baseRes)
-					}
-					pt := p.(timed).StabilizationTimes()
-					for u, st := range base.(timed).StabilizationTimes() {
-						if pt[u] != st {
-							t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pt[u], st)
-						}
+				}
+				if res := (Result{p.Round(), p.Stabilized(), p.RandomBits()}); res != baseRes {
+					t.Fatalf("%s: summary %+v, default %+v", name, res, baseRes)
+				}
+				pt := p.(timed).StabilizationTimes()
+				for u, st := range base.(timed).StabilizationTimes() {
+					if pt[u] != st {
+						t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pt[u], st)
 					}
 				}
 			}
@@ -181,16 +178,15 @@ func TestKernelLockstepMatrix(t *testing.T) {
 
 // Daemon steps move vertices through the program's per-vertex transition
 // and share Step's commit and refresh. Under each fair daemon a 3-state
-// process must replay the default (workers=1, identity-order) execution
-// move for move whatever the worker count and ordering, with intact
-// incremental structures, and end on a valid MIS.
+// process under the degree-bucketed ordering must replay the default
+// (identity-order) execution move for move, with intact incremental
+// structures, and end on a valid MIS.
 func TestKernelDaemonLockstep(t *testing.T) {
 	g := graph.Gnp(150, 0.05, xrand.New(3))
 	daemons := []sched.Daemon{sched.Synchronous{}, sched.CentralRandom{}, sched.DistributedRandom{}}
 	for _, d := range daemons {
 		base := NewThreeState(g, WithSeed(5))
 		variants := []*ThreeState{
-			NewThreeState(g, WithSeed(5), WithWorkers(8)),
 			NewThreeState(g, WithSeed(5), WithDegreeOrder()),
 		}
 		cap := DefaultDaemonStepCap(g.N())

@@ -1,8 +1,7 @@
 package mis
 
 // Option validation: configuration errors must fail loudly at option
-// construction, and every option must act on every process (WithWorkers was
-// historically a 2-state-only silent no-op).
+// construction, and every option must act on every process.
 
 import (
 	"math"
@@ -28,51 +27,19 @@ func TestOptionValidationPanics(t *testing.T) {
 	mustPanic(t, "bias negative", func() { WithBlackBias(-0.2) })
 	mustPanic(t, "bias above 1", func() { WithBlackBias(1.5) })
 	mustPanic(t, "bias NaN", func() { WithBlackBias(math.NaN()) })
-	mustPanic(t, "negative workers", func() { WithWorkers(-1) })
 	mustPanic(t, "zeta 0", func() { WithSwitchZetaLog2(0) })
 	mustPanic(t, "zeta 65", func() { WithSwitchZetaLog2(65) })
 }
 
 func TestOptionBoundaryValuesAccepted(t *testing.T) {
 	g := graph.Path(4)
-	// Workers 0 and 1 select the sequential engine; extreme-but-legal biases
-	// and zeta values construct fine.
+	// Extreme-but-legal biases and zeta values construct fine.
 	for _, opt := range [][]Option{
-		{WithWorkers(0)}, {WithWorkers(1)},
 		{WithBlackBias(0.001)}, {WithBlackBias(0.999)},
 		{WithSwitchZetaLog2(1)}, {WithSwitchZetaLog2(64)},
 	} {
 		Run(NewTwoState(g, opt...), 1000)
 		Run(NewThreeColor(g, opt...), 1000)
-	}
-}
-
-// WithWorkers must act on all three processes and stay bit-identical to the
-// sequential engine for each.
-func TestWorkersActOnAllProcesses(t *testing.T) {
-	g := graph.Gnp(400, 0.01, xrand.New(55))
-	type mk func(opts ...Option) Process
-	cases := map[string]mk{
-		"2-state": func(opts ...Option) Process { return NewTwoState(g, opts...) },
-		"3-state": func(opts ...Option) Process { return NewThreeState(g, opts...) },
-		"3-color": func(opts ...Option) Process { return NewThreeColor(g, opts...) },
-	}
-	for name, newProc := range cases {
-		seq := newProc(WithSeed(6))
-		par := newProc(WithSeed(6), WithWorkers(6))
-		for i := 0; i < 3000 && !seq.Stabilized(); i++ {
-			seq.Step()
-			par.Step()
-			for u := 0; u < g.N(); u++ {
-				if seq.Black(u) != par.Black(u) {
-					t.Fatalf("%s round %d: workers diverged at %d", name, seq.Round(), u)
-				}
-			}
-		}
-		if !par.Stabilized() || seq.RandomBits() != par.RandomBits() || seq.Round() != par.Round() {
-			t.Fatalf("%s: parallel accounting diverged (stab=%v bits %d/%d rounds %d/%d)",
-				name, par.Stabilized(), seq.RandomBits(), par.RandomBits(), seq.Round(), par.Round())
-		}
 	}
 }
 

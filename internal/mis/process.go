@@ -116,8 +116,6 @@ type options struct {
 	// "local complexity" of the execution); the engine tracks first-cover
 	// stamps either way, so the option only gates exposure.
 	trackLocal bool
-	// workers > 1 enables intra-round parallelism (all processes).
-	workers int
 	// ctx, when non-nil, leases all per-run scratch (engine structures,
 	// state vector, vertex streams) from a per-worker run context.
 	ctx *engine.RunContext
@@ -135,7 +133,6 @@ type options struct {
 func (o options) engine(noopWhenIdle bool, ord *graph.Ordering) engine.Options {
 	return engine.Options{
 		Bias:          o.blackBias,
-		Workers:       o.workers,
 		NoopWhenIdle:  noopWhenIdle,
 		Ctx:           o.ctx,
 		CounterLayout: o.counterLayout,

@@ -10,16 +10,15 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// Determinism matrix for the engine's partitioned two-phase refresh: every
-// process × forced uneven frontiers (star: one hub word saturates, leaf
-// words go quiet; caterpillar: churn concentrates on the spine; complete:
-// dirtyAll forces the full O(n/64) refresh every changing round; power-law:
-// a hub prefix with a whole pure-hub lane word) × variants — workers {2, 8},
-// the degree-bucketed relabeling at workers {1, 2, 8}, and every forced
-// counter-plane geometry at workers {1, 2, 8}. Summaries, per-vertex
+// Determinism matrix for the engine's membership refresh: every process ×
+// forced uneven frontiers (star: one hub word saturates, leaf words go
+// quiet; caterpillar: churn concentrates on the spine; complete: dirtyAll
+// forces the full O(n/64) refresh every changing round; power-law: a hub
+// prefix with a whole pure-hub lane word) × variants — the degree-bucketed
+// relabeling and every forced counter-plane geometry. Summaries, per-vertex
 // colors, and the coveredAt stamps behind the local-times instrument must
-// be byte-identical to the default workers=1 run, which TestKernelLockstep
-// Matrix pins to the reference transcriptions.
+// be byte-identical to the default run, which TestKernelLockstepMatrix pins
+// to the reference transcriptions.
 func TestRefreshDeterminismMatrix(t *testing.T) {
 	type proc struct {
 		name string
@@ -39,7 +38,7 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		{"complete", graph.Complete(256)},
 		// Weight-sorted power-law ids pack >= 64 hubs first, so the counter
 		// plane resolves to the hub/tail split with a whole pure-hub lane
-		// word — the geometry the parallel refresh skips after a delta merge.
+		// word.
 		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42))},
 	}
 	type variant struct {
@@ -47,17 +46,10 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		opts   []Option
 		layout engine.CounterLayout // forced plane geometry, or auto
 	}
-	var variants []variant
-	for _, workers := range []int{2, 8} {
-		variants = append(variants, variant{fmt.Sprintf("workers=%d", workers), []Option{WithWorkers(workers)}, engine.LayoutAuto})
-	}
-	for _, workers := range []int{1, 2, 8} {
-		variants = append(variants, variant{fmt.Sprintf("relabel workers=%d", workers),
-			[]Option{WithWorkers(workers), WithDegreeOrder()}, engine.LayoutAuto})
-		for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
-			variants = append(variants, variant{fmt.Sprintf("layout=%v workers=%d", layout, workers),
-				[]Option{WithWorkers(workers), WithCounterLayout(layout)}, layout})
-		}
+	variants := []variant{{"relabel", []Option{WithDegreeOrder()}, engine.LayoutAuto}}
+	for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
+		variants = append(variants, variant{fmt.Sprintf("layout=%v", layout),
+			[]Option{WithCounterLayout(layout)}, layout})
 	}
 	type timed interface{ StabilizationTimes() []int }
 	for _, pr := range procs {
@@ -92,33 +84,6 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 						t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pts[u], bt)
 					}
 				}
-			}
-		}
-	}
-}
-
-// The refresh-heavy worst case: on a complete graph every changing round
-// sets dirtyAll and the refresh re-derives every lane word — exactly the
-// full phase the partitioned refresh parallelizes. workers=8 must reproduce the
-// sequential execution on all three processes; CI runs this test under
-// -race by name.
-func TestParallelRefreshCompleteGraphWorkers8(t *testing.T) {
-	g := graph.Complete(400)
-	mks := []func(g *graph.Graph, opts ...Option) Process{
-		func(g *graph.Graph, opts ...Option) Process { return NewTwoState(g, opts...) },
-		func(g *graph.Graph, opts ...Option) Process { return NewThreeState(g, opts...) },
-		func(g *graph.Graph, opts ...Option) Process { return NewThreeColor(g, opts...) },
-	}
-	for i, mk := range mks {
-		for seed := uint64(0); seed < 3; seed++ {
-			cap := 4 * DefaultRoundCap(g.N())
-			seq := Run(mk(g, WithSeed(seed)), cap)
-			par := Run(mk(g, WithSeed(seed), WithWorkers(8)), cap)
-			if seq != par {
-				t.Fatalf("proc %d seed %d: parallel %+v vs sequential %+v", i, seed, par, seq)
-			}
-			if !seq.Stabilized {
-				t.Fatalf("proc %d seed %d: did not stabilize", i, seed)
 			}
 		}
 	}

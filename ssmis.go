@@ -109,11 +109,6 @@ func WithBlackBias(p float64) Option { return mis.WithBlackBias(p) }
 // through each process's StabilizationTimes method (see experiment E14).
 func WithLocalTimes() Option { return mis.WithLocalTimes() }
 
-// WithWorkers enables intra-round parallelism with k goroutines for all
-// three processes; execution remains bit-identical to the sequential
-// engine. Negative k panics.
-func WithWorkers(k int) Option { return mis.WithWorkers(k) }
-
 // WithIdentityOrder opts a process out of the locality relabeling the
 // engine auto-selects on large graphs, keeping engine storage in original
 // vertex ids. Relabeled executions are graph isomorphisms of

@@ -177,15 +177,6 @@ func TestPublicAPIChurnAndRebind(t *testing.T) {
 	}
 }
 
-func TestPublicAPIParallelWorkers(t *testing.T) {
-	g := ssmis.GnpAvgDegree(400, 8, 17)
-	seq := ssmis.Run(ssmis.NewTwoState(g, ssmis.WithSeed(3)), 0)
-	par := ssmis.Run(ssmis.NewTwoState(g, ssmis.WithSeed(3), ssmis.WithWorkers(8)), 0)
-	if seq != par {
-		t.Fatalf("parallel result differs: %+v vs %+v", seq, par)
-	}
-}
-
 func TestPublicAPIChungLu(t *testing.T) {
 	g := ssmis.ChungLu(500, 2.4, 8, 21)
 	if g.N() != 500 {
