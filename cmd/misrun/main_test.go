@@ -3,10 +3,13 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ssmis/internal/graph"
+	"ssmis/internal/graphio"
 	"ssmis/internal/mis"
 )
 
@@ -71,6 +74,35 @@ func TestBuildGraphFamilies(t *testing.T) {
 	}
 	if _, err := buildGraph("file", "/nonexistent/x", 10, 0.1, 2, 1); err == nil {
 		t.Error("missing file accepted")
+	}
+
+	// The file case: a WriteEdgeList file loads back as the generator's graph.
+	want, err := buildGraph("gnp", "", 500, 0.02, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphio.WriteEdgeList(f, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := buildGraph("file", path, 0, 0, 0, 1)
+	if err != nil {
+		t.Fatalf("file: %v", err)
+	}
+	if got.N() != want.N() || got.M() != want.M() {
+		t.Fatalf("file: loaded %v, want %v", got, want)
+	}
+	for u := 0; u < want.N(); u++ {
+		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+			t.Fatalf("file: neighbours of %d = %v, want %v", u, got.Neighbors(u), want.Neighbors(u))
+		}
 	}
 }
 

@@ -65,21 +65,63 @@ func TestReadEdgeListCommentsAndBlank(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
+	cases := []struct{ name, in, want string }{
+		{"no header", "0 1\n", "graphio: line 1: edge before 'n <count>' header"},
+		{"missing header", "", "graphio: no 'n <count>' header found"},
+		{"comments only", "# a\n\n  # b\n", "graphio: no 'n <count>' header found"},
+		{"double header", "n 3\nn 3\n", "graphio: line 2: duplicate header"},
+		{"bad count", "n x\n", `graphio: line 1: bad vertex count "x"`},
+		{"negative count", "n -1\n", `graphio: line 1: bad vertex count "-1"`},
+		{"malformed header", "n 3 4\n", `graphio: line 1: malformed header "n 3 4"`},
+		{"bare header", "n\n", `graphio: line 1: malformed header "n"`},
+		{"padded header", "# c\n\n \tn 3 4 \r\n", `graphio: line 3: malformed header "n 3 4"`},
+		{"self-loop", "n 3\n1 1\n", "graphio: line 2: self-loop at 1"},
+		{"out of range", "n 3\n0 3\n", "graphio: line 2: edge {0,3} out of range [0,3)"},
+		{"negative", "n 3\n-1 0\n", "graphio: line 2: edge {-1,0} out of range [0,3)"},
+		{"non-integer", "n 3\na b\n", `graphio: line 2: non-integer endpoints "a b"`},
+		{"half integer", "n 3\n0 1x\n", `graphio: line 2: non-integer endpoints "0 1x"`},
+		{"overflow", "n 3\n0 99999999999999999999\n", `graphio: line 2: non-integer endpoints "0 99999999999999999999"`},
+		{"triple edge", "n 3\n0 1 2\n", `graphio: line 2: malformed edge "0 1 2"`},
+		{"single endpoint", "n 3\n\t0 \n", `graphio: line 2: malformed edge "0"`},
+		{"trailing comment", "n 3\n0 1 # c\n", `graphio: line 2: malformed edge "0 1 # c"`},
+		{"no-break space", "n 3\n0\u00a01 2\n", `graphio: line 2: malformed edge "0\u00a01 2"`},
+		{"late line", "# c\nn 4\n\n0 1\r\n# d\n2 2\n", "graphio: line 6: self-loop at 2"},
+		{"crlf range", "n 3\r\n0 1\r\n2 7\r\n", "graphio: line 3: edge {2,7} out of range [0,3)"},
+	}
+	for _, c := range cases {
+		_, err := ReadEdgeList(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("%s: no error", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestReadEdgeListAcceptedForms pins the inputs the reader accepts beyond
+// WriteEdgeList's own output: every form below is the path 0-1-2-3.
+func TestReadEdgeListAcceptedForms(t *testing.T) {
+	want := graph.Path(4)
 	cases := map[string]string{
-		"no header":        "0 1\n",
-		"missing header":   "",
-		"double header":    "n 3\nn 3\n",
-		"bad count":        "n x\n",
-		"malformed header": "n 3 4\n",
-		"self-loop":        "n 3\n1 1\n",
-		"out of range":     "n 3\n0 3\n",
-		"negative":         "n 3\n-1 0\n",
-		"non-integer":      "n 3\na b\n",
-		"triple edge":      "n 3\n0 1 2\n",
+		"plain":            "n 4\n0 1\n1 2\n2 3\n",
+		"crlf":             "n 4\r\n0 1\r\n1 2\r\n2 3\r\n",
+		"tabs and runs":    "n\t4\n0\t1\n1  \t 2\n2\t\t3\n",
+		"padded":           "  n 4  \n\t0 1\t\n 1 2 \n   2 3\n",
+		"plus signs":       "n +4\n+0 1\n1 +2\n+2 +3\n",
+		"reversed":         "n 4\n1 0\n2 1\n3 2\n",
+		"duplicates":       "n 4\n0 1\n1 0\n1 2\n0 1\n2 3\n3 2\n",
+		"comments after":   "n 4\n# edges\n0 1\n  # indented\n1 2\n\n2 3\n# end",
+		"no final newline": "n 4\n0 1\n1 2\n2 3",
+		"unicode spaces":   "n\u00a04\n0\u20001\n\u30001 2\u2028\n2\v3\f\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: no error", name)
+		got, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !sameGraph(want, got) {
+			t.Errorf("%s: got %v, want the path on 4 vertices", name, got)
 		}
 	}
 }
