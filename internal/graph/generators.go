@@ -225,15 +225,22 @@ func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 		return Complete(n)
 	}
 	b := NewBuilder(n)
+	total := int64(n) * int64(n-1) / 2
+	b.reserve(expectedEdges(p, total))
 	if p <= 0.25 {
-		// Geometric skipping over the linearized strict upper triangle.
-		// Pair index k corresponds to (u, v) with u < v.
-		total := int64(n) * int64(n-1) / 2
-		k := int64(rng.Geometric(p))
+		// Geometric skipping over the linearized strict upper triangle:
+		// pair index k is (u, u+1+k-rowStart) in the row of u, which
+		// covers [rowStart, rowEnd).
+		skip := xrand.NewGeom(p)
+		u, rowStart, rowEnd := 0, int64(0), int64(n-1)
+		k := int64(rng.Geom(skip))
 		for k < total {
-			u, v := pairFromIndex(k, n)
-			b.AddEdge(u, v)
-			k += 1 + int64(rng.Geometric(p))
+			for k >= rowEnd {
+				u++
+				rowStart, rowEnd = rowEnd, rowEnd+int64(n-1-u)
+			}
+			b.AddEdge(u, u+1+int(k-rowStart))
+			k += 1 + int64(rng.Geom(skip))
 		}
 	} else {
 		for u := 0; u < n; u++ {
@@ -247,37 +254,12 @@ func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 	return b.Build()
 }
 
-// pairFromIndex maps a linear index k in [0, n(n-1)/2) to the k-th pair
-// (u, v), u < v, in row-major order of the strict upper triangle.
-func pairFromIndex(k int64, n int) (int, int) {
-	// Row u starts at offset S(u) = u*n - u*(u+3)/2 ... solve incrementally
-	// via the quadratic formula on the remaining count.
-	// Remaining pairs after row u-1: R(u) = (n-u)(n-u-1)/2. Find largest u
-	// with k < S(u+1).
-	nn := int64(n)
-	// Row u covers linear indices [rowStart(u), rowStart(u+1)) where
-	// rowStart(u) = u(n-1) - u(u-1)/2. Estimate u by solving the quadratic,
-	// then correct by stepping (the estimate is off by at most a few units).
-	rowStart := func(u int64) int64 { return u*(nn-1) - u*(u-1)/2 }
-	disc := float64(2*nn-1)*float64(2*nn-1) - 8*float64(k)
-	if disc < 0 {
-		disc = 0
-	}
-	u := int64((float64(2*nn-1) - math.Sqrt(disc)) / 2)
-	if u < 0 {
-		u = 0
-	}
-	if u > nn-2 {
-		u = nn - 2
-	}
-	for u > 0 && rowStart(u) > k {
-		u--
-	}
-	for rowStart(u+1) <= k {
-		u++
-	}
-	v := u + 1 + (k - rowStart(u))
-	return int(u), int(v)
+// expectedEdges is the capacity to reserve for m ~ Binomial(pairs, p)
+// edges: the mean plus six standard deviations, at most pairs, so an edge
+// list outgrows it with negligible probability.
+func expectedEdges(p float64, pairs int64) int {
+	mean := p * float64(pairs)
+	return int(min(mean+6*math.Sqrt(mean)+16, float64(pairs)))
 }
 
 // GnpAvgDegree returns G(n, p) with p chosen so that the expected average
@@ -547,14 +529,15 @@ func ChungLu(n int, beta, avgDeg float64, rng *xrand.Rand) *Graph {
 		if pMax <= 0 {
 			continue
 		}
-		v := u + 1 + rng.Geometric(pMax)
+		skip := xrand.NewGeom(pMax)
+		v := u + 1 + rng.Geom(skip)
 		for v < n {
 			// Accept with the true probability relative to the proposal.
 			p := w[u] * w[v] / totalW
 			if rng.Bernoulli(p / pMax) {
 				b.AddEdge(u, v)
 			}
-			v += 1 + rng.Geometric(pMax)
+			v += 1 + rng.Geom(skip)
 		}
 	}
 	return b.Build()

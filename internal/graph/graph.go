@@ -11,7 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -61,18 +64,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 // CLIs' banner lines all ask repeatedly.
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
-// maxDegreeOf scans a CSR offset vector for the maximum degree; the two
-// graph constructors (Build, Relabel) call it once to fill the memo.
-func maxDegreeOf(offsets []int) int {
-	max := 0
-	for u := 0; u+1 < len(offsets); u++ {
-		if d := offsets[u+1] - offsets[u]; d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // AvgDegree returns the average vertex degree 2m/n, or 0 for n = 0.
 func (g *Graph) AvgDegree() float64 {
 	if g.N() == 0 {
@@ -106,12 +97,22 @@ type Builder struct {
 	sorted int // leading edges already sorted and deduplicated by a prior Build
 }
 
-// NewBuilder returns a builder for a graph on n vertices.
+// NewBuilder returns a builder for a graph on n vertices. Vertex ids are
+// stored as int32, so n may not exceed math.MaxInt32.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: vertex count %d exceeds math.MaxInt32", n))
+	}
 	return &Builder{n: n}
+}
+
+// reserve grows the edge list's capacity for m more edges, so a generator
+// that knows its expected edge count appends without regrowing.
+func (b *Builder) reserve(m int) {
+	b.edges = slices.Grow(b.edges, m)
 }
 
 // N returns the number of vertices the builder was created with.
@@ -137,73 +138,81 @@ func (b *Builder) AddEdge(u, v int) {
 // edges may be added and Build called again); the retained edge list stays
 // sorted and deduplicated across calls, so a repeat Build only sorts the
 // edges appended since the previous one and merges them in — O(k log k + m)
-// for k new edges instead of re-sorting all m.
+// for k new edges instead of re-sorting all m. Edges appended in increasing
+// (u, v) order with u < v, as every row-major generator and every
+// WriteEdgeList file produce them, are not sorted at all.
 func (b *Builder) Build() *Graph {
 	b.normalize()
 
-	deg := make([]int, b.n)
+	// pos counts degrees, then serves as each vertex's fill cursor.
+	pos := make([]int32, b.n)
 	for _, e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
+		pos[e[0]]++
+		pos[e[1]]++
 	}
 	offsets := make([]int, b.n+1)
-	for u := 0; u < b.n; u++ {
-		offsets[u+1] = offsets[u] + deg[u]
+	maxDeg := 0
+	for u, d := range pos {
+		offsets[u+1] = offsets[u] + int(d)
+		maxDeg = max(maxDeg, int(d))
+	}
+	if offsets[b.n] > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d adjacency entries exceed math.MaxInt32", offsets[b.n]))
+	}
+	for u := range pos {
+		pos[u] = int32(offsets[u])
 	}
 	adj := make([]int32, offsets[b.n])
-	cursor := make([]int, b.n)
-	copy(cursor, offsets[:b.n])
+	// The edges are sorted, so every list fills in increasing order: u's
+	// neighbours below u arrive (as the larger endpoint) in increasing
+	// order of their rows before u's own row appends those above u.
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
-		adj[cursor[u]] = v
-		cursor[u]++
-		adj[cursor[v]] = u
-		cursor[v]++
+		adj[pos[u]] = v
+		pos[u]++
+		adj[pos[v]] = u
+		pos[v]++
 	}
-	// Neighbor lists are sorted because edges were processed in sorted order
-	// for the smaller endpoint; for the larger endpoint insertion order
-	// follows the smaller endpoints, which are increasing as well. Verify in
-	// debug-ish fashion only for small graphs? Sorting is cheap relative to
-	// generation; make correctness unconditional:
-	for u := 0; u < b.n; u++ {
-		nbrs := adj[offsets[u]:offsets[u+1]]
-		if !int32sSorted(nbrs) {
-			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		}
-	}
-	return &Graph{offsets: offsets, adj: adj, maxDeg: maxDegreeOf(offsets)}
+	return &Graph{offsets: offsets, adj: adj, maxDeg: maxDeg}
 }
 
+// edgeKey packs an edge into one integer that orders edges
+// lexicographically; both endpoints are non-negative.
+func edgeKey(e [2]int32) uint64 { return uint64(e[0])<<32 | uint64(e[1]) }
+
 // normalize brings b.edges to sorted, deduplicated form. Edges up to
-// b.sorted are already normalized by the previous Build; only the appended
-// suffix is sorted, then the two sorted runs are merged with duplicates
-// dropped. A Build with nothing appended does no sorting at all.
+// b.sorted are already normalized by the previous Build. An appended
+// suffix that is strictly increasing and lies above the prefix is already
+// normalized too; otherwise only the suffix is sorted, then the two sorted
+// runs are merged with duplicates dropped. A Build with nothing appended
+// does no sorting at all.
 func (b *Builder) normalize() {
-	if len(b.edges) == b.sorted {
-		return
-	}
-	edgeLess := func(a, c [2]int32) bool {
-		if a[0] != c[0] {
-			return a[0] < c[0]
-		}
-		return a[1] < c[1]
-	}
 	tail := b.edges[b.sorted:]
-	sort.Slice(tail, func(i, j int) bool { return edgeLess(tail[i], tail[j]) })
+	above := b.sorted == 0 || len(tail) == 0 || edgeKey(tail[0]) > edgeKey(b.edges[b.sorted-1])
+	if !above || !strictlyIncreasing(tail) {
+		b.sortTail(tail)
+	}
+	b.sorted = len(b.edges)
+}
+
+func strictlyIncreasing(es [][2]int32) bool {
+	for i := 1; i < len(es); i++ {
+		if edgeKey(es[i]) <= edgeKey(es[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sortTail sorts the appended suffix and merges it into the normalized
+// prefix, dropping duplicates within the suffix and against the prefix.
+func (b *Builder) sortTail(tail [][2]int32) {
+	slices.SortFunc(tail, func(a, c [2]int32) int { return cmp.Compare(edgeKey(a), edgeKey(c)) })
 	if b.sorted == 0 {
 		// First build: just drop adjacent duplicates in place.
-		dedup := b.edges[:0]
-		for i, e := range b.edges {
-			if i == 0 || e != b.edges[i-1] {
-				dedup = append(dedup, e)
-			}
-		}
-		b.edges = dedup
-		b.sorted = len(b.edges)
+		b.edges = slices.Compact(b.edges)
 		return
 	}
-	// Merge the normalized prefix with the sorted tail, dropping duplicates
-	// within the tail and against the prefix.
 	head := b.edges[:b.sorted]
 	merged := make([][2]int32, 0, len(b.edges))
 	i, j := 0, 0
@@ -211,7 +220,7 @@ func (b *Builder) normalize() {
 		switch {
 		case head[i] == tail[j]:
 			j++
-		case edgeLess(head[i], tail[j]):
+		case edgeKey(head[i]) < edgeKey(tail[j]):
 			merged = append(merged, head[i])
 			i++
 		default:
@@ -228,16 +237,6 @@ func (b *Builder) normalize() {
 		}
 	}
 	b.edges = merged
-	b.sorted = len(b.edges)
-}
-
-func int32sSorted(s []int32) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FromEdges builds a graph on n vertices from an explicit edge list.

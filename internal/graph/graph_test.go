@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,7 @@ func TestBuilderPanics(t *testing.T) {
 		"out-of-range": func() { NewBuilder(3).AddEdge(0, 3) },
 		"negative":     func() { NewBuilder(3).AddEdge(-1, 0) },
 		"negative-n":   func() { NewBuilder(-1) },
+		"huge-n":       func() { NewBuilder(math.MaxInt32 + 1) },
 	} {
 		func() {
 			defer func() {
@@ -283,21 +285,6 @@ func TestGnpPairCoverageUniform(t *testing.T) {
 	}
 	if len(seen) != n*(n-1)/2 {
 		t.Fatalf("sparse Gnp covered %d/%d pairs", len(seen), n*(n-1)/2)
-	}
-}
-
-func TestPairFromIndex(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 17, 100} {
-		k := int64(0)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				gu, gv := pairFromIndex(k, n)
-				if gu != u || gv != v {
-					t.Fatalf("pairFromIndex(%d, n=%d) = (%d,%d), want (%d,%d)", k, n, gu, gv, u, v)
-				}
-				k++
-			}
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -200,8 +201,8 @@ func Relabel(g *Graph, perm []int32) *Graph {
 		for i, v := range g.Neighbors(u) {
 			out[i] = perm[v]
 		}
-		if !int32sSorted(out) {
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		if !slices.IsSorted(out) {
+			slices.Sort(out)
 		}
 	}
 	// A relabeling permutes degrees, so the memo carries over unchanged.

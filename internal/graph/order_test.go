@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"ssmis/internal/xrand"
@@ -46,7 +47,7 @@ func TestRelabelIsomorphism(t *testing.T) {
 		h := Relabel(g, perm)
 		sameGraphUnderPerm(t, g, h, perm)
 		for u := 0; u < h.N(); u++ {
-			if !int32sSorted(h.Neighbors(u)) {
+			if !slices.IsSorted(h.Neighbors(u)) {
 				t.Fatalf("relabeled neighbor list of %d not sorted", u)
 			}
 		}

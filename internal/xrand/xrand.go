@@ -164,18 +164,34 @@ func (r *Rand) BernoulliPow2(k uint) bool {
 
 // Geometric returns the number of failures before the first success in
 // Bernoulli(p) trials, i.e. a sample from Geometric(p) with support {0,1,...}.
-// It panics if p <= 0 or p > 1. For small p this is used by the G(n,p)
-// generator to skip non-edges in O(#edges) total time.
-func (r *Rand) Geometric(p float64) int {
+// It panics if p <= 0 or p > 1. Callers drawing many samples at one p use
+// NewGeom and Geom instead, which compute log(1−p) once.
+func (r *Rand) Geometric(p float64) int { return r.Geom(NewGeom(p)) }
+
+// GeomDist is the Geometric(p) distribution with its inverse-CDF divisor
+// log(1−p) computed once. The G(n,p) and Chung–Lu generators draw one
+// sample per edge to skip non-edges in O(#edges) total time.
+type GeomDist struct {
+	logQ float64 // log(1−p); −Inf when p = 1
+}
+
+// NewGeom returns the Geometric(p) distribution. It panics if p <= 0 or
+// p > 1.
+func NewGeom(p float64) GeomDist {
 	if p <= 0 || p > 1 {
 		panic("xrand: Geometric requires 0 < p <= 1")
 	}
-	if p == 1 {
+	return GeomDist{logQ: logFloat(1.0 - p)}
+}
+
+// Geom returns a sample from d. At p = 1 it is 0 and draws nothing.
+func (r *Rand) Geom(d GeomDist) int {
+	if isNegInf(d.logQ) {
 		return 0
 	}
 	// Inverse-CDF sampling: floor(log(U) / log(1-p)) with U in (0,1].
 	u := 1.0 - r.Float64() // (0, 1]
-	f := logFloat(u) / logFloat(1.0-p)
+	f := logFloat(u) / d.logQ
 	// For minuscule p, 1-p rounds to 1 and the division degenerates (±Inf
 	// or NaN), and even finite skip distances can exceed the int range.
 	// Clamp to a huge positive skip — callers compare against an index
