@@ -11,11 +11,14 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ssmis/internal/graph"
 )
@@ -45,7 +48,10 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 }
 
 // ReadEdgeList parses the edge-list text format. The "n <count>" header is
-// required before the first edge; vertices outside [0, n) are an error.
+// required before the first edge; vertices outside [0, n) are an error, and
+// so is a count above math.MaxInt32, the largest the graph's int32 vertex
+// ids can index. Fields are separated by the whitespace strings.Fields
+// splits on, and each line is parsed in place in the scanner's buffer.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -53,21 +59,27 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := sc.Bytes()
+		f0, rest := nextField(line)
+		if len(f0) == 0 || f0[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if fields[0] == "n" {
+		f1, rest := nextField(rest)
+		f2, _ := nextField(rest)
+		twoFields := len(f1) > 0 && len(f2) == 0
+		if string(f0) == "n" {
 			if b != nil {
 				return nil, fmt.Errorf("graphio: line %d: duplicate header", lineNo)
 			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("graphio: line %d: malformed header %q", lineNo, line)
+			if !twoFields {
+				return nil, fmt.Errorf("graphio: line %d: malformed header %q", lineNo, bytes.TrimSpace(line))
 			}
-			n, err := strconv.Atoi(fields[1])
+			n, err := strconv.Atoi(string(f1))
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, fields[1])
+				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, f1)
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graphio: line %d: vertex count %d exceeds math.MaxInt32", lineNo, n)
 			}
 			b = graph.NewBuilder(n)
 			continue
@@ -75,13 +87,13 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		if b == nil {
 			return nil, fmt.Errorf("graphio: line %d: edge before 'n <count>' header", lineNo)
 		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graphio: line %d: malformed edge %q", lineNo, line)
+		if !twoFields {
+			return nil, fmt.Errorf("graphio: line %d: malformed edge %q", lineNo, bytes.TrimSpace(line))
 		}
-		u, err1 := strconv.Atoi(fields[0])
-		v, err2 := strconv.Atoi(fields[1])
+		u, err1 := strconv.Atoi(string(f0))
+		v, err2 := strconv.Atoi(string(f1))
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("graphio: line %d: non-integer endpoints %q", lineNo, line)
+			return nil, fmt.Errorf("graphio: line %d: non-integer endpoints %q", lineNo, bytes.TrimSpace(line))
 		}
 		if u == v {
 			return nil, fmt.Errorf("graphio: line %d: self-loop at %d", lineNo, u)
@@ -98,6 +110,39 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: no 'n <count>' header found")
 	}
 	return b.Build(), nil
+}
+
+// nextField returns the first field of s and the remainder after it,
+// splitting on unicode.IsSpace as strings.Fields does. The field is empty
+// when s holds only whitespace.
+func nextField(s []byte) (field, rest []byte) {
+	start := skip(s, true)
+	end := start + skip(s[start:], false)
+	return s[start:end], s[end:]
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skip returns the length of the longest prefix of s whose runes are all
+// whitespace (space true) or all non-whitespace (space false).
+func skip(s []byte, space bool) int {
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(s[i:])
+		if unicode.IsSpace(r) != space {
+			break
+		}
+		i += size
+	}
+	return i
 }
 
 // jsonGraph is the JSON interchange shape.
@@ -128,6 +173,9 @@ func ReadJSON(r io.Reader) (*graph.Graph, error) {
 	}
 	if jg.N < 0 {
 		return nil, fmt.Errorf("graphio: negative vertex count %d", jg.N)
+	}
+	if jg.N > math.MaxInt32 {
+		return nil, fmt.Errorf("graphio: vertex count %d exceeds math.MaxInt32", jg.N)
 	}
 	b := graph.NewBuilder(jg.N)
 	for i, e := range jg.Edges {

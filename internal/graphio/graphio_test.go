@@ -87,6 +87,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"no-break space", "n 3\n0\u00a01 2\n", `graphio: line 2: malformed edge "0\u00a01 2"`},
 		{"late line", "# c\nn 4\n\n0 1\r\n# d\n2 2\n", "graphio: line 6: self-loop at 2"},
 		{"crlf range", "n 3\r\n0 1\r\n2 7\r\n", "graphio: line 3: edge {2,7} out of range [0,3)"},
+		// Vertex ids are int32: a larger count is rejected at its header,
+		// before anything is allocated for it.
+		{"huge count", "n 3000000000\n0 2147483648\n", "graphio: line 1: vertex count 3000000000 exceeds math.MaxInt32"},
+		{"int32 overflow", "# c\nn 2147483648\n", "graphio: line 2: vertex count 2147483648 exceeds math.MaxInt32"},
 	}
 	for _, c := range cases {
 		_, err := ReadEdgeList(strings.NewReader(c.in))
@@ -132,6 +136,7 @@ func TestReadJSONErrors(t *testing.T) {
 		"negative n":   `{"n": -1, "edges": []}`,
 		"self-loop":    `{"n": 3, "edges": [[1,1]]}`,
 		"out of range": `{"n": 3, "edges": [[0,5]]}`,
+		"huge n":       `{"n": 3000000000, "edges": [[0,2147483648]]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
