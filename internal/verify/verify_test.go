@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"ssmis/internal/bitset"
@@ -140,5 +141,108 @@ func TestCheckGreedyMISCompatible(t *testing.T) {
 	}
 	if err := CheckGreedyMISCompatible(g, []int{0}, mask(0)); err == nil {
 		t.Fatal("short order accepted")
+	}
+}
+
+// maximalScan is the neighbour scan Maximal used before it marked coverage
+// from the set's side: each vertex outside the set looks for a neighbour
+// inside it. It costs Θ(n²) on a clique and is kept as the reference.
+func maximalScan(g *graph.Graph, inSet func(u int) bool) error {
+	for u := 0; u < g.N(); u++ {
+		if inSet(u) {
+			continue
+		}
+		covered := false
+		for _, v := range g.Neighbors(u) {
+			if inSet(int(v)) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return fmt.Errorf("verify: maximality violated at vertex %d (no neighbor in set)", u)
+		}
+	}
+	return nil
+}
+
+func errString(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestMaximalMatchesScan checks the set-side Maximal against the reference
+// scan, error strings included, on random graphs under random masks of
+// every density and under greedy MISes with a few vertices removed.
+func TestMaximalMatchesScan(t *testing.T) {
+	rng := xrand.New(23)
+	check := func(g *graph.Graph, in []bool, what string) {
+		t.Helper()
+		inSet := func(u int) bool { return in[u] }
+		if got, want := errString(Maximal(g, inSet)), errString(maximalScan(g, inSet)); got != want {
+			t.Fatalf("%s on %v: Maximal = %s, reference = %s", what, g, got, want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(80)
+		g := graph.Gnp(n, rng.Float64()*0.5, rng)
+		density := rng.Float64()
+		in := make([]bool, n)
+		for u := range in {
+			in[u] = rng.Bernoulli(density)
+		}
+		check(g, in, "random mask")
+
+		for u := range in {
+			in[u] = false
+		}
+		blocked := make([]bool, n)
+		for u := 0; u < n; u++ {
+			if !blocked[u] {
+				in[u] = true
+				for _, v := range g.Neighbors(u) {
+					blocked[v] = true
+				}
+			}
+		}
+		check(g, in, "greedy MIS")
+		for drop := 0; drop < 3; drop++ {
+			in[rng.Intn(n)] = false
+			check(g, in, "greedy MIS minus a vertex")
+		}
+	}
+}
+
+func TestMaximalClique(t *testing.T) {
+	const n = 64
+	g := graph.Complete(n)
+	for s := 0; s < n; s++ {
+		only := func(u int) bool { return u == s }
+		if err := Maximal(g, only); err != nil {
+			t.Fatalf("K_%d with MIS {%d}: %v", n, s, err)
+		}
+		if err := MIS(g, only); err != nil {
+			t.Fatalf("K_%d with MIS {%d}: MIS: %v", n, s, err)
+		}
+	}
+	// The empty set leaves vertex 0 uncovered; a clique plus an isolated
+	// vertex leaves that vertex uncovered under any one-vertex set.
+	const want0 = "verify: maximality violated at vertex 0 (no neighbor in set)"
+	if err := errString(Maximal(g, func(int) bool { return false })); err != want0 {
+		t.Fatalf("empty set on K_%d: %s, want %s", n, err, want0)
+	}
+	b := graph.NewBuilder(n + 1)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	h := b.Build()
+	only := func(u int) bool { return u == 5 }
+	want := fmt.Sprintf("verify: maximality violated at vertex %d (no neighbor in set)", n)
+	if got, ref := errString(Maximal(h, only)), errString(maximalScan(h, only)); got != want || ref != want {
+		t.Fatalf("K_%d plus an isolated vertex: Maximal = %s, reference = %s, want %s", n, got, ref, want)
 	}
 }
