@@ -163,9 +163,9 @@ func (b *Builder) Build() *Graph {
 		pos[u] = int32(offsets[u])
 	}
 	adj := make([]int32, offsets[b.n])
-	// The edges are sorted, so every list fills in increasing order: u's
-	// neighbours below u arrive (as the larger endpoint) in increasing
-	// order of their rows before u's own row appends those above u.
+	// The edges are sorted, so every list fills in increasing order: a
+	// vertex x receives its neighbours below x, as the larger endpoint of
+	// their rows, before its own row appends those above x.
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
 		adj[pos[u]] = v

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,38 @@ func TestBuilderDeduplicates(t *testing.T) {
 	}
 	if g.Degree(0) != 1 || g.Degree(1) != 1 {
 		t.Fatal("duplicate edges inflated degrees")
+	}
+}
+
+// A sorted append skips the sort only when it also lies above the edges
+// an earlier Build kept; a sorted batch that reaches back below them, or
+// repeats the last of them, must still be merged.
+func TestBuilderSortedAppendAfterBuild(t *testing.T) {
+	b := NewBuilder(6)
+	all := [][2]int{{1, 2}, {3, 4}}
+	for _, e := range all {
+		b.AddEdge(e[0], e[1])
+	}
+	b.Build()
+	for _, batch := range [][][2]int{
+		{{0, 1}, {2, 3}}, // increasing, but starts below {3,4}
+		{{3, 4}, {4, 5}}, // increasing, but repeats {3,4}
+		{{4, 5}, {5, 0}}, // {0,5} sorts below {4,5}
+	} {
+		for _, e := range batch {
+			b.AddEdge(e[0], e[1])
+		}
+		all = append(all, batch...)
+		got, want := b.Build(), FromEdges(6, all)
+		if got.M() != want.M() {
+			t.Fatalf("after batch %v: m = %d, want %d", batch, got.M(), want.M())
+		}
+		for u := 0; u < got.N(); u++ {
+			if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+				t.Fatalf("after batch %v: neighbours of %d = %v, want %v",
+					batch, u, got.Neighbors(u), want.Neighbors(u))
+			}
+		}
 	}
 }
 

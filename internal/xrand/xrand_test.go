@@ -225,6 +225,10 @@ func TestGeometricOne(t *testing.T) {
 			t.Fatalf("Geometric(1) = %d, want 0", g)
 		}
 	}
+	// A certain success draws no coin: the stream has not moved.
+	if r.Uint64() != New(18).Uint64() {
+		t.Fatal("Geometric(1) advanced the stream")
+	}
 }
 
 func TestGeometricTinyPClamped(t *testing.T) {
