@@ -10,6 +10,7 @@ import (
 // Complete returns the complete graph K_n (Theorem 8's workload).
 func Complete(n int) *Graph {
 	b := NewBuilder(n)
+	b.reserve(n * (n - 1) / 2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			b.AddEdge(u, v)
