@@ -42,6 +42,23 @@
 // equivalence matrix (internal/async) pins simulator ≡ synchronous runtime
 // ≡ async-at-ρ=1 round-for-round over 20 seeds × 4 graph families.
 //
+// Layer 0 — internal/graph, the input. Every CSR graph is built by
+// graph.Builder.Build: the generators, graphio's edge-list and JSON
+// readers, FromEdges, InducedSubgraph and the edits in edit.go all append
+// edges to a Builder (graph.Relabel, which permutes an existing CSR, is the
+// one other constructor). Build sorts and deduplicates the edge list unless
+// it is already strictly increasing, as every row-major generator (G(n,p),
+// complete graphs, ...) and every WriteEdgeList file emit it; the scatter
+// then fills every neighbour list in increasing order through one int32
+// cursor per vertex. Vertex ids are int32, so a graph has at most
+// math.MaxInt32 vertices and math.MaxInt32 adjacency entries (2m):
+// NewBuilder and Build panic beyond them, and graphio rejects a larger
+// vertex count at its header. Sparse G(n,p) walks the rows of the upper
+// triangle with geometric skips, O(n + m) with one logarithm per edge. The
+// certificate every run ends on, verify.MIS, costs O(n + Σ_{u∈I} deg u):
+// independence reads only the set's lists, and maximality marks coverage
+// from the set's side.
+//
 // Layer 1 — internal/engine, one run. All three processes are thin rule
 // definitions — one kernel.Spec each (Layer 1a), plus the 3-color switch as
 // a synchronous sub-process — running on one shared engine with one
