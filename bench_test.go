@@ -239,7 +239,7 @@ func BenchmarkEngineKernel3ColorGnp100k(b *testing.B) {
 }
 
 func BenchmarkBeepingRuntime1k(b *testing.B) {
-	// Goroutine-per-node engine cost: full stabilization on 1000 nodes.
+	// Node-program runtime cost: full stabilization on 1000 nodes.
 	g := ssmis.GnpAvgDegree(1000, 8, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -247,7 +247,6 @@ func BenchmarkBeepingRuntime1k(b *testing.B) {
 		if _, ok := m.Run(1 << 20); !ok {
 			b.Fatal("did not stabilize")
 		}
-		m.Close()
 	}
 }
 

@@ -8,7 +8,8 @@
 //
 // Graphs: gnp, clique, path, cycle, star, tree, grid, cliques, regular, or
 // file (-in <edge-list>). Processes: 2state, 3state, 3color. Engines: sim
-// (default), node (the goroutine-per-node beeping/stone-age runtime).
+// (default), node (the beeping/stone-age runtime: one node program per
+// vertex, stepped in lockstep rounds).
 // With -trials N, the seeds run on the work-stealing batch pool
 // (-workers sizes it, -batch sets the scheduler chunk) sharing one graph
 // build and per-worker engine scratch; the summary reports wall time and
@@ -581,17 +582,14 @@ func runNodeEngine(g *graph.Graph, procKind string, seed uint64, limit int) int 
 	switch k {
 	case experiment.KindTwoState:
 		m := newBeeping(g, seed)
-		defer m.Close()
 		rounds, ok := m.Run(limit)
 		return report(g, "beeping-cd", rounds, ok, m.Black)
 	case experiment.KindThreeState:
 		m := newStoneAge3S(g, seed)
-		defer m.Close()
 		rounds, ok := m.Run(limit)
 		return report(g, "stone-age(2ch)", rounds, ok, m.Black)
 	default:
 		m := newStoneAge3C(g, seed)
-		defer m.Close()
 		rounds, ok := m.Run(limit)
 		return report(g, "stone-age(12ch)", rounds, ok, m.Black)
 	}

@@ -3,9 +3,9 @@
 // "Distributed Self-Stabilizing MIS with Few States and Weak Communication"
 // (PODC 2023, arXiv:2301.05059), together with the substrates needed to
 // reproduce every quantitative claim of the paper: graph generators, a
-// shared frontier-driven round engine, goroutine-per-node beeping and
-// stone-age runtimes, classical baselines, a good-graph checker, fault
-// injection, and an experiment harness.
+// shared frontier-driven round engine, node-program beeping and stone-age
+// runtimes, classical baselines, a good-graph checker, fault injection, and
+// an experiment harness.
 //
 // # Architecture
 //
@@ -13,7 +13,7 @@
 // with three interchangeable runtimes under the engine layer:
 //
 //	                 ┌ internal/mis ──────── array simulator (frontier engine)
-//	one process,     ├ internal/noderun ──── goroutine/node, lockstep rounds
+//	one process,     ├ internal/noderun ──── program/node, lockstep rounds
 //	one (graph,seed) │    └ beeping / stoneage program sets (Emit/Deliver)
 //	                 └ internal/async ────── per-node clocks, drifting slots,
 //	                       interval-overlap hearing (same program sets)
@@ -28,8 +28,9 @@
 //
 //	internal/mis      fastest; experiments, sweeps, daemon schedules (E18),
 //	                  checkpoints — the default for measurement
-//	internal/noderun  model-faithfulness: one goroutine per node, a real
-//	                  broadcast medium enforcing the beeping/stone-age
+//	internal/noderun  model-faithfulness: one program per node that sees
+//	                  only its own state, its own coins and what it heard,
+//	                  and a broadcast medium enforcing the beeping/stone-age
 //	                  constraints; use to certify the simulator's rules
 //	internal/async    asynchrony: per-node clocks under a drift bound ρ
 //	                  (bounded / eventual-sync / adversarial models); use to
@@ -344,10 +345,12 @@
 //
 // Because every vertex draws coins from its own stream split off the master
 // seed, an execution is a pure function of (graph, seed, initializer) — and
-// the engine, its batch-scheduled runs at any pool width, the
-// goroutine-per-node runtimes in internal/beeping and internal/stoneage,
-// and the asynchronous medium in internal/async (whose clock streams are
-// disjoint from the coin streams) all draw exactly the same coins.
+// the engine, its batch-scheduled runs at any pool width, the node-program
+// runtimes in internal/beeping and internal/stoneage (which step their
+// programs in vertex order on the caller's goroutine, so the call order
+// cannot reach a coin), and the asynchronous medium in internal/async
+// (whose clock streams are disjoint from the coin streams) all draw exactly
+// the same coins.
 //
 // The three processes:
 //

@@ -29,8 +29,8 @@ func main() {
 	const seed = 42
 	fmt.Printf("graph: %d vertices, %d edges, max degree %d\n\n", g.N(), g.M(), g.MaxDegree())
 
-	// Step 1 — the synchronous baseline: the goroutine-per-node beeping
-	// runtime, lockstep rounds.
+	// Step 1 — the synchronous baseline: the beeping runtime, every node
+	// program stepped in lockstep rounds.
 	sync := ssmis.NewBeepingMIS(g, seed, nil)
 	syncRounds, ok := sync.Run(5000)
 	if !ok {
@@ -52,7 +52,6 @@ func main() {
 	}
 	fmt.Printf("async, ρ=1 (lockstep):      %4d rounds, %5d random bits — identical to synchronous: %v\n\n",
 		lockRounds, lock.RandomBits(), same)
-	sync.Close()
 
 	// Step 3 — real asynchrony: three drift models at growing ρ. "rounds"
 	// are virtual rounds (the slowest clock's completed slots), so the

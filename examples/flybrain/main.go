@@ -8,8 +8,8 @@
 // cell, one coin per round, and no collision detection.
 //
 // We model the epithelium as a torus-like patch with local neighborhoods
-// and run the 3-state process in the stone-age runtime (one goroutine per
-// cell, two signalling channels).
+// and run the 3-state process in the stone-age runtime (one node program
+// per cell, two signalling channels).
 //
 // Run with: go run ./examples/flybrain
 package main
@@ -45,7 +45,6 @@ func main() {
 	fmt.Printf("epithelium: %d cells, %d contacts (8-neighbor torus)\n", g.N(), g.M())
 
 	cells := ssmis.NewStoneAgeThreeState(g, 11)
-	defer cells.Close()
 	rounds, ok := cells.Run(100000)
 	if !ok {
 		log.Fatal("development did not converge")

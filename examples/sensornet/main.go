@@ -1,7 +1,7 @@
 // Sensornet: clusterhead election in a wireless sensor field using the
-// beeping-model runtime — every sensor is a goroutine that can only beep or
-// listen, exactly the communication the paper's 2-state process needs
-// (sender collision detection included).
+// beeping-model runtime — every sensor runs its own node program that can
+// only beep or listen, exactly the communication the paper's 2-state process
+// needs (sender collision detection included).
 //
 // Sensors are scattered on the unit square; two sensors hear each other
 // within the radio radius. An MIS of the resulting disk graph is a classic
@@ -52,11 +52,10 @@ func main() {
 	fmt.Printf("sensor field: %d sensors, %d radio links, max degree %d\n",
 		g.N(), g.M(), g.MaxDegree())
 
-	// Start one goroutine per sensor under the beeping medium. nil initial
-	// colors = arbitrary (random) boot state: sensors need no coordinated
-	// initialization, no IDs, and no knowledge of the network.
+	// Give every sensor a node program under the beeping medium. nil
+	// initial colors = arbitrary (random) boot state: sensors need no
+	// coordinated initialization, no IDs, and no knowledge of the network.
 	net := ssmis.NewBeepingMIS(g, 99, nil)
-	defer net.Close()
 	rounds, ok := net.Run(100000)
 	if !ok {
 		log.Fatal("network did not stabilize")

@@ -5,12 +5,12 @@
 // hears a beep on a channel iff some neighbor's beep interval on that
 // channel overlaps the node's own listening slot.
 //
-// The medium runs the SAME per-node programs as the synchronous
-// goroutine-per-node runtime (noderun.Program, built by
-// beeping.NewPrograms / stoneage.NewThreeStatePrograms): a node still sees
-// only Emit and Deliver, so the locality discipline of the paper's
-// weak-communication claim is preserved — what changes is purely when slots
-// happen and which beep intervals overlap.
+// The medium runs the SAME per-node programs as the synchronous lockstep
+// runtime (noderun.Program, built by beeping.NewPrograms /
+// stoneage.NewThreeStatePrograms): a node still sees only Emit and Deliver,
+// so the locality discipline of the paper's weak-communication claim is
+// preserved — what changes is purely when slots happen and which beep
+// intervals overlap.
 //
 // Semantics of one local slot of node u:
 //
@@ -67,8 +67,7 @@ func eventLess(a, b event) bool {
 }
 
 // Engine drives node programs over a graph under a communication model and
-// a drift model. Unlike noderun.Engine it spawns no goroutines — there is
-// nothing to Close.
+// a drift model.
 type Engine struct {
 	g     *graph.Graph
 	model noderun.Model

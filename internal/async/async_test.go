@@ -36,7 +36,6 @@ func TestRhoOneCollapsesToSynchronous(t *testing.T) {
 		if sk := a.Engine().MaxSkew(); sk != 0 {
 			t.Fatalf("seed %d: lockstep execution reported skew %d", seed, sk)
 		}
-		bee.Close()
 	}
 }
 
@@ -175,7 +174,6 @@ func TestAdversarialDriftSkew(t *testing.T) {
 func TestEventualSyncGSTZeroIsSynchronous(t *testing.T) {
 	g := graph.Gnp(40, 0.1, xrand.New(4))
 	bee := beeping.NewMIS(g, 11, nil)
-	defer bee.Close()
 	a := async.NewMIS(g, 11, async.NewEventualSync(3, 0), nil)
 	br, bok := bee.Run(5000)
 	ar, aok := a.Run(5000)

@@ -1,8 +1,8 @@
 package async_test
 
 // Cross-runtime equivalence matrix: for each process, the array simulator
-// (internal/mis), the synchronous goroutine-per-node runtime
-// (internal/noderun over the shared program sets), and the asynchronous
+// (internal/mis), the synchronous lockstep runtime (internal/noderun
+// over the shared program sets), and the asynchronous
 // medium at ρ = 1 must produce IDENTICAL executions round-for-round — same
 // per-vertex states every round, same stabilization round, same random-bit
 // totals — across 20 seeds × 4 graph families. Any divergence is a
@@ -56,7 +56,6 @@ func TestCrossRuntimeEquivalenceMatrix(t *testing.T) {
 			sim := mis.NewTwoState(g, mis.WithSeed(seed))
 			ps := beeping.NewPrograms(g.N(), seed, nil)
 			sync := noderun.NewEngine(g, ps.Model(), ps.Programs())
-			t.Cleanup(sync.Close)
 			am := async.NewMIS(g, seed, async.NewBounded(1), nil)
 			return runtimes{
 				step: func() { sim.Step(); sync.Step(); am.Engine().StepRound() },
@@ -77,7 +76,6 @@ func TestCrossRuntimeEquivalenceMatrix(t *testing.T) {
 			sim := mis.NewThreeState(g, mis.WithSeed(seed))
 			ps := stoneage.NewThreeStatePrograms(g.N(), seed, nil)
 			sync := noderun.NewEngine(g, ps.Model(), ps.Programs())
-			t.Cleanup(sync.Close)
 			am := async.NewThreeStateMIS(g, seed, async.NewBounded(1), nil)
 			return runtimes{
 				step: func() { sim.Step(); sync.Step(); am.Engine().StepRound() },
@@ -142,7 +140,6 @@ func TestRunLoopEquivalenceAtRhoOne(t *testing.T) {
 					t.Fatalf("%s seed %d: %v", fam.name, seed, err)
 				}
 			}
-			bee.Close()
 		}
 	}
 }

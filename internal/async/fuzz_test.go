@@ -114,12 +114,10 @@ func FuzzRuntimeTerminalMIS(f *testing.F) {
 		bee := beeping.NewMIS(g, seed, nil)
 		r, ok := bee.Run(limit)
 		check("beeping", r, ok, bee.Black)
-		bee.Close()
 
 		sa := stoneage.NewThreeStateMIS(g, seed, nil)
 		r, ok = sa.Run(limit)
 		check("stone-age", r, ok, sa.Black)
-		sa.Close()
 
 		rho := fuzzRho(rhoRaw)
 		am := async.NewMIS(g, seed, async.NewAdversarial(rho), nil)

@@ -11,8 +11,7 @@ import (
 // MIS runs the paper's 2-state MIS protocol — the exact per-node programs of
 // internal/beeping — over the asynchronous beeping-with-collision-detection
 // medium. At ρ = 1 the execution is coin-for-coin the synchronous
-// beeping.MIS execution; no Close is needed (the medium spawns no
-// goroutines).
+// beeping.MIS execution.
 type MIS struct {
 	g      *graph.Graph
 	engine *Engine

@@ -1,6 +1,6 @@
 // Package beeping implements the paper's 2-state MIS process as a node
 // program for the beeping model with sender collision detection
-// (full-duplex), running on the goroutine-per-node engine of
+// (full-duplex), running on the synchronous node-program engine of
 // internal/noderun.
 //
 // The translation is the one described in the paper's introduction: black
@@ -16,6 +16,8 @@
 package beeping
 
 import (
+	"fmt"
+
 	"ssmis/internal/graph"
 	"ssmis/internal/noderun"
 	"ssmis/internal/verify"
@@ -65,8 +67,11 @@ type ProgramSet struct {
 // initial colors from the init stream exactly as the simulator's InitRandom
 // does — the same coin contract as NewMIS, so executions replay the
 // simulator coin-for-coin on any medium that delivers synchronous-equivalent
-// feedback.
+// feedback. A non-nil initialBlack must have length n.
 func NewPrograms(n int, seed uint64, initialBlack []bool) *ProgramSet {
+	if initialBlack != nil && len(initialBlack) != n {
+		panic(fmt.Sprintf("beeping: initialBlack length %d != n %d", len(initialBlack), n))
+	}
 	master := xrand.New(seed)
 	nodes := make([]*node, n)
 	var initRng *xrand.Rand
@@ -98,8 +103,7 @@ func (ps *ProgramSet) Programs() []noderun.Program {
 	return progs
 }
 
-// Black reports vertex u's current color (valid while the medium is
-// quiescent).
+// Black reports vertex u's current color (valid between rounds).
 func (ps *ProgramSet) Black(u int) bool { return ps.nodes[u].black }
 
 // RandomBits returns the total random bits drawn across all programs.
@@ -129,9 +133,6 @@ func NewMIS(g *graph.Graph, seed uint64, initialBlack []bool) *MIS {
 		ps:     ps,
 	}
 }
-
-// Close releases the node goroutines.
-func (m *MIS) Close() { m.engine.Close() }
 
 // Round returns the number of completed rounds.
 func (m *MIS) Round() int { return m.engine.Round() }

@@ -23,14 +23,12 @@ func TestBeepingStabilizesToMIS(t *testing.T) {
 		m := NewMIS(g, 42, nil)
 		_, ok := m.Run(mis.DefaultRoundCap(g.N()))
 		if !ok {
-			m.Close()
 			t.Errorf("%s: beeping protocol did not stabilize", name)
 			continue
 		}
 		if err := verify.MIS(g, m.Black); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		m.Close()
 	}
 }
 
@@ -49,14 +47,12 @@ func TestBeepingMatchesSimulatorExactly(t *testing.T) {
 		// Initial colors must already agree (shared InitRandom stream).
 		for u := 0; u < g.N(); u++ {
 			if sim.Black(u) != bee.Black(u) {
-				bee.Close()
 				t.Fatalf("trial %d: initial colors differ at %d", trial, u)
 			}
 		}
 		for r := 0; r < 10000; r++ {
 			simDone, beeDone := sim.Stabilized(), bee.Stabilized()
 			if simDone != beeDone {
-				bee.Close()
 				t.Fatalf("trial %d round %d: stabilization disagrees (sim=%v bee=%v)",
 					trial, r, simDone, beeDone)
 			}
@@ -67,16 +63,13 @@ func TestBeepingMatchesSimulatorExactly(t *testing.T) {
 			bee.engine.Step()
 			for u := 0; u < g.N(); u++ {
 				if sim.Black(u) != bee.Black(u) {
-					bee.Close()
 					t.Fatalf("trial %d round %d: colors diverge at vertex %d", trial, r+1, u)
 				}
 			}
 		}
 		if !sim.Stabilized() {
-			bee.Close()
 			t.Fatalf("trial %d: no stabilization", trial)
 		}
-		bee.Close()
 	}
 }
 
@@ -84,7 +77,6 @@ func TestBeepingExplicitInitialColors(t *testing.T) {
 	g := graph.Path(4)
 	initial := []bool{true, false, true, false} // already an MIS
 	m := NewMIS(g, 1, initial)
-	defer m.Close()
 	if !m.Stabilized() {
 		t.Fatal("MIS initialization not stabilized")
 	}
@@ -97,7 +89,6 @@ func TestBeepingExplicitInitialColors(t *testing.T) {
 func TestBeepingRandomBitsGrowOnlyWhenActive(t *testing.T) {
 	g := graph.Complete(16)
 	m := NewMIS(g, 3, make([]bool, 16)) // all white: everyone active
-	defer m.Close()
 	m.engine.Step()
 	if m.RandomBits() != 16 {
 		t.Fatalf("bits after round 1 = %d, want 16", m.RandomBits())
@@ -127,7 +118,6 @@ func TestCollisionDetectionIsNecessary(t *testing.T) {
 		progs[i] = nd
 	}
 	engine := noderun.NewEngine(g, noderun.BeepingNoCD(), progs)
-	defer engine.Close()
 	for r := 0; r < 100; r++ {
 		engine.Step()
 	}
@@ -147,7 +137,6 @@ func TestCollisionDetectionIsNecessary(t *testing.T) {
 		progsCD[i] = nd
 	}
 	engineCD := noderun.NewEngine(g, noderun.BeepingCD(), progsCD)
-	defer engineCD.Close()
 	for r := 0; r < 1000 && nodesCD[0].black == nodesCD[1].black; r++ {
 		engineCD.Step()
 	}
@@ -159,10 +148,32 @@ func TestCollisionDetectionIsNecessary(t *testing.T) {
 func TestBeepingRoundCounter(t *testing.T) {
 	g := graph.Cycle(9)
 	m := NewMIS(g, 4, nil)
-	defer m.Close()
 	r0 := m.Round()
 	m.engine.Step()
 	if m.Round() != r0+1 {
 		t.Fatal("round counter did not advance")
+	}
+}
+
+// A malformed initial coloring is a caller bug: the constructor names the
+// argument and the bad length instead of indexing out of range or silently
+// ignoring the tail.
+func TestNewMISRejectsMalformedInitialColors(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		initial []bool
+		want    string
+	}{
+		{"short", make([]bool, 3), "beeping: initialBlack length 3 != n 10"},
+		{"long", make([]bool, 11), "beeping: initialBlack length 11 != n 10"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Fatalf("panic %v, want %q", got, c.want)
+				}
+			}()
+			NewMIS(graph.Path(10), 1, c.initial)
+		})
 	}
 }

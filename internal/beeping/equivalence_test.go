@@ -1,7 +1,7 @@
 package beeping
 
 // Cross-engine equivalence sweep: the shared frontier engine behind
-// internal/mis must stay coin-for-coin identical to the goroutine-per-node
+// internal/mis must stay coin-for-coin identical to the node-program
 // beeping runtime across graph families and many seeds. The lockstep
 // comparison in beeping_test.go covers G(n,p) narrowly; this sweep runs
 // ≥20 seeds over Gnp, ChungLu, Grid and DisjointCliques, comparing every
@@ -35,22 +35,18 @@ func TestBeepingEquivalenceSweep(t *testing.T) {
 				bee.engine.Step()
 				for u := 0; u < g.N(); u++ {
 					if sim.Black(u) != bee.Black(u) {
-						bee.Close()
 						t.Fatalf("%s seed %d round %d: colors diverge at %d", family, seed, r+1, u)
 					}
 				}
 			}
 			if !sim.Stabilized() || !bee.Stabilized() {
-				bee.Close()
 				t.Fatalf("%s seed %d: stabilization mismatch (sim=%v bee=%v)",
 					family, seed, sim.Stabilized(), bee.Stabilized())
 			}
 			if sim.RandomBits() != bee.RandomBits() {
-				bee.Close()
 				t.Fatalf("%s seed %d: bit accounting diverges: %d vs %d",
 					family, seed, sim.RandomBits(), bee.RandomBits())
 			}
-			bee.Close()
 		}
 	}
 }

@@ -30,7 +30,7 @@
 // execution is a pure function of (graph, program, initial state, streams) —
 // the worklist order and the commit order never change which coins a vertex
 // sees, and neither does the pool worker a run lands on. This is what keeps
-// the engine coin-for-coin equivalent to the goroutine-per-node runtimes in
+// the engine coin-for-coin equivalent to the node-program runtimes in
 // internal/beeping and internal/stoneage, to the O(n·Δ) reference
 // transcriptions in internal/mis/reference.go, and to the golden seed
 // lineage of the pre-engine simulators.

@@ -15,7 +15,7 @@ import (
 )
 
 // e01Spec is E1's declaration on the shared scaling-sweep shape; the golden
-// tests in internal/scenario pin the scenario re-expression against it.
+// tests in internal/scenario pin examples/scenarios/e1.json against it.
 func e01Spec() ScalingSpec {
 	return ScalingSpec{
 		Title: "E1a: stabilization time of 2-state on K_n",
@@ -164,8 +164,8 @@ func e04Families() []GraphFamily {
 	}
 }
 
-// e04Specs is E4's declaration — one scaling sweep per family — shared with
-// the scenario golden tests.
+// e04Specs is E4's declaration — one scaling sweep per family; the golden
+// tests in internal/scenario pin examples/scenarios/e4.json against it.
 func e04Specs() []ScalingSpec {
 	var specs []ScalingSpec
 	for _, fam := range e04Families() {

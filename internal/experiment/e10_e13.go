@@ -216,7 +216,7 @@ func e11SelfStabilization() Experiment {
 func e12Runtimes() Experiment {
 	return Experiment{
 		ID:    "E12",
-		Title: "Model realizability: goroutine beeping/stone-age runtimes ≡ simulator",
+		Title: "Model realizability: beeping/stone-age node-program runtimes ≡ simulator",
 		Claim: "§1/§2: the processes run unchanged as local node programs under beeping (2-state, with collision detection) and stone age (3-state/3-color) communication; our runtimes replay the simulator coin-for-coin",
 		Run: func(cfg Config) []Table {
 			cfg = cfg.normalized()
@@ -249,21 +249,18 @@ func e12Runtimes() Experiment {
 					r2 := mis.Run(sim2, limit)
 					bee := beeping.NewMIS(g, seed, nil)
 					br, _ := bee.Run(limit)
-					bee.Close()
 					out[0] = pair{sim: r2.Rounds, rt: br}
 
 					sim3 := mis.NewThreeState(g, mis.WithRunContext(runCtx), mis.WithSeed(seed))
 					r3 := mis.Run(sim3, limit)
 					sa := stoneage.NewThreeStateMIS(g, seed, nil)
 					sr, _ := sa.Run(limit)
-					sa.Close()
 					out[1] = pair{sim: r3.Rounds, rt: sr}
 
 					simC := mis.NewThreeColor(g, mis.WithRunContext(runCtx), mis.WithSeed(seed))
 					rcRes := mis.Run(simC, limit)
 					sc := stoneage.NewThreeColorMIS(g, seed, nil, nil)
 					cr, _ := sc.Run(limit)
-					sc.Close()
 					out[2] = pair{sim: rcRes.Rounds, rt: cr}
 					return out
 				},

@@ -18,8 +18,8 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// e18Spec is E18's daemon-matrix declaration, shared with the golden tests
-// that pin the scenario re-expression against it.
+// e18Spec is E18's daemon-matrix declaration; the golden tests in
+// internal/scenario pin examples/scenarios/e18.json against it.
 func e18Spec() DaemonMatrixSpec {
 	return DaemonMatrixSpec{
 		TitleFormat: "E18: daemon-scheduled stabilization, G(n, avg8), n=%d, %d trials",

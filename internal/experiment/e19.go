@@ -6,8 +6,8 @@ package experiment
 // lockstep: each node owns a clock advanced by a drift model, beeps occupy
 // real slot intervals, and hearing is interval overlap (internal/async). At
 // ρ=1 the medium provably collapses to the synchronous runtime — the
-// "≡sync" column replays every trial on the goroutine runtime and counts
-// matches, which must be trials/trials — and for ρ>1 the table records how
+// "≡sync" column replays every trial on the lockstep node-program runtime
+// and counts matches, which must be trials/trials — and for ρ>1 the table records how
 // stabilization time (in virtual rounds: the slowest clock's slots) and
 // clock skew grow with the allowed drift, per graph family.
 
@@ -94,7 +94,7 @@ func e19AsyncDrift() Experiment {
 								}
 								o := asyncOutcome{rounds: float64(r), skew: float64(eng.MaxSkew()), ok: true}
 								if checkSync {
-									// Replay on the synchronous goroutine runtime:
+									// Replay on the synchronous node-program runtime:
 									// at ρ=1 the async run must match it exactly.
 									var sr int
 									var sok bool
@@ -102,12 +102,10 @@ func e19AsyncDrift() Experiment {
 										s := beeping.NewMIS(g, seed, nil)
 										sr, sok = s.Run(limit)
 										o.syncSame = sok == ok && sr == r && sameBlack(g.N(), s.Black, black)
-										s.Close()
 									} else {
 										s := stoneage.NewThreeStateMIS(g, seed, nil)
 										sr, sok = s.Run(limit)
 										o.syncSame = sok == ok && sr == r && sameBlack(g.N(), s.Black, black)
-										s.Close()
 									}
 								}
 								return o

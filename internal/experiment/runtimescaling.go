@@ -2,8 +2,8 @@ package experiment
 
 // The runtime-scaling sweep shape: a stabilization-time scaling table like
 // RunScalingSweep, but executed on one of the alternative runtimes — the
-// goroutine-per-node beeping or stone-age medium (internal/noderun program
-// sets) or the asynchronous drifting-clock medium (internal/async). Scenario
+// lockstep beeping or stone-age medium (internal/noderun program sets) or
+// the asynchronous drifting-clock medium (internal/async). Scenario
 // "scaling" units with a non-sync runtime compile to this runner; the
 // hand-coded experiments keep their own bespoke runtime tables (E12, E19),
 // which measure equivalence rather than scaling.
@@ -29,11 +29,11 @@ const (
 	// RuntimeSync is the array simulator (internal/mis on the shared
 	// engine) — the default measurement path.
 	RuntimeSync Runtime = iota
-	// RuntimeBeeping is the goroutine-per-node beeping medium (2-state
+	// RuntimeBeeping is the lockstep node-program beeping medium (2-state
 	// only: the 3-state and 3-color rules need the stone-age channels).
 	RuntimeBeeping
-	// RuntimeStoneAge is the goroutine-per-node stone-age medium (3-state
-	// and 3-color).
+	// RuntimeStoneAge is the lockstep node-program stone-age medium
+	// (3-state and 3-color).
 	RuntimeStoneAge
 	// RuntimeAsync is the drifting-clock asynchronous medium (2-state and
 	// 3-state); requires a Drift model.
@@ -106,8 +106,8 @@ type RuntimeScalingSpec struct {
 }
 
 // RunRuntimeScaling executes the spec against the configuration's shared
-// pool and renders its table. Goroutine-per-node and async runs cannot lease
-// the engine's per-worker contexts, so each trial owns its medium; the pool
+// pool and renders its table. Node-program and async runs cannot lease the
+// engine's per-worker contexts, so each trial owns its medium; the pool
 // still spreads trials across workers.
 func RunRuntimeScaling(cfg Config, spec RuntimeScalingSpec) Table {
 	cfg = cfg.normalized()
@@ -167,7 +167,6 @@ func runOnRuntime(spec RuntimeScalingSpec, g *graph.Graph, seed uint64) (int, bo
 			limit = 4 * mis.DefaultRoundCap(g.N())
 		}
 		m := beeping.NewMIS(g, seed, nil)
-		defer m.Close()
 		r, ok := m.Run(limit)
 		return r, ok, m.Black
 	case RuntimeStoneAge:
@@ -176,12 +175,10 @@ func runOnRuntime(spec RuntimeScalingSpec, g *graph.Graph, seed uint64) (int, bo
 		}
 		if spec.Kind == KindThreeColor {
 			m := stoneage.NewThreeColorMIS(g, seed, nil, nil)
-			defer m.Close()
 			r, ok := m.Run(limit)
 			return r, ok, m.Black
 		}
 		m := stoneage.NewThreeStateMIS(g, seed, nil)
-		defer m.Close()
 		r, ok := m.Run(limit)
 		return r, ok, m.Black
 	case RuntimeAsync:

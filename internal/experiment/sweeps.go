@@ -5,7 +5,8 @@ package experiment
 // run the SAME code over the SAME batch-pool path. A scenario that
 // reproduces an experiment's spec produces byte-identical tables — the
 // golden tests in internal/scenario and the CI scenario-vs-experiment
-// sweep smoke pin that equality for E1, E4 and E18.
+// sweep smoke pin that equality for E1, E4 and E18, whose scenarios are
+// examples/scenarios/e1.json, e4.json and e18.json.
 
 import (
 	"fmt"

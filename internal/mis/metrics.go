@@ -28,7 +28,7 @@ type graphHolder interface {
 }
 
 // Snapshot computes the round metrics of a process. It costs O(n + m) and is
-// intended for traced runs, not hot loops.
+// intended for progress reports (misrun -progress), not hot loops.
 func Snapshot(p Process) RoundMetrics {
 	m := RoundMetrics{Round: p.Round(), Active: p.ActiveCount()}
 	g := p.(graphHolder).Graph()
@@ -70,23 +70,4 @@ func Snapshot(p Process) RoundMetrics {
 		}
 	}
 	return m
-}
-
-// RunTraced advances p to stabilization or maxRounds, capturing a snapshot
-// every `every` rounds (and always the first and last). every <= 0 captures
-// every round.
-func RunTraced(p Process, maxRounds, every int) (Result, []RoundMetrics) {
-	if every <= 0 {
-		every = 1
-	}
-	var hist []RoundMetrics
-	hist = append(hist, Snapshot(p))
-	for !p.Stabilized() && p.Round() < maxRounds {
-		p.Step()
-		if p.Round()%every == 0 || p.Stabilized() {
-			hist = append(hist, Snapshot(p))
-		}
-	}
-	res := Result{Rounds: p.Round(), Stabilized: p.Stabilized(), RandomBits: p.RandomBits()}
-	return res, hist
 }

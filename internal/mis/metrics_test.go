@@ -39,6 +39,12 @@ func TestSnapshotUnstableZeroAtStabilization(t *testing.T) {
 	if m.Unstable != 0 || m.Active != 0 {
 		t.Fatalf("stabilized snapshot: unstable=%d active=%d", m.Unstable, m.Active)
 	}
+	// The other end: an all-white K_n has no stable black vertex, so at
+	// round 0 every vertex is unstable.
+	k := NewTwoState(graph.Complete(32), WithSeed(4), WithInit(InitAllWhite))
+	if m := Snapshot(k); m.Round != 0 || m.Unstable != 32 {
+		t.Fatalf("all-white K_32 at round 0: round=%d unstable=%d, want 0, 32", m.Round, m.Unstable)
+	}
 }
 
 func TestSnapshotGrayForThreeColor(t *testing.T) {
@@ -51,42 +57,6 @@ func TestSnapshotGrayForThreeColor(t *testing.T) {
 	m := Snapshot(p)
 	if m.Gray != 2 || m.Black != 1 {
 		t.Fatalf("snapshot gray=%d black=%d, want 2, 1", m.Gray, m.Black)
-	}
-}
-
-func TestRunTraced(t *testing.T) {
-	g := graph.Complete(32)
-	p := NewTwoState(g, WithSeed(4), WithInit(InitAllWhite))
-	res, hist := RunTraced(p, 10000, 1)
-	if !res.Stabilized {
-		t.Fatal("not stabilized")
-	}
-	if len(hist) < 2 {
-		t.Fatalf("history too short: %d", len(hist))
-	}
-	if hist[0].Round != 0 {
-		t.Fatal("first snapshot not round 0")
-	}
-	last := hist[len(hist)-1]
-	if last.Round != res.Rounds || last.Unstable != 0 {
-		t.Fatalf("last snapshot: %+v vs result %+v", last, res)
-	}
-	// Unstable counts are non-increasing for the 2-state process in a traced
-	// run? Not guaranteed round-by-round in general, but the first is n and
-	// the last is 0.
-	if hist[0].Unstable != g.N() {
-		t.Fatalf("all-white K_n should start fully unstable, got %d", hist[0].Unstable)
-	}
-}
-
-func TestRunTracedEveryK(t *testing.T) {
-	g := graph.Complete(16)
-	p := NewTwoState(g, WithSeed(5))
-	_, hist := RunTraced(p, 10000, 5)
-	for i := 1; i < len(hist)-1; i++ {
-		if hist[i].Round%5 != 0 {
-			t.Fatalf("snapshot at round %d not a multiple of 5", hist[i].Round)
-		}
 	}
 }
 

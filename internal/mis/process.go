@@ -12,7 +12,7 @@
 // at which point the black vertices form a maximal independent set. The
 // per-vertex random coins are drawn from per-vertex streams split off a
 // master seed, so a run is a pure function of (graph, seed, initializer) —
-// and the goroutine-based runtimes in internal/beeping and internal/stoneage
+// and the node-program runtimes in internal/beeping and internal/stoneage
 // draw the same coins in the same order, making the two engines
 // coin-for-coin equivalent.
 package mis

@@ -82,7 +82,7 @@ var threeColorProg = kernel.MustCompile(kernel.Spec{
 // logSwitch is the 3-color process's switch as the engine's sub-process:
 // the phase clock runs on the same per-vertex streams as the color coins, a
 // vertex drawing its color coin first (if active) and its switch coin
-// second (if at the top level) — the order the goroutine runtime replays.
+// second (if at the top level) — the order the stone-age runtime replays.
 type logSwitch struct {
 	clock *phaseclock.Clock
 	rngs  []*xrand.Rand

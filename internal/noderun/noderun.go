@@ -1,17 +1,21 @@
 // Package noderun is the distributed execution substrate: it runs one
-// long-lived goroutine per graph vertex and advances them in synchronous
-// rounds through a broadcast medium, the way the beeping and stone age
-// models define computation. Node programs only ever see their own state,
-// their own random stream, and the per-channel feedback from the medium —
-// they have no access to the graph, to other nodes, or to global
-// information, which is exactly the locality discipline the paper's
-// algorithms claim.
+// program per graph vertex and advances them in synchronous rounds through a
+// broadcast medium, the way the beeping and stone age models define
+// computation. Node programs only ever see their own state, their own random
+// stream, and the per-channel feedback from the medium — they have no access
+// to the graph, to other nodes, or to global information, which is exactly
+// the locality discipline the paper's algorithms claim.
 //
-// A round proceeds in two phases, separated by barriers:
+// A round proceeds in two phases:
 //
 //  1. every node emits a set of beep channels (possibly empty);
 //  2. the medium ORs each channel over each node's neighborhood and delivers
 //     the resulting feedback mask, upon which the node updates its state.
+//
+// The engine calls every Emit, in vertex order, before any Deliver, so
+// every beep a node hears was emitted from its neighbor's state at the start
+// of the round. Each node draws coins only from its own stream, so the order
+// of the calls cannot change a coin.
 //
 // The medium enforces the communication model's constraints: the beeping
 // model allows a single channel and, without sender collision detection,
@@ -27,8 +31,7 @@ import (
 )
 
 // Program is a per-node protocol state machine. Implementations must not
-// share mutable state across nodes: the engine calls Emit and Deliver from
-// the node's own goroutine.
+// share mutable state across nodes.
 type Program interface {
 	// Emit returns the bitmask of channels this node beeps on this round.
 	Emit() uint32
@@ -71,16 +74,8 @@ func StoneAge(channels int) Model {
 	return Model{Name: "stone-age", Channels: channels, MaxBeepsPerNode: 1, SenderCollisionDetection: true}
 }
 
-// phase is a command sent to node goroutines.
-type phase uint8
-
-const (
-	phaseEmit phase = iota + 1
-	phaseDeliver
-)
-
 // Engine drives the node programs over a graph under a model. Create with
-// NewEngine and release the node goroutines with Close.
+// NewEngine.
 type Engine struct {
 	g     *graph.Graph
 	model Model
@@ -88,15 +83,10 @@ type Engine struct {
 	round int
 
 	emits []uint32
-	heard []uint32
-
-	cmd  []chan phase
-	done chan struct{}
 }
 
-// NewEngine creates an engine and starts one goroutine per vertex. progs[u]
-// is vertex u's program; len(progs) must equal g.N(). Callers must Close the
-// engine to stop the goroutines.
+// NewEngine creates an engine. progs[u] is vertex u's program; len(progs)
+// must equal g.N().
 func NewEngine(g *graph.Graph, model Model, progs []Program) *Engine {
 	if len(progs) != g.N() {
 		panic(fmt.Sprintf("noderun: %d programs for %d vertices", len(progs), g.N()))
@@ -104,55 +94,12 @@ func NewEngine(g *graph.Graph, model Model, progs []Program) *Engine {
 	if model.Channels < 1 || model.Channels > 32 {
 		panic(fmt.Sprintf("noderun: channels %d out of [1,32]", model.Channels))
 	}
-	n := g.N()
-	e := &Engine{
+	return &Engine{
 		g:     g,
 		model: model,
 		progs: progs,
-		emits: make([]uint32, n),
-		heard: make([]uint32, n),
-		cmd:   make([]chan phase, n),
-		done:  make(chan struct{}, n),
+		emits: make([]uint32, g.N()),
 	}
-	for u := 0; u < n; u++ {
-		e.cmd[u] = make(chan phase, 1)
-		go e.nodeLoop(u, e.cmd[u])
-	}
-	return e
-}
-
-// nodeLoop is the per-node goroutine: it executes phase commands until its
-// command channel is closed. Writes to e.emits[u] are synchronized by the
-// barrier protocol (the coordinator only reads them after all done signals).
-func (e *Engine) nodeLoop(u int, cmd <-chan phase) {
-	for ph := range cmd {
-		switch ph {
-		case phaseEmit:
-			e.emits[u] = e.progs[u].Emit()
-		case phaseDeliver:
-			e.progs[u].Deliver(e.heard[u])
-		}
-		e.done <- struct{}{}
-	}
-}
-
-// broadcast sends a phase command to every node and waits for all of them to
-// finish it — a synchronous-round barrier.
-func (e *Engine) broadcast(ph phase) {
-	for _, c := range e.cmd {
-		c <- ph
-	}
-	for range e.cmd {
-		<-e.done
-	}
-}
-
-// Close stops all node goroutines. The engine must not be used afterwards.
-func (e *Engine) Close() {
-	for _, c := range e.cmd {
-		close(c)
-	}
-	e.cmd = nil
 }
 
 // Round returns the number of completed rounds.
@@ -161,19 +108,16 @@ func (e *Engine) Round() int { return e.round }
 // Model returns the communication model the medium enforces.
 func (e *Engine) Model() Model { return e.model }
 
-// Program returns vertex u's program, for inspection between rounds (all
-// node goroutines are quiescent then).
+// Program returns vertex u's program, for inspection between rounds.
 func (e *Engine) Program(u int) Program { return e.progs[u] }
 
 // Step executes one synchronous round. It panics if a program violates the
 // model's beep constraints — protocol bugs, not runtime conditions.
 func (e *Engine) Step() {
-	n := e.g.N()
 	chanMask := uint32(1)<<uint(e.model.Channels) - 1
 
-	e.broadcast(phaseEmit)
-	for u := 0; u < n; u++ {
-		m := e.emits[u]
+	for u, p := range e.progs {
+		m := p.Emit()
 		if m&^chanMask != 0 {
 			panic(fmt.Sprintf("noderun: node %d beeped outside the %d-channel alphabet (%s model)",
 				u, e.model.Channels, e.model.Name))
@@ -182,10 +126,11 @@ func (e *Engine) Step() {
 			panic(fmt.Sprintf("noderun: node %d beeped on %d channels, max %d (%s model)",
 				u, bits.OnesCount32(m), e.model.MaxBeepsPerNode, e.model.Name))
 		}
+		e.emits[u] = m
 	}
 
 	// The medium: per-node OR over the neighborhood.
-	for u := 0; u < n; u++ {
+	for u, p := range e.progs {
 		var h uint32
 		for _, v := range e.g.Neighbors(u) {
 			h |= e.emits[v]
@@ -194,16 +139,14 @@ func (e *Engine) Step() {
 			// A beeping radio cannot listen on the channel it transmits on.
 			h &^= e.emits[u]
 		}
-		e.heard[u] = h
+		p.Deliver(h)
 	}
-
-	e.broadcast(phaseDeliver)
 	e.round++
 }
 
 // RunUntil advances the engine until stop returns true (checked between
-// rounds, when all node goroutines are quiescent) or maxRounds elapse.
-// It returns the number of rounds executed and whether stop fired.
+// rounds) or maxRounds elapse. It returns the number of rounds executed and
+// whether stop fired.
 func (e *Engine) RunUntil(maxRounds int, stop func() bool) (rounds int, stopped bool) {
 	for e.round < maxRounds {
 		if stop() {

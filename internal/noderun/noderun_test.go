@@ -1,7 +1,6 @@
 package noderun
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"ssmis/internal/graph"
@@ -13,7 +12,7 @@ type echoProg struct {
 	beep    bool
 	channel uint
 	heard   uint32
-	rounds  int32
+	rounds  int
 }
 
 func (p *echoProg) Emit() uint32 {
@@ -25,7 +24,7 @@ func (p *echoProg) Emit() uint32 {
 
 func (p *echoProg) Deliver(heard uint32) {
 	p.heard = heard
-	atomic.AddInt32(&p.rounds, 1)
+	p.rounds++
 }
 
 func newEcho(n int) []*echoProg {
@@ -49,7 +48,6 @@ func TestMediumDeliversNeighborOR(t *testing.T) {
 	ps := newEcho(4)
 	ps[0].beep = true
 	e := NewEngine(g, BeepingCD(), asPrograms(ps))
-	defer e.Close()
 	e.Step()
 	if ps[1].heard != 1 {
 		t.Fatalf("vertex 1 heard %b, want beep", ps[1].heard)
@@ -70,7 +68,6 @@ func TestCollisionDetectionModes(t *testing.T) {
 	psCD[0].beep, psCD[1].beep = true, true
 	e := NewEngine(g, BeepingCD(), asPrograms(psCD))
 	e.Step()
-	e.Close()
 	if psCD[0].heard != 1 || psCD[1].heard != 1 {
 		t.Fatalf("full-duplex: heard %b/%b, want 1/1", psCD[0].heard, psCD[1].heard)
 	}
@@ -79,7 +76,6 @@ func TestCollisionDetectionModes(t *testing.T) {
 	psNo[0].beep, psNo[1].beep = true, true
 	e2 := NewEngine(g, BeepingNoCD(), asPrograms(psNo))
 	e2.Step()
-	e2.Close()
 	if psNo[0].heard != 0 || psNo[1].heard != 0 {
 		t.Fatalf("no-CD: heard %b/%b, want 0/0", psNo[0].heard, psNo[1].heard)
 	}
@@ -88,7 +84,6 @@ func TestCollisionDetectionModes(t *testing.T) {
 	psMix[0].beep = true
 	e3 := NewEngine(g, BeepingNoCD(), asPrograms(psMix))
 	e3.Step()
-	e3.Close()
 	if psMix[1].heard != 1 {
 		t.Fatal("listener did not hear beep in no-CD model")
 	}
@@ -100,7 +95,6 @@ func TestChannelAlphabetEnforced(t *testing.T) {
 	ps[0].beep = true
 	ps[0].channel = 1 // outside the 1-channel beeping alphabet
 	e := NewEngine(g, BeepingCD(), asPrograms(ps))
-	defer e.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-alphabet beep did not panic")
@@ -113,7 +107,6 @@ func TestMaxBeepsEnforced(t *testing.T) {
 	g := graph.Path(2)
 	multi := &multiBeeper{}
 	e := NewEngine(g, StoneAge(4), []Program{multi, &echoProg{}})
-	defer e.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("multi-channel beep did not panic in stone age model")
@@ -133,7 +126,6 @@ func TestStoneAgeMultiChannel(t *testing.T) {
 	ps[1].beep, ps[1].channel = true, 0
 	ps[2].beep, ps[2].channel = true, 2
 	e := NewEngine(g, StoneAge(4), asPrograms(ps))
-	defer e.Close()
 	e.Step()
 	if ps[0].heard != 0b101 {
 		t.Fatalf("center heard %04b, want 0101", ps[0].heard)
@@ -147,7 +139,6 @@ func TestRunUntil(t *testing.T) {
 	g := graph.Cycle(5)
 	ps := newEcho(5)
 	e := NewEngine(g, BeepingCD(), asPrograms(ps))
-	defer e.Close()
 	rounds, stopped := e.RunUntil(10, func() bool { return e.Round() >= 4 })
 	if rounds != 4 || !stopped {
 		t.Fatalf("RunUntil: rounds=%d stopped=%v", rounds, stopped)
@@ -162,14 +153,13 @@ func TestEveryNodeRunsEveryRound(t *testing.T) {
 	g := graph.Gnp(50, 0.1, xrand.New(7))
 	ps := newEcho(g.N())
 	e := NewEngine(g, BeepingCD(), asPrograms(ps))
-	defer e.Close()
 	const rounds = 20
 	for i := 0; i < rounds; i++ {
 		e.Step()
 	}
 	for u, p := range ps {
-		if got := atomic.LoadInt32(&p.rounds); got != rounds {
-			t.Fatalf("node %d delivered %d rounds, want %d", u, got, rounds)
+		if p.rounds != rounds {
+			t.Fatalf("node %d delivered %d rounds, want %d", u, p.rounds, rounds)
 		}
 	}
 	if e.Round() != rounds {
@@ -190,7 +180,6 @@ func TestModelAccessors(t *testing.T) {
 	g := graph.Path(2)
 	ps := newEcho(2)
 	e := NewEngine(g, StoneAge(3), asPrograms(ps))
-	defer e.Close()
 	if e.Model().Channels != 3 || e.Model().Name != "stone-age" {
 		t.Fatal("Model accessor wrong")
 	}

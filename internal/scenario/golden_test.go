@@ -2,22 +2,18 @@ package scenario
 
 // The tentpole invariant: a scenario re-expressing a hand-coded experiment
 // produces byte-identical tables. E1 (scaling + tail), E4 (six families) and
-// E18 (daemon matrix + sequential baseline) are rebuilt on the Builder and
-// diffed against experiment.ByID output at workers 1 and 8 — the same
-// invariance the hand-coded suite already guarantees, now extended across
-// the declarative layer.
+// E18 (daemon matrix + sequential baseline) are loaded from their example
+// files and diffed against experiment.ByID output at workers 1 and 8 — the
+// same invariance the hand-coded suite already guarantees, now extended
+// across the declarative layer.
 
 import (
-	"flag"
-	"os"
 	"strings"
 	"testing"
 
 	"ssmis/internal/batch"
 	"ssmis/internal/experiment"
 )
-
-var update = flag.Bool("update", false, "regenerate examples/scenarios/*.json from the Go reproductions")
 
 func renderAll(tables []experiment.Table) string {
 	var sb strings.Builder
@@ -30,12 +26,12 @@ func renderAll(tables []experiment.Table) string {
 
 func TestGoldenReproductions(t *testing.T) {
 	repros := []struct {
-		id    string
-		build func() *Scenario
+		id   string
+		path string
 	}{
-		{"E1", ReproE1},
-		{"E4", ReproE4},
-		{"E18", ReproE18},
+		{"E1", "../../examples/scenarios/e1.json"},
+		{"E4", "../../examples/scenarios/e4.json"},
+		{"E18", "../../examples/scenarios/e18.json"},
 	}
 	for _, workers := range []int{1, 8} {
 		pool := batch.NewPool(workers)
@@ -45,7 +41,11 @@ func TestGoldenReproductions(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %s not registered", r.id)
 			}
-			exp, err := r.build().Compile()
+			s, err := Load(r.path)
+			if err != nil {
+				t.Fatalf("%s: %v", r.id, err)
+			}
+			exp, err := s.Compile()
 			if err != nil {
 				t.Fatalf("%s: compile: %v", r.id, err)
 			}
@@ -60,53 +60,5 @@ func TestGoldenReproductions(t *testing.T) {
 			}
 		}
 		pool.Close()
-	}
-}
-
-// The checked-in example files are the Encode of the Go reproductions; this
-// pins them so the JSON and the builders cannot drift apart, and closes the
-// loop file → Decode → Plan ≡ builder → Plan.
-func TestExampleFilesMatchReproductions(t *testing.T) {
-	files := []struct {
-		path  string
-		build func() *Scenario
-	}{
-		{"../../examples/scenarios/e1.json", ReproE1},
-		{"../../examples/scenarios/e4.json", ReproE4},
-		{"../../examples/scenarios/e18.json", ReproE18},
-	}
-	for _, f := range files {
-		want, err := Encode(f.build())
-		if err != nil {
-			t.Fatalf("%s: encode: %v", f.path, err)
-		}
-		if *update {
-			if err := os.WriteFile(f.path, want, 0o644); err != nil {
-				t.Fatalf("%s: update: %v", f.path, err)
-			}
-		}
-		loaded, err := Load(f.path)
-		if err != nil {
-			t.Fatalf("%s: %v", f.path, err)
-		}
-		got, err := Encode(loaded)
-		if err != nil {
-			t.Fatalf("%s: re-encode: %v", f.path, err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s drifted from its builder reproduction; regenerate with `go test ./internal/scenario -run TestExampleFiles -update`",
-				f.path)
-		}
-		wantPlan, err := f.build().Plan()
-		if err != nil {
-			t.Fatalf("%s: plan: %v", f.path, err)
-		}
-		gotPlan, err := loaded.Plan()
-		if err != nil {
-			t.Fatalf("%s: loaded plan: %v", f.path, err)
-		}
-		if strings.Join(gotPlan, "\n") != strings.Join(wantPlan, "\n") {
-			t.Errorf("%s: plan mismatch\nfile:    %v\nbuilder: %v", f.path, gotPlan, wantPlan)
-		}
 	}
 }

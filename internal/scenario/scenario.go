@@ -77,7 +77,7 @@ type GraphSpec struct {
 
 // RuntimeSpec names the execution medium of a scaling unit. Kind "sync"
 // (the default when the runtime is omitted) is the array simulator;
-// "beeping" and "stone-age" are the goroutine-per-node media; "async" is
+// "beeping" and "stone-age" are the lockstep node-program media; "async" is
 // the drifting-clock medium and requires a Drift model.
 type RuntimeSpec struct {
 	Kind  string     `json:"kind"`

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"ssmis/internal/batch"
 	"ssmis/internal/experiment"
 )
+
+// mustBuild finalizes a static test builder; an invalid one is a bug in the
+// test, not an input error.
+func mustBuild(b *Builder) *Scenario {
+	s, err := b.Build()
+	if err != nil {
+		panic(fmt.Sprintf("scenario: static test scenario invalid: %v", err))
+	}
+	return s
+}
 
 // validScenario is a minimal well-formed scenario used as the mutation base.
 func validScenario() *Scenario {

@@ -1,7 +1,7 @@
 package stoneage
 
 // Cross-engine equivalence sweep: the shared frontier engine behind
-// internal/mis must stay coin-for-coin identical to the goroutine-per-node
+// internal/mis must stay coin-for-coin identical to the node-program
 // stone-age runtime across graph families and many seeds. The lockstep
 // comparisons in stoneage_test.go cover G(n,p) narrowly; this sweep runs
 // ≥20 seeds over Gnp, ChungLu, Grid and DisjointCliques for both stone-age
@@ -37,17 +37,14 @@ func TestThreeStateEquivalenceSweep(t *testing.T) {
 				sa.engine.Step()
 			}
 			if !sim.Stabilized() || !sa.Stabilized() {
-				sa.Close()
 				t.Fatalf("%s seed %d: stabilization mismatch (sim=%v sa=%v)",
 					family, seed, sim.Stabilized(), sa.Stabilized())
 			}
 			for u := 0; u < g.N(); u++ {
 				if sim.State(u) != sa.State(u) {
-					sa.Close()
 					t.Fatalf("%s seed %d: final states diverge at %d", family, seed, u)
 				}
 			}
-			sa.Close()
 		}
 	}
 }
@@ -62,17 +59,14 @@ func TestThreeColorEquivalenceSweep(t *testing.T) {
 				sa.engine.Step()
 			}
 			if !sim.Stabilized() || !sa.Stabilized() {
-				sa.Close()
 				t.Fatalf("%s seed %d: stabilization mismatch (sim=%v sa=%v)",
 					family, seed, sim.Stabilized(), sa.Stabilized())
 			}
 			for u := 0; u < g.N(); u++ {
 				if sim.ColorOf(u) != sa.ColorOf(u) || sim.SwitchLevel(u) != sa.Level(u) {
-					sa.Close()
 					t.Fatalf("%s seed %d: final state diverges at %d", family, seed, u)
 				}
 			}
-			sa.Close()
 		}
 	}
 }

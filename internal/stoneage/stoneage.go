@@ -22,6 +22,8 @@
 package stoneage
 
 import (
+	"fmt"
+
 	"ssmis/internal/graph"
 	"ssmis/internal/mis"
 	"ssmis/internal/noderun"
@@ -88,7 +90,21 @@ type ThreeStateProgramSet struct {
 // NewThreeStatePrograms builds the n per-vertex 3-state programs. Node u's
 // random stream is Split(u) of the master seed; a nil initial draws the
 // states from the init stream exactly as the simulator's InitRandom does.
+// A non-nil initial must have length n and hold only white, black0 and
+// black1.
 func NewThreeStatePrograms(n int, seed uint64, initial []mis.TriState) *ThreeStateProgramSet {
+	if initial != nil {
+		if len(initial) != n {
+			panic(fmt.Sprintf("stoneage: initial length %d != n %d", len(initial), n))
+		}
+		for u, s := range initial {
+			switch s {
+			case mis.TriWhite, mis.TriBlack0, mis.TriBlack1:
+			default:
+				panic(fmt.Sprintf("stoneage: initial[%d] = %v, not white, black0 or black1", u, s))
+			}
+		}
+	}
 	master := xrand.New(seed)
 	nodes := make([]*triNode, n)
 	var initRng *xrand.Rand
@@ -120,8 +136,7 @@ func (ps *ThreeStateProgramSet) Programs() []noderun.Program {
 	return progs
 }
 
-// Black reports vertex u's color projection (valid while the medium is
-// quiescent).
+// Black reports vertex u's color projection (valid between rounds).
 func (ps *ThreeStateProgramSet) Black(u int) bool { return ps.nodes[u].state.Black() }
 
 // State returns vertex u's full state.
@@ -153,9 +168,6 @@ func NewThreeStateMIS(g *graph.Graph, seed uint64, initial []mis.TriState) *Thre
 		ps:     ps,
 	}
 }
-
-// Close releases the node goroutines.
-func (m *ThreeStateMIS) Close() { m.engine.Close() }
 
 // Round returns the number of completed rounds.
 func (m *ThreeStateMIS) Round() int { return m.engine.Round() }
@@ -258,8 +270,11 @@ type ThreeColorMIS struct {
 
 // NewThreeColorMIS creates the protocol. Colors and levels are drawn
 // uniformly (matching the simulator's InitRandom) when initColors is nil.
+// initLevels is given exactly when initColors is; both then have length
+// g.N(), with colors white, black or gray and levels at most 5.
 func NewThreeColorMIS(g *graph.Graph, seed uint64, initColors []mis.Color, initLevels []uint8) *ThreeColorMIS {
 	n := g.N()
+	checkThreeColorInit(n, initColors, initLevels)
 	master := xrand.New(seed)
 	nodes := make([]*colorNode, n)
 	progs := make([]noderun.Program, n)
@@ -292,8 +307,36 @@ func NewThreeColorMIS(g *graph.Graph, seed uint64, initColors []mis.Color, initL
 	}
 }
 
-// Close releases the node goroutines.
-func (m *ThreeColorMIS) Close() { m.engine.Close() }
+// checkThreeColorInit panics unless initColors and initLevels are both nil
+// or both length-n slices of valid colors and levels.
+func checkThreeColorInit(n int, initColors []mis.Color, initLevels []uint8) {
+	switch {
+	case initColors == nil && initLevels == nil:
+		return
+	case initLevels == nil:
+		panic("stoneage: initColors given without initLevels")
+	case initColors == nil:
+		panic("stoneage: initLevels given without initColors")
+	}
+	if len(initColors) != n {
+		panic(fmt.Sprintf("stoneage: initColors length %d != n %d", len(initColors), n))
+	}
+	if len(initLevels) != n {
+		panic(fmt.Sprintf("stoneage: initLevels length %d != n %d", len(initLevels), n))
+	}
+	for u, c := range initColors {
+		switch c {
+		case mis.ColorWhite, mis.ColorBlack, mis.ColorGray:
+		default:
+			panic(fmt.Sprintf("stoneage: initColors[%d] = %v, not white, black or gray", u, c))
+		}
+	}
+	for u, l := range initLevels {
+		if l > 5 {
+			panic(fmt.Sprintf("stoneage: initLevels[%d] = %d above the top level 5", u, l))
+		}
+	}
+}
 
 // Round returns the number of completed rounds.
 func (m *ThreeColorMIS) Round() int { return m.engine.Round() }

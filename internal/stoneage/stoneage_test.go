@@ -21,14 +21,12 @@ func TestThreeStateStabilizesToMIS(t *testing.T) {
 		m := NewThreeStateMIS(g, 42, nil)
 		_, ok := m.Run(mis.DefaultRoundCap(g.N()))
 		if !ok {
-			m.Close()
 			t.Errorf("%s: 3-state stone age protocol did not stabilize", name)
 			continue
 		}
 		if err := verify.MIS(g, m.Black); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		m.Close()
 	}
 }
 
@@ -43,14 +41,12 @@ func TestThreeColorStabilizesToMIS(t *testing.T) {
 		m := NewThreeColorMIS(g, 42, nil, nil)
 		_, ok := m.Run(4 * mis.DefaultRoundCap(g.N()))
 		if !ok {
-			m.Close()
 			t.Errorf("%s: 3-color stone age protocol did not stabilize", name)
 			continue
 		}
 		if err := verify.MIS(g, m.Black); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		m.Close()
 	}
 }
 
@@ -66,7 +62,6 @@ func TestThreeStateMatchesSimulatorExactly(t *testing.T) {
 
 		for u := 0; u < g.N(); u++ {
 			if sim.State(u) != sa.State(u) {
-				sa.Close()
 				t.Fatalf("trial %d: initial states differ at %d: %v vs %v",
 					trial, u, sim.State(u), sa.State(u))
 			}
@@ -76,17 +71,14 @@ func TestThreeStateMatchesSimulatorExactly(t *testing.T) {
 			sa.engine.Step()
 			for u := 0; u < g.N(); u++ {
 				if sim.State(u) != sa.State(u) {
-					sa.Close()
 					t.Fatalf("trial %d round %d: states diverge at vertex %d: %v vs %v",
 						trial, r+1, u, sim.State(u), sa.State(u))
 				}
 			}
 		}
 		if !sim.Stabilized() || !sa.Stabilized() {
-			sa.Close()
 			t.Fatalf("trial %d: stabilization mismatch", trial)
 		}
-		sa.Close()
 	}
 }
 
@@ -103,12 +95,10 @@ func TestThreeColorMatchesSimulatorExactly(t *testing.T) {
 			t.Helper()
 			for u := 0; u < g.N(); u++ {
 				if sim.ColorOf(u) != sa.ColorOf(u) {
-					sa.Close()
 					t.Fatalf("trial %d round %d: colors diverge at %d: %v vs %v",
 						trial, r, u, sim.ColorOf(u), sa.ColorOf(u))
 				}
 				if sim.SwitchLevel(u) != sa.Level(u) {
-					sa.Close()
 					t.Fatalf("trial %d round %d: levels diverge at %d: %d vs %d",
 						trial, r, u, sim.SwitchLevel(u), sa.Level(u))
 				}
@@ -121,17 +111,14 @@ func TestThreeColorMatchesSimulatorExactly(t *testing.T) {
 			check(r + 1)
 		}
 		if !sim.Stabilized() || !sa.Stabilized() {
-			sa.Close()
 			t.Fatalf("trial %d: stabilization mismatch", trial)
 		}
-		sa.Close()
 	}
 }
 
 func TestThreeStateExplicitInitial(t *testing.T) {
 	g := graph.Path(2)
 	m := NewThreeStateMIS(g, 1, []mis.TriState{mis.TriBlack1, mis.TriWhite})
-	defer m.Close()
 	if !m.Stabilized() {
 		t.Fatal("stable configuration not recognized")
 	}
@@ -145,7 +132,6 @@ func TestThreeColorExplicitInitial(t *testing.T) {
 	colors := []mis.Color{mis.ColorBlack, mis.ColorWhite}
 	levels := []uint8{3, 3}
 	m := NewThreeColorMIS(g, 1, colors, levels)
-	defer m.Close()
 	if !m.Stabilized() {
 		t.Fatal("stable configuration not recognized")
 	}
@@ -157,7 +143,6 @@ func TestThreeColorExplicitInitial(t *testing.T) {
 func TestThreeColorLevelsAlwaysInRange(t *testing.T) {
 	g := graph.Gnp(30, 0.2, xrand.New(5))
 	m := NewThreeColorMIS(g, 6, nil, nil)
-	defer m.Close()
 	for r := 0; r < 300; r++ {
 		m.engine.Step()
 		for u := 0; u < g.N(); u++ {
@@ -175,11 +160,73 @@ func TestRandomBitsPositive(t *testing.T) {
 	if m3s.RandomBits() == 0 {
 		t.Error("3-state consumed no random bits")
 	}
-	m3s.Close()
 	m3c := NewThreeColorMIS(g, 8, nil, nil)
 	m3c.Run(5000)
 	if m3c.RandomBits() == 0 {
 		t.Error("3-color consumed no random bits")
 	}
-	m3c.Close()
+}
+
+// Malformed initial states are caller bugs: each constructor names the
+// argument and the bad length or value instead of indexing out of range or
+// silently accepting a state the programs do not define.
+func TestConstructorsRejectMalformedInitialStates(t *testing.T) {
+	g := graph.Path(10)
+	colors := func(n int) []mis.Color {
+		cs := make([]mis.Color, n)
+		for i := range cs {
+			cs[i] = mis.ColorWhite
+		}
+		return cs
+	}
+	states := func(n int) []mis.TriState {
+		ss := make([]mis.TriState, n)
+		for i := range ss {
+			ss[i] = mis.TriWhite
+		}
+		return ss
+	}
+	badState := states(10)
+	badState[4] = 0
+	badColor := colors(10)
+	badColor[2] = mis.ColorGray + 1
+	badLevel := make([]uint8, 10)
+	badLevel[7] = 9
+	for _, c := range []struct {
+		name string
+		mk   func()
+		want string
+	}{
+		{"3-state short", func() { NewThreeStateMIS(g, 1, states(3)) },
+			"stoneage: initial length 3 != n 10"},
+		{"3-state long", func() { NewThreeStateMIS(g, 1, states(11)) },
+			"stoneage: initial length 11 != n 10"},
+		{"3-state zero state", func() { NewThreeStateMIS(g, 1, badState) },
+			"stoneage: initial[4] = TriState(0), not white, black0 or black1"},
+		{"3-color colors without levels", func() { NewThreeColorMIS(g, 1, colors(10), nil) },
+			"stoneage: initColors given without initLevels"},
+		{"3-color levels without colors", func() { NewThreeColorMIS(g, 1, nil, make([]uint8, 10)) },
+			"stoneage: initLevels given without initColors"},
+		{"3-color short colors", func() { NewThreeColorMIS(g, 1, colors(3), make([]uint8, 10)) },
+			"stoneage: initColors length 3 != n 10"},
+		{"3-color long colors", func() { NewThreeColorMIS(g, 1, colors(11), make([]uint8, 10)) },
+			"stoneage: initColors length 11 != n 10"},
+		{"3-color short levels", func() { NewThreeColorMIS(g, 1, colors(10), make([]uint8, 3)) },
+			"stoneage: initLevels length 3 != n 10"},
+		{"3-color long levels", func() { NewThreeColorMIS(g, 1, colors(10), make([]uint8, 11)) },
+			"stoneage: initLevels length 11 != n 10"},
+		{"3-color bad color", func() { NewThreeColorMIS(g, 1, badColor, make([]uint8, 10)) },
+			"stoneage: initColors[2] = Color(4), not white, black or gray"},
+		{"3-color level above top", func() { NewThreeColorMIS(g, 1, colors(10), badLevel) },
+			"stoneage: initLevels[7] = 9 above the top level 5"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Fatalf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.mk()
+		})
+	}
 }

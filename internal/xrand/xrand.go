@@ -3,8 +3,8 @@
 //
 // The processes in the paper flip an independent fair coin φ_t(u) for every
 // vertex u in every round t. To make whole experiments reproducible from a
-// single seed — and to make the array-based simulator and the goroutine
-// runtime draw *exactly* the same coins — we need per-vertex generator
+// single seed — and to make the array-based simulator and the node-program
+// runtimes draw *exactly* the same coins — we need per-vertex generator
 // streams derived deterministically from a master seed. The standard library
 // generator is neither splittable nor guaranteed stable across Go releases,
 // so we implement xoshiro256++ seeded via splitmix64, following the reference

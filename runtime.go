@@ -6,17 +6,18 @@ import (
 	"ssmis/internal/stoneage"
 )
 
-// BeepingMIS is the 2-state MIS process running as one goroutine per node
-// under the beeping model with sender collision detection: black nodes beep,
-// white nodes listen, and a node that finds its color inconsistent with what
-// it heard re-randomizes. Close it when done to release the node goroutines.
+// BeepingMIS is the 2-state MIS process running as one node program per
+// vertex under the beeping model with sender collision detection: black
+// nodes beep, white nodes listen, and a node that finds its color
+// inconsistent with what it heard re-randomizes.
 type BeepingMIS = beeping.MIS
 
 // NewBeepingMIS starts the beeping-model protocol on g. initialBlack may be
-// nil for a uniformly random initial coloring. The execution is coin-for-
-// coin identical to NewTwoState(g, WithSeed(seed)) — the shared frontier
-// engine and the message-passing runtime are two engines for one process,
-// asserted across graph families by the cross-engine equivalence tests.
+// nil for a uniformly random initial coloring; otherwise it must have length
+// g.N(). The execution is coin-for-coin identical to NewTwoState(g,
+// WithSeed(seed)) — the shared frontier engine and the message-passing
+// runtime are two engines for one process, asserted across graph families
+// by the cross-engine equivalence tests.
 func NewBeepingMIS(g *Graph, seed uint64, initialBlack []bool) *BeepingMIS {
 	return beeping.NewMIS(g, seed, initialBlack)
 }
@@ -64,12 +65,12 @@ func AdversarialDrift(rho float64) Drift { return async.NewAdversarial(rho) }
 // AsyncMIS is the 2-state MIS process running on the asynchronous beeping
 // medium: per-node clocks advanced by a drift model, beeps occupying real
 // slot intervals, and interval-overlap hearing. At ρ = 1 an execution is
-// coin-for-coin identical to NewBeepingMIS (and so to NewTwoState). No
-// Close is needed — the medium is a single-goroutine event simulation.
+// coin-for-coin identical to NewBeepingMIS (and so to NewTwoState).
 type AsyncMIS = async.MIS
 
 // NewAsyncMIS starts the 2-state protocol on the asynchronous medium.
-// initialBlack may be nil for a uniformly random initial coloring.
+// initialBlack may be nil for a uniformly random initial coloring; otherwise
+// it must have length g.N().
 func NewAsyncMIS(g *Graph, seed uint64, drift Drift, initialBlack []bool) *AsyncMIS {
 	return async.NewMIS(g, seed, drift, initialBlack)
 }

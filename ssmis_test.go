@@ -79,7 +79,6 @@ func TestPublicAPIGraphConstructors(t *testing.T) {
 func TestPublicAPIBeepingRuntime(t *testing.T) {
 	g := ssmis.Cycle(21)
 	m := ssmis.NewBeepingMIS(g, 5, nil)
-	defer m.Close()
 	if _, ok := m.Run(100000); !ok {
 		t.Fatal("beeping runtime did not stabilize")
 	}
@@ -100,12 +99,10 @@ func TestPublicAPIStoneAgeRuntimes(t *testing.T) {
 	if _, ok := s3.Run(100000); !ok {
 		t.Fatal("stone-age 3-state did not stabilize")
 	}
-	s3.Close()
 	sc := ssmis.NewStoneAgeThreeColor(g, 2)
 	if _, ok := sc.Run(100000); !ok {
 		t.Fatal("stone-age 3-color did not stabilize")
 	}
-	sc.Close()
 }
 
 func TestPublicAPIVerifyRejectsBadSets(t *testing.T) {
