@@ -7,9 +7,9 @@ package experiment
 // real slot intervals, and hearing is interval overlap (internal/async). At
 // ρ=1 the medium provably collapses to the synchronous runtime — the
 // "≡sync" column replays every trial on the lockstep node-program runtime
-// and counts matches, which must be trials/trials — and for ρ>1 the table records how
-// stabilization time (in virtual rounds: the slowest clock's slots) and
-// clock skew grow with the allowed drift, per graph family.
+// and counts matches, which must be trials/trials — and for ρ>1 the table
+// records how stabilization time (in virtual rounds: the slowest clock's
+// slots) and clock skew grow with the allowed drift, per graph family.
 
 import (
 	"fmt"
