@@ -8,7 +8,11 @@
 //     vertex moves at most twice (≤ 2n moves);
 //   - under the synchronous daemon the deterministic rule can livelock
 //     (two adjacent white vertices flip to black and back forever) — the
-//     reason the parallel process must randomize;
+//     reason the parallel process must randomize. That rule under that
+//     daemon is a map on the black mask whose fixed points are the MISes,
+//     and a symmetric threshold network updated in parallel ends in a fixed
+//     point or a 2-cycle (Goles and Olivos, 1980), so Sequential.Run ends
+//     such a run at its first repeated mask instead of at the step cap;
 //   - randomizing the moves restores stabilization with probability 1 under
 //     any daemon ([28], [31]), and under the synchronous daemon the result
 //     is exactly the paper's 2-state process.
@@ -17,6 +21,7 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -422,10 +427,36 @@ func (s *Sequential) Step() bool {
 
 // Run executes daemon steps until stabilization or maxSteps; it reports the
 // steps taken and whether the algorithm stabilized.
+//
+// Run may return false before maxSteps: with the deterministic rule under
+// the Synchronous daemon it stops at the first repeated black mask. There
+// the next mask is a function of the current one alone (x′(u) = [no
+// neighbor of u is black]), and every mask the run stepped from had a
+// privileged vertex, so a repeat proves a cycle that never stabilizes.
+// Brent's cycle check finds it with one saved mask: each step compares the
+// mask with the saved copy, which is replaced whenever the steps since the
+// last save reach the current power of two, and the power doubles. Every
+// other rule and daemon draws coins or depends on schedule history, so
+// those runs go to stabilization or maxSteps as before.
 func (s *Sequential) Run(maxSteps int) (steps int, stabilized bool) {
+	var saved []bool
+	if _, sync := s.daemon.(Synchronous); sync && !s.randomized {
+		saved = slices.Clone(s.black)
+	}
+	power, lam := 1, 0
 	for s.steps < maxSteps {
 		if !s.Step() {
 			return s.steps, true
+		}
+		if saved == nil {
+			continue
+		}
+		if slices.Equal(saved, s.black) {
+			return s.steps, false
+		}
+		if lam++; lam == power {
+			copy(saved, s.black)
+			power, lam = 2*power, 0
 		}
 	}
 	return s.steps, s.Stabilized()

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"ssmis/internal/graph"
@@ -37,13 +38,134 @@ func TestSynchronousDeterministicLivelocks(t *testing.T) {
 	// rule is not self-stabilizing under the synchronous daemon. This is
 	// the paper's motivation for randomizing the parallel process.
 	g := graph.Path(2)
-	s := NewSequential(g, Synchronous{}, 1, WithInitialBlack([]bool{false, false}))
+	white := []bool{false, false}
+	s := NewSequential(g, Synchronous{}, 1, WithInitialBlack(white))
 	steps, ok := s.Run(1000)
 	if ok {
 		t.Fatalf("deterministic synchronous run stabilized after %d steps; expected livelock", steps)
 	}
-	if s.Steps() != 1000 {
-		t.Fatal("livelock run ended early")
+	// The masks run white, black, white, black: Brent's check saves the
+	// mask after step 1 and meets it again after step 3, which proves the
+	// livelock long before the cap.
+	if steps != 3 || s.Steps() != 3 {
+		t.Fatalf("livelock proven after %d steps (Steps() = %d), want 3", steps, s.Steps())
+	}
+	once := NewSequential(g, Synchronous{}, 1, WithInitialBlack(white))
+	once.Step()
+	for u := 0; u < g.N(); u++ {
+		if s.Black(u) != once.Black(u) {
+			t.Fatalf("vertex %d: final mask %v differs from the mask after step 1", u, s.Black(u))
+		}
+	}
+}
+
+// cappedRun is the reference for Run: it steps until stabilization or the
+// cap and proves nothing.
+func cappedRun(s *Sequential, maxSteps int) (int, bool) {
+	for s.steps < maxSteps {
+		if !s.Step() {
+			return s.steps, true
+		}
+	}
+	return s.steps, s.Stabilized()
+}
+
+// Run must agree with the capped Step loop on every run: on whether it
+// stabilizes, and when it does on steps, moves and the mask. The cycle
+// check engages only for the deterministic rule under the synchronous
+// daemon; every other run must match the reference exactly, down to the
+// next draw of its stream.
+//
+// No synchronous deterministic run stabilizes after step 1. With X1 the
+// black set after one step and X2 after two, X2 an MIS forces X1 = X2: a
+// vertex of X1 outside X2 would neighbour a vertex of X2 that has no
+// neighbour in X1, and a vertex of X2 outside X1 would neighbour some a in
+// X0, which neighbours some b in X1, but b has no neighbour in X0. So the
+// synchronous cases that stabilize do so at step 0 or 1, and the runs that
+// stabilize after many steps are the central and randomized ones.
+func TestRunMatchesCappedStepLoop(t *testing.T) {
+	type runCase struct {
+		name       string
+		g          *graph.Graph
+		daemon     string
+		randomized bool
+		init       []bool // nil: uniformly random from the seed
+		seed       uint64
+		cap        int
+	}
+	cases := []runCase{
+		{name: "path2 livelock", g: graph.Path(2), daemon: "synchronous", init: []bool{false, false}, cap: 100},
+		{name: "path2 cap below the proof", g: graph.Path(2), daemon: "synchronous", init: []bool{false, false}, cap: 2},
+		{name: "path3 stabilizes at step 1", g: graph.Path(3), daemon: "synchronous", init: []bool{true, false, false}, cap: 100},
+		{name: "path3 starts stable", g: graph.Path(3), daemon: "synchronous", init: []bool{true, false, true}, cap: 100},
+		{name: "star livelock", g: graph.Star(6), daemon: "synchronous", init: []bool{true, true, false, false, false, false}, cap: 100},
+	}
+	rng := xrand.New(8)
+	daemons := []string{"synchronous", "central-adversarial", "central-random", "distributed-random", "round-robin", "k-fair:4"}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(40)
+		p := rng.Float64() * 0.5
+		g := graph.Gnp(n, p, rng.Split(uint64(trial)))
+		for _, d := range daemons {
+			for _, randomized := range []bool{false, true} {
+				cases = append(cases, runCase{
+					name:       fmt.Sprintf("gnp(%d,%.2f) %s randomized=%v", n, p, d, randomized),
+					g:          g,
+					daemon:     d,
+					randomized: randomized,
+					seed:       uint64(trial),
+					cap:        20 * n,
+				})
+			}
+		}
+	}
+
+	var proofs, syncStable, longStable int
+	for _, tc := range cases {
+		var opts []Option
+		if tc.randomized {
+			opts = append(opts, Randomized())
+		}
+		if tc.init != nil {
+			opts = append(opts, WithInitialBlack(tc.init))
+		}
+		da, _ := DaemonByName(tc.daemon)
+		db, _ := DaemonByName(tc.daemon)
+		a := NewSequential(tc.g, da, tc.seed, opts...)
+		b := NewSequential(tc.g, db, tc.seed, opts...)
+		steps, ok := a.Run(tc.cap)
+		refSteps, refOK := cappedRun(b, tc.cap)
+		if ok != refOK {
+			t.Fatalf("%s: Run stabilized=%v after %d steps, capped loop %v after %d",
+				tc.name, ok, steps, refOK, refSteps)
+		}
+		engaged := tc.daemon == "synchronous" && !tc.randomized
+		if ok || !engaged {
+			if steps != refSteps || a.Steps() != b.Steps() || a.Moves() != b.Moves() {
+				t.Fatalf("%s: Run took %d steps/%d moves, capped loop %d/%d",
+					tc.name, a.Steps(), a.Moves(), b.Steps(), b.Moves())
+			}
+			for u := 0; u < tc.g.N(); u++ {
+				if a.Black(u) != b.Black(u) {
+					t.Fatalf("%s: vertex %d differs from the capped loop", tc.name, u)
+				}
+			}
+		}
+		if !engaged && a.rng.Uint64() != b.rng.Uint64() {
+			t.Fatalf("%s: the next draw of the stream differs from the capped loop", tc.name)
+		}
+		switch {
+		case engaged && !ok && steps < tc.cap:
+			proofs++
+		case engaged && ok:
+			syncStable++
+		case ok && steps > 1:
+			longStable++
+		}
+	}
+	if proofs == 0 || syncStable == 0 || longStable == 0 {
+		t.Fatalf("cases too narrow: %d proofs, %d stabilizing synchronous runs, %d runs stabilizing after several steps",
+			proofs, syncStable, longStable)
 	}
 }
 
