@@ -17,6 +17,10 @@
 // resuming silently wrong is the checkpoint layer's one forbidden failure
 // mode.
 //
+// Each case also checks the sequential rule's livelock proof
+// (sched.Sequential.Run ends a deterministic synchronous run at its first
+// repeated configuration) against a plain capped Step loop.
+//
 // Each case also attacks the declarative scenario codec
 // (internal/scenario): a randomly built valid scenario must round-trip
 // encode→decode with Plan equality and compile, while random mutations of
@@ -90,6 +94,9 @@ func run() int {
 		}
 		if msg := fuzzSnapshot(g, caseSeed); msg != "" {
 			return report(it, n, p, caseSeed, "snapshot", msg)
+		}
+		if msg := fuzzSequential(g, caseSeed); msg != "" {
+			return report(it, n, p, caseSeed, "sequential", msg)
 		}
 		if msg := fuzzScenario(caseSeed); msg != "" {
 			return report(it, n, p, caseSeed, "scenario", msg)
@@ -549,6 +556,45 @@ func fuzzSnapshot(g *graph.Graph, seed uint64) string {
 	if dfull.Stabilized() != dres.Stabilized() || dfull.Moves() != dres.Moves() {
 		return fmt.Sprintf("daemon resume accounting: stabilized %v/%v moves %d/%d",
 			dfull.Stabilized(), dres.Stabilized(), dfull.Moves(), dres.Moves())
+	}
+	return ""
+}
+
+// fuzzSequential runs the deterministic sequential rule from the seed's
+// random mask under the synchronous and the central-adversarial daemon,
+// once through Run(cap) and once through a capped Step loop. They must
+// agree on stabilization, and on steps, moves and the mask when the run
+// stabilizes; a proof (Run returning false before the cap) must mean the
+// loop does not stabilize within the cap.
+func fuzzSequential(g *graph.Graph, seed uint64) string {
+	stepCap := 4 * g.N()
+	for _, d := range []sched.Daemon{sched.Synchronous{}, sched.CentralAdversarial{}} {
+		run := sched.NewSequential(g, d, seed)
+		loop := sched.NewSequential(g, d, seed)
+		steps, ok := run.Run(stepCap)
+		for loop.Steps() < stepCap && loop.Step() {
+		}
+		loopOK := loop.Stabilized()
+		if !ok && steps < stepCap && loopOK {
+			return fmt.Sprintf("%s: Run proved a livelock at step %d, but the capped loop stabilized after %d steps",
+				d.Name(), steps, loop.Steps())
+		}
+		if ok != loopOK {
+			return fmt.Sprintf("%s: Run stabilized=%v after %d steps, capped loop %v after %d",
+				d.Name(), ok, steps, loopOK, loop.Steps())
+		}
+		if !ok {
+			continue
+		}
+		if run.Steps() != loop.Steps() || run.Moves() != loop.Moves() {
+			return fmt.Sprintf("%s: Run took %d steps/%d moves, capped loop %d/%d",
+				d.Name(), run.Steps(), run.Moves(), loop.Steps(), loop.Moves())
+		}
+		for u := 0; u < g.N(); u++ {
+			if run.Black(u) != loop.Black(u) {
+				return fmt.Sprintf("%s: vertex %d: Run=%v capped loop=%v", d.Name(), u, run.Black(u), loop.Black(u))
+			}
+		}
 	}
 	return ""
 }
