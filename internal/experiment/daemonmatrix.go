@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"ssmis/internal/engine"
+	"ssmis/internal/graph"
 	"ssmis/internal/mis"
 	"ssmis/internal/sched"
 	"ssmis/internal/stats"
@@ -56,16 +57,39 @@ type daemonOutcome struct {
 	ok               bool
 }
 
+// matrixProcess is one process of the matrix: a row per daemon, each row
+// one pool job per trial.
+type matrixProcess struct {
+	name       string
+	seedOffset uint64
+	// livelock names the daemon the process is known to livelock under
+	// ("" when none); that row runs 3 trials to livelockCap(n) steps.
+	livelock    string
+	livelockCap func(n int) int
+	run         matrixTrial
+}
+
+// matrixTrial runs one trial for at most stepCap steps and returns the
+// finished run, its steps and whether it stabilized.
+type matrixTrial func(g *graph.Graph, d sched.Daemon, seed uint64, stepCap int) (r matrixRun, steps int, ok bool)
+
+// matrixRun is what a row reads from a finished trial.
+type matrixRun interface {
+	Moves() int
+	Black(u int) bool
+}
+
 // RunDaemonMatrix executes the spec against the configuration's shared
 // pool and renders the matrix table.
 //
-// Two (process, daemon) pairs are known livelocks and get a cheap
-// demonstration row (3 trials, a bounded step cap) instead of burning the
-// full cap every trial: the 3-state process under central-adversarial (its
-// reactive demotion is starved forever — the boundary pinned by the k-fair
-// tests in internal/mis) and the deterministic sequential rule under the
+// Two (process, daemon) pairs are known livelocks and get a demonstration
+// row of 3 trials instead of the full trial count: the 3-state process
+// under central-adversarial (its reactive demotion is starved forever — the
+// boundary pinned by the k-fair tests in internal/mis) runs each trial to a
+// 200·n step cap, and the deterministic sequential rule under the
 // synchronous daemon (two adjacent actives flip together forever — the
-// reason the parallel process randomizes).
+// reason the parallel process randomizes) ends each trial when
+// sched.Sequential.Run proves the livelock by a repeated configuration.
 func RunDaemonMatrix(cfg Config, spec DaemonMatrixSpec) Table {
 	cfg = cfg.normalized()
 	trials := cfg.trials(spec.TrialsBase)
@@ -79,135 +103,107 @@ func RunDaemonMatrix(cfg Config, spec DaemonMatrixSpec) Table {
 		Columns: []string{"process", "daemon", "moves/vertex mean", "moves/vertex max",
 			"steps mean", "stabilized"},
 	}
+	var procs []matrixProcess
 	for _, kind := range spec.Kinds {
-		for _, dname := range daemons {
-			movesPerV, steps := stats.NewStream(), stats.NewStream()
-			failed := 0
-			// The known livelock case would burn the full step cap on
-			// every trial; keep one cheap demonstration row instead.
-			livelock := kind == KindThreeState && dname == "central-adversarial"
-			rowTrials := trials
-			if livelock {
-				rowTrials = 3
-			}
-			// One pool job per trial (daemon runs are long chains of
-			// tiny steps — exactly the cells that profit from spreading
-			// across the pool).
-			RunJobs(cfg, fmt.Sprintf("%s %v/%s", spec.Label, kind, dname), rowTrials, cfg.Seed+spec.KindSeedOffset,
-				func(_ *engine.RunContext, _ int, seed uint64) any {
-					g := spec.Family.Build(n, seed)
-					d, err := sched.DaemonByName(dname)
-					if err != nil {
-						panic(err)
-					}
-					p := NewProcess(kind, g, mis.WithSeed(seed)).(mis.DaemonRunner)
-					stepCap := mis.DefaultDaemonStepCap(g.N())
-					if livelock {
-						stepCap = 200 * g.N()
-					}
-					st, ok := p.DaemonRun(d, stepCap)
-					if !ok || verify.MIS(g, p.Black) != nil {
-						return daemonOutcome{}
-					}
-					return daemonOutcome{
-						movesPerV: float64(p.Moves()) / float64(g.N()),
-						steps:     float64(st),
-						ok:        true,
-					}
-				},
-				func(_ int, payload any) {
-					o := payload.(daemonOutcome)
-					if !o.ok {
-						failed++
-						return
-					}
-					movesPerV.Add(o.movesPerV)
-					steps.Add(o.steps)
-				})
-			if movesPerV.N() == 0 {
-				status := fmt.Sprintf("0/%d", rowTrials)
-				if livelock {
-					status += " (livelock)"
-				}
-				t.AddRow(kind.String(), dname, "-", "-", "-", status)
-				continue
-			}
-			status := fmt.Sprintf("%d/%d", rowTrials-failed, rowTrials)
-			t.AddRow(kind.String(), dname, movesPerV.Mean(), movesPerV.Max(), steps.Mean(), status)
+		mp := matrixProcess{
+			name:       kind.String(),
+			seedOffset: spec.KindSeedOffset,
+			run: func(g *graph.Graph, d sched.Daemon, seed uint64, stepCap int) (matrixRun, int, bool) {
+				p := NewProcess(kind, g, mis.WithSeed(seed)).(mis.DaemonRunner)
+				st, ok := p.DaemonRun(d, stepCap)
+				return p, st, ok
+			},
 		}
+		if kind == KindThreeState {
+			mp.livelock = "central-adversarial"
+			mp.livelockCap = func(n int) int { return 200 * n }
+		}
+		procs = append(procs, mp)
 	}
 	if spec.Sequential {
 		// The sequential baseline the paper parallelizes ([28, 20]),
 		// deterministic and randomized, under the same daemon set —
 		// side-by-side moves/vertex against the parallel processes.
-		type seqCase struct {
-			name       string
-			randomized bool
-			livelock   map[string]bool
-		}
-		seqCases := []seqCase{
-			{name: "seq-det [28,20]", livelock: map[string]bool{"synchronous": true}},
-			{name: "seq-rand [28,31]", randomized: true},
-		}
-		for _, sc := range seqCases {
-			for _, dname := range daemons {
-				movesPerV, steps := stats.NewStream(), stats.NewStream()
-				failed := 0
-				livelock := sc.livelock[dname]
-				rowTrials := trials
-				if livelock {
-					rowTrials = 3
-				}
-				RunJobs(cfg, fmt.Sprintf("%s %s/%s", spec.Label, sc.name, dname), rowTrials, cfg.Seed+spec.SeqSeedOffset,
-					func(_ *engine.RunContext, _ int, seed uint64) any {
-						g := spec.Family.Build(n, seed)
-						d, err := sched.DaemonByName(dname)
-						if err != nil {
-							panic(err)
-						}
-						var opts []sched.Option
-						if sc.randomized {
-							opts = append(opts, sched.Randomized())
-						}
-						s := sched.NewSequential(g, d, seed, opts...)
-						stepCap := mis.DefaultDaemonStepCap(g.N())
-						if livelock {
-							// A synchronous step is a full round; the
-							// round-cap scale suffices to exhibit it.
-							stepCap = 4 * mis.DefaultRoundCap(g.N())
-						}
-						st, ok := s.Run(stepCap)
-						if !ok || verify.MIS(g, s.Black) != nil {
-							return daemonOutcome{}
-						}
-						return daemonOutcome{
-							movesPerV: float64(s.Moves()) / float64(g.N()),
-							steps:     float64(st),
-							ok:        true,
-						}
-					},
-					func(_ int, payload any) {
-						o := payload.(daemonOutcome)
-						if !o.ok {
-							failed++
-							return
-						}
-						movesPerV.Add(o.movesPerV)
-						steps.Add(o.steps)
-					})
-				if movesPerV.N() == 0 {
-					status := fmt.Sprintf("0/%d", rowTrials)
-					if livelock {
-						status += " (livelock)"
-					}
-					t.AddRow(sc.name, dname, "-", "-", "-", status)
-					continue
-				}
-				status := fmt.Sprintf("%d/%d", rowTrials-failed, rowTrials)
-				t.AddRow(sc.name, dname, movesPerV.Mean(), movesPerV.Max(), steps.Mean(), status)
+		seqRun := func(opts ...sched.Option) matrixTrial {
+			return func(g *graph.Graph, d sched.Daemon, seed uint64, stepCap int) (matrixRun, int, bool) {
+				s := sched.NewSequential(g, d, seed, opts...)
+				st, ok := s.Run(stepCap)
+				return s, st, ok
 			}
+		}
+		procs = append(procs,
+			matrixProcess{
+				name:       "seq-det [28,20]",
+				seedOffset: spec.SeqSeedOffset,
+				livelock:   "synchronous",
+				// Run ends these trials on a repeated configuration; the
+				// cap bounds only a run where no proof exists, and a
+				// synchronous step is a full round, so the round-cap
+				// scale suffices.
+				livelockCap: func(n int) int { return 4 * mis.DefaultRoundCap(n) },
+				run:         seqRun(),
+			},
+			matrixProcess{name: "seq-rand [28,31]", seedOffset: spec.SeqSeedOffset, run: seqRun(sched.Randomized())},
+		)
+	}
+	for _, mp := range procs {
+		for _, dname := range daemons {
+			addMatrixRow(cfg, &t, spec, n, trials, mp, dname)
 		}
 	}
 	t.Notes = append(t.Notes, spec.Notes...)
 	return t
+}
+
+// addMatrixRow runs process mp under daemon dname, one pool job per trial
+// (daemon runs are long chains of tiny steps — exactly the cells that
+// profit from spreading across the pool), and renders its row.
+func addMatrixRow(cfg Config, t *Table, spec DaemonMatrixSpec, n, trials int, mp matrixProcess, dname string) {
+	movesPerV, steps := stats.NewStream(), stats.NewStream()
+	failed := 0
+	// A known livelock would burn its step cap on every trial; keep one
+	// demonstration row of 3 trials instead.
+	livelock := dname == mp.livelock
+	if livelock {
+		trials = 3
+	}
+	RunJobs(cfg, fmt.Sprintf("%s %s/%s", spec.Label, mp.name, dname), trials, cfg.Seed+mp.seedOffset,
+		func(_ *engine.RunContext, _ int, seed uint64) any {
+			g := spec.Family.Build(n, seed)
+			d, err := sched.DaemonByName(dname)
+			if err != nil {
+				panic(err)
+			}
+			stepCap := mis.DefaultDaemonStepCap(g.N())
+			if livelock {
+				stepCap = mp.livelockCap(g.N())
+			}
+			r, st, ok := mp.run(g, d, seed, stepCap)
+			if !ok || verify.MIS(g, r.Black) != nil {
+				return daemonOutcome{}
+			}
+			return daemonOutcome{
+				movesPerV: float64(r.Moves()) / float64(g.N()),
+				steps:     float64(st),
+				ok:        true,
+			}
+		},
+		func(_ int, payload any) {
+			o := payload.(daemonOutcome)
+			if !o.ok {
+				failed++
+				return
+			}
+			movesPerV.Add(o.movesPerV)
+			steps.Add(o.steps)
+		})
+	if movesPerV.N() == 0 {
+		status := fmt.Sprintf("0/%d", trials)
+		if livelock {
+			status += " (livelock)"
+		}
+		t.AddRow(mp.name, dname, "-", "-", "-", status)
+		return
+	}
+	t.AddRow(mp.name, dname, movesPerV.Mean(), movesPerV.Max(), steps.Mean(), fmt.Sprintf("%d/%d", trials-failed, trials))
 }
