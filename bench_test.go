@@ -66,6 +66,7 @@ func BenchmarkE15TopologyChurn(b *testing.B)     { runExperiment(b, "E15") }
 func BenchmarkE16MISQuality(b *testing.B)        { runExperiment(b, "E16") }
 func BenchmarkE17RestartScheme(b *testing.B)     { runExperiment(b, "E17") }
 func BenchmarkE18DaemonSchedules(b *testing.B)   { runExperiment(b, "E18") }
+func BenchmarkE19AsyncDrift(b *testing.B)        { runExperiment(b, "E19") }
 
 // --- simulator micro-benchmarks ---
 
