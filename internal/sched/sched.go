@@ -433,10 +433,12 @@ func (s *Sequential) Step() bool {
 // the next mask is a function of the current one alone (x′(u) = [no
 // neighbor of u is black]), and every mask the run stepped from had a
 // privileged vertex, so a repeat proves a cycle that never stabilizes.
-// Brent's cycle check finds it with one saved mask: each step compares the
-// mask with the saved copy, which is replaced whenever the steps since the
-// last save reach the current power of two, and the power doubles. Every
-// other rule and daemon draws coins or depends on schedule history, so
+// Brent's cycle check (Brent, 1980) finds it with one saved mask: each step
+// compares the mask with the saved copy, which is replaced whenever the
+// steps since the last save reach the current power of two, and the power
+// doubles. No other run needs or admits the proof: central daemons
+// stabilize the deterministic rule within 2n moves, and every other daemon
+// or the randomized rule draws coins or depends on schedule history, so
 // those runs go to stabilization or maxSteps as before.
 func (s *Sequential) Run(maxSteps int) (steps int, stabilized bool) {
 	var saved []bool

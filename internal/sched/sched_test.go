@@ -76,13 +76,13 @@ func cappedRun(s *Sequential, maxSteps int) (int, bool) {
 // daemon; every other run must match the reference exactly, down to the
 // next draw of its stream.
 //
-// No synchronous deterministic run stabilizes after step 1. With X1 the
-// black set after one step and X2 after two, X2 an MIS forces X1 = X2: a
-// vertex of X1 outside X2 would neighbour a vertex of X2 that has no
-// neighbour in X1, and a vertex of X2 outside X1 would neighbour some a in
-// X0, which neighbours some b in X1, but b has no neighbour in X0. So the
-// synchronous cases that stabilize do so at step 0 or 1, and the runs that
-// stabilize after many steps are the central and randomized ones.
+// No synchronous deterministic run stabilizes after step 1. Let X1 and X2
+// be the black sets one and two steps after X0, with X2 an MIS. A vertex of
+// X1 outside X2 has a neighbour in X2, which has no neighbour in X1. A
+// vertex of X2 outside X1 has a neighbour a in X0; a is outside X2, so a
+// has a neighbour b in X1, yet b has no neighbour in X0. So X1 = X2, and
+// the synchronous cases that stabilize do so at step 0 or 1; the runs that
+// stabilize after several steps are the central and randomized ones.
 func TestRunMatchesCappedStepLoop(t *testing.T) {
 	type runCase struct {
 		name       string
