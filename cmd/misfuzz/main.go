@@ -18,7 +18,7 @@
 // mode.
 //
 // Each case also checks the sequential rule's livelock proof
-// (sched.Sequential.Run ends a deterministic synchronous run at its first
+// (mis.Sequential.Run ends a deterministic synchronous run at its first
 // repeated configuration) against a plain capped Step loop.
 //
 // Each case also attacks the declarative scenario codec
@@ -569,8 +569,8 @@ func fuzzSnapshot(g *graph.Graph, seed uint64) string {
 func fuzzSequential(g *graph.Graph, seed uint64) string {
 	stepCap := 4 * g.N()
 	for _, d := range []sched.Daemon{sched.Synchronous{}, sched.CentralAdversarial{}} {
-		run := sched.NewSequential(g, d, seed)
-		loop := sched.NewSequential(g, d, seed)
+		run := mis.NewSequential(g, d, seed, false, nil)
+		loop := mis.NewSequential(g, d, seed, false, nil)
 		steps, ok := run.Run(stepCap)
 		for loop.Steps() < stepCap && loop.Step() {
 		}

@@ -89,7 +89,7 @@ type matrixRun interface {
 // 200·n step cap, and the deterministic sequential rule under the
 // synchronous daemon (two adjacent actives flip together forever — the
 // reason the parallel process randomizes) ends each trial when
-// sched.Sequential.Run proves the livelock by a repeated configuration.
+// mis.Sequential.Run proves the livelock by a repeated configuration.
 func RunDaemonMatrix(cfg Config, spec DaemonMatrixSpec) Table {
 	cfg = cfg.normalized()
 	trials := cfg.trials(spec.TrialsBase)
@@ -124,9 +124,9 @@ func RunDaemonMatrix(cfg Config, spec DaemonMatrixSpec) Table {
 		// The sequential baseline the paper parallelizes ([28, 20]),
 		// deterministic and randomized, under the same daemon set —
 		// side-by-side moves/vertex against the parallel processes.
-		seqRun := func(opts ...sched.Option) matrixTrial {
+		seqRun := func(randomized bool) matrixTrial {
 			return func(g *graph.Graph, d sched.Daemon, seed uint64, stepCap int) (matrixRun, int, bool) {
-				s := sched.NewSequential(g, d, seed, opts...)
+				s := mis.NewSequential(g, d, seed, randomized, nil)
 				st, ok := s.Run(stepCap)
 				return s, st, ok
 			}
@@ -141,9 +141,9 @@ func RunDaemonMatrix(cfg Config, spec DaemonMatrixSpec) Table {
 				// synchronous step is a full round, so the round-cap
 				// scale suffices.
 				livelockCap: func(n int) int { return 4 * mis.DefaultRoundCap(n) },
-				run:         seqRun(),
+				run:         seqRun(false),
 			},
-			matrixProcess{name: "seq-rand [28,31]", seedOffset: spec.SeqSeedOffset, run: seqRun(sched.Randomized())},
+			matrixProcess{name: "seq-rand [28,31]", seedOffset: spec.SeqSeedOffset, run: seqRun(true)},
 		)
 	}
 	for _, mp := range procs {

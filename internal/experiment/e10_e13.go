@@ -100,7 +100,7 @@ func e10Baselines() Experiment {
 				RunJobsOver(cfg, "E10 sequential "+w.name, seqSeeds,
 					func(_ *engine.RunContext, _ int, seed uint64) any {
 						g := w.gen.At(seed)
-						s := sched.NewSequential(g, sched.CentralAdversarial{}, seed)
+						s := mis.NewSequential(g, sched.CentralAdversarial{}, seed, false, nil)
 						s.Run(10 * g.N())
 						return float64(s.Moves())
 					},

@@ -1,11 +1,12 @@
 package experiment
 
-// The two experiments whose rows run sched.Sequential.Run, pinned byte for
+// The two experiments whose rows run mis.Sequential.Run, pinned byte for
 // byte: E10's "sequential (central)" row and E18's seq-det/seq-rand rows.
-// However the sequential runner decides when a run is over, the rendered
-// tables must not move. misbench/expected.json digests
-// the same tables at scale 0.25, but the root module's tests never read
-// it, so this test pins them where `go test ./...` looks.
+// However the sequential runner decides when a run is over, and whatever
+// executes its steps, the rendered tables must not move.
+// misbench/expected.json digests the same tables at scale 0.25, but the
+// root module's tests never read it, so this test pins them where
+// `go test ./...` looks.
 
 import (
 	"hash/fnv"
@@ -14,7 +15,8 @@ import (
 
 // wantTableDigests holds the FNV-64a digest of each table's CSV at scale
 // 0.05, seed 2023, in the order the experiment returns them. They were
-// recorded while Sequential.Run still ran every livelock to its step cap.
+// recorded while the sequential rule still had its own simulator
+// (sched.Sequential, since deleted) and ran every livelock to its step cap.
 var wantTableDigests = map[string][]uint64{
 	"E10": {0x56186e1ab78624d4, 0xe71d035ad9646657, 0xbd46cd904ae205f7},
 	"E18": {0x9b43706c89f3c299},

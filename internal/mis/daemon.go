@@ -4,7 +4,8 @@ package mis
 // presents the 2-state process as the randomized synchronous
 // parallelization of the sequential self-stabilizing MIS rule of [28, 20],
 // whose correctness is analyzed under daemon (scheduler) models; this file
-// runs the paper's processes under those daemons directly. A daemon step
+// runs the paper's processes under those daemons directly (sequential.go
+// runs that rule itself, on the same daemon path). A daemon step
 // exposes the privileged vertices — those whose transition can fire — to an
 // internal/sched.Daemon, which selects the subset that moves.
 //

@@ -6,7 +6,8 @@ package mis
 // every reachable "has a black neighbour" / "has a black1 neighbour"
 // combination) × both coin outcomes × both switch values (3-color only),
 // vertex 0 of that star is stepped once by the rule's literal transcription
-// in reference.go, with a seed whose first vertex-0 coin is the wanted one.
+// — in reference.go, or for the deterministic sequential rule of [28, 20]
+// in its specRule — with a seed whose first vertex-0 coin is the wanted one.
 // Its next state, and whether it drew a coin, must equal the program's
 // per-vertex transition (kernel.Program.Next — the one daemon steps use, and
 // the one the kernel word evaluator is pinned to); its Active entry must say
@@ -100,6 +101,29 @@ func specRules() []specRule {
 				ref := NewRefThreeColor(g, seed, colors, levels)
 				ref.Step()
 				return uint8(ref.ColorOf(0)), drew(ref.rngs[0], seed)
+			},
+		},
+		{
+			name:   "seq-det",
+			prog:   seqDetProg,
+			states: []uint8{twoWhite, twoBlack},
+			black:  func(s uint8) bool { return s == twoBlack },
+			black1: never,
+			// The deterministic rule of [28, 20]: an inconsistent vertex —
+			// black with a black neighbour, or white with none — flips, and
+			// no vertex draws a coin.
+			refNext: func(g *graph.Graph, states []uint8, _ bool, _ uint64) (uint8, bool) {
+				black, nbrBlack := states[0] == twoBlack, false
+				for _, v := range g.Neighbors(0) {
+					nbrBlack = nbrBlack || states[v] == twoBlack
+				}
+				switch {
+				case black && nbrBlack:
+					return twoWhite, false
+				case !black && !nbrBlack:
+					return twoBlack, false
+				}
+				return states[0], false
 			},
 		},
 	}

@@ -1,31 +1,22 @@
-// Package sched implements the sequential self-stabilizing MIS algorithm of
-// Shukla et al. and Hedetniemi et al. ([28, 20] in the paper) together with
-// the daemon (scheduler) models it is analyzed under. The paper presents the
-// 2-state MIS process as the randomized synchronous parallelization of this
-// algorithm, so the package exists to reproduce the surrounding claims:
-//
-//   - under a central daemon the deterministic rule stabilizes after every
-//     vertex moves at most twice (≤ 2n moves);
-//   - under the synchronous daemon the deterministic rule can livelock
-//     (two adjacent white vertices flip to black and back forever) — the
-//     reason the parallel process must randomize. That rule under that
-//     daemon is a map on the black mask whose fixed points are the MISes,
-//     and a symmetric threshold network updated in parallel ends in a fixed
-//     point or a 2-cycle (Goles and Olivos, 1980), so Sequential.Run ends
-//     such a run at its first repeated mask instead of at the step cap;
-//   - randomizing the moves restores stabilization with probability 1 under
-//     any daemon ([28], [31]), and under the synchronous daemon the result
-//     is exactly the paper's 2-state process.
+// Package sched implements the daemon (scheduler) models under which the
+// sequential self-stabilizing MIS rule of [28, 20] (mis.Sequential) and the
+// paper's randomized processes are analyzed. Each step a daemon selects
+// which privileged (inconsistent) vertices move: one at a time
+// (central-adversarial, central-random, round-robin, and the k-fair
+// daemons, adversarial within a fairness window), all of them
+// (synchronous), or a random subset (distributed-random). A daemon sees
+// only the sorted privileged list and a selection stream, so one
+// implementation serves every rule engine.Core.DaemonStep runs; the
+// stateful daemons (round-robin, k-fair) serialize their schedule history
+// for checkpoints.
 package sched
 
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
-	"ssmis/internal/graph"
 	"ssmis/internal/xrand"
 )
 
@@ -290,176 +281,4 @@ func DaemonByName(name string) (Daemon, error) {
 	default:
 		return nil, fmt.Errorf("sched: unknown daemon %q", name)
 	}
-}
-
-// Sequential is the two-state self-stabilizing MIS algorithm under a daemon.
-// A vertex is privileged when its state is inconsistent — black with a black
-// neighbor, or white with no black neighbor. A selected privileged vertex
-// moves: deterministically to the consistent state (black→white,
-// white→black), or, when randomized, to a uniformly random state.
-type Sequential struct {
-	g          *graph.Graph
-	daemon     Daemon
-	randomized bool
-	black      []bool
-	nbrBlack   []int32
-	rng        *xrand.Rand
-	moves      int
-	steps      int
-}
-
-// Option configures a Sequential run.
-type Option func(*Sequential)
-
-// Randomized makes selected vertices move to a uniformly random state
-// instead of the deterministic repair — the transformation of [28, 31].
-func Randomized() Option {
-	return func(s *Sequential) { s.randomized = true }
-}
-
-// WithInitialBlack sets the (adversarial) initial configuration; the slice
-// is copied. Default: uniformly random.
-func WithInitialBlack(black []bool) Option {
-	return func(s *Sequential) { s.black = append([]bool(nil), black...) }
-}
-
-// NewSequential creates a sequential algorithm instance under the given
-// daemon with master seed seed.
-func NewSequential(g *graph.Graph, daemon Daemon, seed uint64, opts ...Option) *Sequential {
-	s := &Sequential{
-		g:        g,
-		daemon:   daemon,
-		nbrBlack: make([]int32, g.N()),
-		rng:      xrand.New(seed),
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.black == nil {
-		s.black = make([]bool, g.N())
-		for u := range s.black {
-			s.black[u] = s.rng.Bit()
-		}
-	} else if len(s.black) != g.N() {
-		panic(fmt.Sprintf("sched: initial mask length %d != n %d", len(s.black), g.N()))
-	}
-	s.recount()
-	return s
-}
-
-func (s *Sequential) recount() {
-	for u := range s.nbrBlack {
-		s.nbrBlack[u] = 0
-	}
-	for u, b := range s.black {
-		if b {
-			for _, v := range s.g.Neighbors(u) {
-				s.nbrBlack[v]++
-			}
-		}
-	}
-}
-
-// privileged returns the sorted list of inconsistent vertices.
-func (s *Sequential) privileged() []int {
-	var out []int
-	for u, b := range s.black {
-		if b == (s.nbrBlack[u] > 0) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Privileged returns the current number of inconsistent vertices.
-func (s *Sequential) Privileged() int { return len(s.privileged()) }
-
-// Stabilized reports whether no vertex is privileged (the black set is then
-// an MIS).
-func (s *Sequential) Stabilized() bool { return len(s.privileged()) == 0 }
-
-// Black reports the color of u.
-func (s *Sequential) Black(u int) bool { return s.black[u] }
-
-// Moves returns the total number of vertex moves executed.
-func (s *Sequential) Moves() int { return s.moves }
-
-// Steps returns the number of daemon steps executed.
-func (s *Sequential) Steps() int { return s.steps }
-
-// Step lets the daemon select and move privileged vertices once. It returns
-// false when no vertex is privileged (stabilized).
-func (s *Sequential) Step() bool {
-	priv := s.privileged()
-	if len(priv) == 0 {
-		return false
-	}
-	selected := s.daemon.Select(priv, s.rng)
-	// All selected vertices read the current configuration, then move
-	// simultaneously (matters only for non-central daemons).
-	flips := make([]int, 0, len(selected))
-	for _, u := range selected {
-		var wantBlack bool
-		if s.randomized {
-			wantBlack = s.rng.Bit()
-		} else {
-			wantBlack = !s.black[u] // deterministic repair: flip
-		}
-		s.moves++
-		if wantBlack != s.black[u] {
-			flips = append(flips, u)
-		}
-	}
-	for _, u := range flips {
-		nowBlack := !s.black[u]
-		s.black[u] = nowBlack
-		delta := int32(1)
-		if !nowBlack {
-			delta = -1
-		}
-		for _, v := range s.g.Neighbors(u) {
-			s.nbrBlack[v] += delta
-		}
-	}
-	s.steps++
-	return true
-}
-
-// Run executes daemon steps until stabilization or maxSteps; it reports the
-// steps taken and whether the algorithm stabilized.
-//
-// Run may return false before maxSteps: with the deterministic rule under
-// the Synchronous daemon it stops at the first repeated black mask. There
-// the next mask is a function of the current one alone (x′(u) = [no
-// neighbor of u is black]), and every mask the run stepped from had a
-// privileged vertex, so a repeat proves a cycle that never stabilizes.
-// Brent's cycle check (Brent, 1980) finds it with one saved mask: each step
-// compares the mask with the saved copy, which is replaced whenever the
-// steps since the last save reach the current power of two, and the power
-// doubles. No other run needs or admits the proof: central daemons
-// stabilize the deterministic rule within 2n moves, and every other daemon
-// or the randomized rule draws coins or depends on schedule history, so
-// those runs go to stabilization or maxSteps as before.
-func (s *Sequential) Run(maxSteps int) (steps int, stabilized bool) {
-	var saved []bool
-	if _, sync := s.daemon.(Synchronous); sync && !s.randomized {
-		saved = slices.Clone(s.black)
-	}
-	power, lam := 1, 0
-	for s.steps < maxSteps {
-		if !s.Step() {
-			return s.steps, true
-		}
-		if saved == nil {
-			continue
-		}
-		if slices.Equal(saved, s.black) {
-			return s.steps, false
-		}
-		if lam++; lam == power {
-			copy(saved, s.black)
-			power, lam = 2*power, 0
-		}
-	}
-	return s.steps, s.Stabilized()
 }
