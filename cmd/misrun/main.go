@@ -532,8 +532,23 @@ func runTrials(g *graph.Graph, procKind string, init mis.Init, seed uint64, tria
 	return 0
 }
 
+// buildGraph builds the -graph family from the flags. Out-of-range flags
+// are errors, not generator panics: -n below 1 (below 3 for a cycle) for
+// every generated family, -p outside [0, 1] for gnp and -d outside [0, n)
+// for regular.
 func buildGraph(kind, inPath string, n int, p float64, d int, seed uint64) (*graph.Graph, error) {
 	rng := xrand.New(seed ^ 0x9e3779b97f4a7c15)
+	switch {
+	case kind == "file": // the edge list's header sets the order
+	case n < 1:
+		return nil, fmt.Errorf("-n must be >= 1, got %d", n)
+	case kind == "cycle" && n < 3:
+		return nil, fmt.Errorf("-graph cycle needs -n >= 3, got %d", n)
+	case kind == "gnp" && !(p >= 0 && p <= 1):
+		return nil, fmt.Errorf("-p must be in [0, 1], got %v", p)
+	case kind == "regular" && (d < 0 || d >= n):
+		return nil, fmt.Errorf("-d must be in [0, n) = [0, %d), got %d", n, d)
+	}
 	switch kind {
 	case "file":
 		if inPath == "" {

@@ -18,7 +18,9 @@ import (
 // those arguments. Each pool flag misrun cannot honour must fail loudly at
 // flag parsing (exit 2): a negative -workers instead of being silently
 // coerced to GOMAXPROCS by the pool, and -workers or -batch without
-// -trials, where there is no pool for them to size.
+// -trials, where there is no pool for them to size. So must each graph
+// flag out of its generator's range, with one line instead of a panic's
+// goroutine trace (which also exits 2).
 func TestNegativeWorkersRejected(t *testing.T) {
 	if args := os.Getenv("MISRUN_ARGS"); args != "" {
 		os.Args = append([]string{"misrun"}, strings.Fields(args)...)
@@ -29,6 +31,15 @@ func TestNegativeWorkersRejected(t *testing.T) {
 		{"-graph gnp -n 500 -p 0.02 -proc 2state -seed 1 -workers 4", "need -trials > 1"},
 		{"-graph clique -n 8 -batch 2", "need -trials > 1"},
 		{"-graph clique -n 8 -trials 1 -workers 2", "need -trials > 1"},
+		{"-n -5", "-n must be >= 1"},
+		{"-n 0", "-n must be >= 1"},
+		{"-graph path -n 0", "-n must be >= 1"},
+		{"-p 1.5", "-p must be in [0, 1]"},
+		{"-p -0.1", "-p must be in [0, 1]"},
+		{"-p NaN", "-p must be in [0, 1]"},
+		{"-graph regular -n 10 -d -1", "-d must be in [0, n)"},
+		{"-graph regular -n 10 -d 10", "-d must be in [0, n)"},
+		{"-graph cycle -n 2", "-graph cycle needs -n >= 3"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(os.Args[0], "-test.run", "TestNegativeWorkersRejected")
@@ -41,8 +52,8 @@ func TestNegativeWorkersRejected(t *testing.T) {
 		if code := ee.ExitCode(); code != 2 {
 			t.Fatalf("%s: exit code = %d, want 2; output: %q", c.args, code, out)
 		}
-		if !strings.Contains(string(out), c.diag) {
-			t.Fatalf("%s: missing diagnostic %q in output: %q", c.args, c.diag, out)
+		if !strings.Contains(string(out), c.diag) || strings.Count(string(out), "\n") != 1 {
+			t.Fatalf("%s: want the one-line diagnostic %q, output: %q", c.args, c.diag, out)
 		}
 	}
 }
