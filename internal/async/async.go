@@ -380,9 +380,6 @@ func (e *Engine) Rounds() int { return e.rounds }
 // Now returns the latest processed event time in ticks.
 func (e *Engine) Now() int64 { return e.now }
 
-// Slot returns node u's current local slot index.
-func (e *Engine) Slot(u int) int { return e.slot[u] }
-
 // MaxSkew returns the maximum observed slot-index spread between the
 // fastest and the slowest node clock, tracked exactly at every event — 0 in
 // a lockstep (ρ=1) execution, growing with virtual time under sustained

@@ -48,14 +48,10 @@ type Config struct {
 	IdentityOrder bool
 }
 
-// ProcOpts prepends the configuration-level process options (the
+// procOpts prepends the configuration-level process options (the
 // identity-order switch) to a cell's own options; every runner that
 // constructs a process directly must route its options through here so the
 // -identity-order invariance smoke covers it.
-func (c Config) ProcOpts(opts ...mis.Option) []mis.Option { return c.procOpts(opts...) }
-
-// procOpts prepends the configuration-level process options (the
-// identity-order switch) to a cell's own options.
 func (c Config) procOpts(opts ...mis.Option) []mis.Option {
 	if !c.IdentityOrder {
 		return opts

@@ -31,15 +31,6 @@ type GraphFamily struct {
 	Det bool
 }
 
-// Gen adapts the family at order n to a cell's graph generator: fixed for
-// deterministic families (one shared build), per-seed otherwise.
-func (f GraphFamily) Gen(n int) GraphGen {
-	if f.Det {
-		return FixedGraph(f.Build(n, 1))
-	}
-	return PerSeed(func(seed uint64) *graph.Graph { return f.Build(n, seed) })
-}
-
 // ScalingSpec declares one stabilization-time scaling table: a process
 // swept over a size ladder of one graph family, with the standard scaling
 // columns and claim-check notes. This is the shape of E1, E4 (one spec per

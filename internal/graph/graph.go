@@ -41,13 +41,6 @@ func (g *Graph) Neighbors(u int) []int32 {
 	return g.adj[g.offsets[u]:g.offsets[u+1]]
 }
 
-// ForNeighbors calls fn for each neighbor of u in increasing order.
-func (g *Graph) ForNeighbors(u int, fn func(v int)) {
-	for _, v := range g.Neighbors(u) {
-		fn(int(v))
-	}
-}
-
 // HasEdge reports whether {u, v} is an edge, in O(log deg(u)).
 func (g *Graph) HasEdge(u, v int) bool {
 	if u == v {
