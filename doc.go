@@ -27,7 +27,9 @@
 // Which runtime to use:
 //
 //	internal/mis      fastest; experiments, sweeps, daemon schedules (E18),
-//	                  checkpoints — the default for measurement
+//	                  checkpoints — the default for measurement; also the
+//	                  sequential [28, 20] baseline (mis.Sequential), both of
+//	                  its rules on the engine's daemon path
 //	internal/noderun  model-faithfulness: one program per node that sees
 //	                  only its own state, its own coins and what it heard,
 //	                  and a broadcast medium enforcing the beeping/stone-age
@@ -36,10 +38,11 @@
 //	                  (bounded / eventual-sync / adversarial models); use to
 //	                  probe the weak-communication claim beyond lockstep
 //	                  rounds (E19, misrun -async)
-//	internal/sched    the sequential [28, 20] baseline under daemon models,
-//	                  including the k-fair fairness-boundary daemons
+//	internal/sched    the daemon models a daemon-scheduled run selects
+//	                  its moves with, including the k-fair
+//	                  fairness-boundary daemons (not a runtime)
 //
-// All four agree wherever their models overlap: the cross-runtime
+// The three runtimes agree wherever their models overlap: the cross-runtime
 // equivalence matrix (internal/async) pins simulator ≡ synchronous runtime
 // ≡ async-at-ρ=1 round-for-round over 20 seeds × 4 graph families.
 //
@@ -80,8 +83,9 @@
 // colours and its own coin, and the workloads that need throughput (sweeps,
 // misrun -trials) are many runs, not one huge one. The engine further
 // provides daemon-scheduled execution bridging
-// internal/sched into the randomized processes (the DaemonRun methods, the
-// misrun -daemon flag and experiment E18), and reusable per-worker run
+// internal/sched into the randomized processes and the sequential rule (the
+// DaemonRun methods, mis.Sequential, the misrun -daemon flag and experiment
+// E18), and reusable per-worker run
 // contexts (engine.RunContext): all per-run scratch — bitsets, counters,
 // coverage stamps, per-vertex generator arrays — leases from the worker's
 // context, so a worker amortizes its allocations across thousands of runs.

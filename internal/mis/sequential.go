@@ -65,10 +65,10 @@ type Sequential struct {
 // passed to DaemonStep. This is the one place where a vertex does not own
 // its stream. A daemon step draws its selection and then the selected
 // vertices' moves in selection order, so the shared stream replays the
-// draw order of the sequential rule as E10 and E18 have always measured it:
-// their tables are pinned byte for byte (TestSequentialTablesPinned, and the
-// benchmark's recorded digests), and per-vertex streams would replace those
-// executions with different ones.
+// draw order of the sequential rule as E10 and E18 have always measured it.
+// Their tables are pinned byte for byte (TestSequentialTablesPinned, and
+// the sweep digests in misbench/expected.json); per-vertex streams would
+// give equally valid but different executions and move those tables.
 func NewSequential(g *graph.Graph, d sched.Daemon, seed uint64, randomized bool, black []bool) *Sequential {
 	n := g.N()
 	rng := xrand.New(seed)
