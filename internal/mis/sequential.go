@@ -34,7 +34,8 @@ var seqDetProg = kernel.MustCompile(kernel.Spec{
 // read the current configuration and move together: deterministically to
 // the consistent state (seqDetProg), or, randomized, to a uniformly random
 // state (twoStateProg). Both rules run on engine.Core.DaemonStep, so a step
-// costs O(⌈n/64⌉ + |privileged| + Σ deg of the flipped vertices).
+// costs O(⌈n/64⌉ + |privileged| + Σ deg of the flipped vertices), and one
+// stream drives the whole run (NewSequential says why).
 //
 //   - Under a central daemon the deterministic rule stabilizes after every
 //     vertex moves at most twice (≤ 2n moves).
