@@ -79,10 +79,10 @@ func (*RoundRobin) Name() string { return "round-robin" }
 
 // Select implements Daemon.
 func (d *RoundRobin) Select(privileged []int, _ *xrand.Rand) []int {
-	for _, u := range privileged {
+	for i, u := range privileged {
 		if u >= d.cursor {
 			d.cursor = u + 1
-			return []int{u}
+			return privileged[i : i+1]
 		}
 	}
 	// Wrap around.
@@ -153,8 +153,8 @@ func (d *KFair) Select(privileged []int, _ *xrand.Rand) []int {
 		copy(run, d.run)
 		d.seen, d.run = seen, run
 	}
-	pick, best := privileged[0], 0
-	for _, u := range privileged {
+	pick, best := 0, 0
+	for i, u := range privileged {
 		if d.seen[u] == d.step-1 {
 			d.run[u]++
 		} else {
@@ -162,11 +162,11 @@ func (d *KFair) Select(privileged []int, _ *xrand.Rand) []int {
 		}
 		d.seen[u] = d.step
 		if d.run[u] >= d.k && d.run[u] > best {
-			best, pick = d.run[u], u
+			best, pick = d.run[u], i
 		}
 	}
-	d.run[pick] = 0
-	return []int{pick}
+	d.run[privileged[pick]] = 0
+	return privileged[pick : pick+1]
 }
 
 // Stateful is implemented by daemons whose selection depends on schedule

@@ -98,3 +98,29 @@ func TestKFairValidation(t *testing.T) {
 	}()
 	NewKFair(0)
 }
+
+// The central daemons move one vertex per step and return it as a
+// sub-slice of privileged, allocating nothing. testing.AllocsPerRun floors
+// the per-call mean, and a round-robin wrap returns privileged[:1] without
+// allocating, so privileged is long enough that the cursor never wraps.
+func TestCentralDaemonsSelectWithoutAllocating(t *testing.T) {
+	const runs = 100
+	priv := make([]int, 4*runs)
+	for i := range priv {
+		priv[i] = i
+	}
+	for _, name := range []string{"round-robin", "k-fair:4"} {
+		d, err := DaemonByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sel []int
+		allocs := testing.AllocsPerRun(runs, func() { sel = d.Select(priv, nil) })
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per Select, want 0", name, allocs)
+		}
+		if len(sel) != 1 {
+			t.Errorf("%s: selected %v, want one vertex", name, sel)
+		}
+	}
+}
