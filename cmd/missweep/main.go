@@ -49,6 +49,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,9 +86,19 @@ func run() int {
 	flag.Parse()
 
 	// The pool's 0 = GOMAXPROCS convention must not swallow negative typos
-	// (-workers -3) silently.
+	// (-workers -3) silently, nor may the 0 = auto of -batch. Nor may the
+	// harness's normalization of -scale, which runs 0 and negative scales
+	// at scale 1 and a NaN at no defined scale.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "missweep: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
+		return 2
+	}
+	if *chunk < 0 {
+		fmt.Fprintf(os.Stderr, "missweep: -batch must be >= 0 (0 = auto), got %d\n", *chunk)
+		return 2
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 0) {
+		fmt.Fprintf(os.Stderr, "missweep: -scale must be a finite number above 0, got %v\n", *scale)
 		return 2
 	}
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"ssmis/internal/experiment"
 	"ssmis/internal/graph"
 	"ssmis/internal/mis"
 	"ssmis/internal/trace"
@@ -36,42 +37,21 @@ func run() int {
 	)
 	flag.Parse()
 
-	var g *graph.Graph
-	rng := xrand.New(*seed ^ 0xabcdef)
-	side := graph.ISqrt(*n)
-	switch *graphKind {
-	case "path":
-		g = graph.Path(*n)
-	case "cycle":
-		g = graph.Cycle(*n)
-	case "grid":
-		g = graph.Grid(side, side)
-	case "tree":
-		g = graph.RandomTree(*n, rng)
-	case "gnp":
-		g = graph.Gnp(*n, *p, rng)
-	case "clique":
-		g = graph.Complete(*n)
-	default:
-		fmt.Fprintf(os.Stderr, "misviz: unknown graph %q\n", *graphKind)
+	k, err := experiment.ParseKind(*procKind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "misviz:", err)
 		return 2
 	}
-
-	var proc mis.Process
-	switch *procKind {
-	case "2state":
-		proc = mis.NewTwoState(g, mis.WithSeed(*seed))
-	case "3state":
-		proc = mis.NewThreeState(g, mis.WithSeed(*seed))
-	case "3color":
-		proc = mis.NewThreeColor(g, mis.WithSeed(*seed))
-	default:
-		fmt.Fprintf(os.Stderr, "misviz: unknown process %q\n", *procKind)
+	g, err := buildGraph(*graphKind, *n, *p, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "misviz:", err)
 		return 2
 	}
+	proc := experiment.NewProcess(k, g, mis.WithSeed(*seed))
 
 	tr := trace.Record(proc, 8*mis.DefaultRoundCap(g.N()))
 	if *gridOut && *graphKind == "grid" {
+		side := graph.ISqrt(*n)
 		fmt.Printf("%s on %dx%d grid, %d rounds; final state:\n", proc.Name(), side, side, proc.Round())
 		fmt.Print(tr.RenderGrid(side, side))
 	} else {
@@ -82,4 +62,36 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// buildGraph builds the -graph family from the flags. Out-of-range flags
+// are errors, not generator panics: -n below 1 (below 3 for a cycle) and -p
+// outside [0, 1] for gnp.
+func buildGraph(kind string, n int, p float64, seed uint64) (*graph.Graph, error) {
+	switch {
+	case n < 1:
+		return nil, fmt.Errorf("-n must be >= 1, got %d", n)
+	case kind == "cycle" && n < 3:
+		return nil, fmt.Errorf("-graph cycle needs -n >= 3, got %d", n)
+	case kind == "gnp" && !(p >= 0 && p <= 1):
+		return nil, fmt.Errorf("-p must be in [0, 1], got %v", p)
+	}
+	rng := xrand.New(seed ^ 0xabcdef)
+	switch kind {
+	case "path":
+		return graph.Path(n), nil
+	case "cycle":
+		return graph.Cycle(n), nil
+	case "grid":
+		side := graph.ISqrt(n)
+		return graph.Grid(side, side), nil
+	case "tree":
+		return graph.RandomTree(n, rng), nil
+	case "gnp":
+		return graph.Gnp(n, p, rng), nil
+	case "clique":
+		return graph.Complete(n), nil
+	default:
+		return nil, fmt.Errorf("unknown graph %q", kind)
+	}
 }

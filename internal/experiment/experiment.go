@@ -20,7 +20,8 @@ import (
 type Config struct {
 	// Scale multiplies problem sizes and trial counts. 1.0 is the full
 	// configuration (missweep's default); 0.25 is the quick configuration
-	// used by benchmarks and smoke tests. Values are clamped to [0.05, 4].
+	// used by benchmarks and smoke tests. 0 (or any value <= 0) selects 1;
+	// other values are clamped to [0.05, 4].
 	Scale float64
 	// Seed is the master seed; every trial derives from it.
 	Seed uint64
