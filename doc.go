@@ -48,9 +48,9 @@
 //
 // Layer 0 — internal/graph, the input. Every CSR graph is built by
 // graph.Builder.Build: the generators, graphio's edge-list and JSON
-// readers, FromEdges, InducedSubgraph and the edits in edit.go all append
-// edges to a Builder (graph.Relabel, which permutes an existing CSR, is the
-// one other constructor). Build sorts and deduplicates the edge list unless
+// readers, FromEdges and the edits in edit.go all append edges to a
+// Builder (graph.Relabel, which permutes an existing CSR, is the one other
+// constructor). Build sorts and deduplicates the edge list unless
 // it is already strictly increasing, as every row-major generator (G(n,p),
 // complete graphs, ...) and every WriteEdgeList file emit it; the scatter
 // then fills every neighbour list in increasing order through one int32

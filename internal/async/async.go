@@ -261,23 +261,6 @@ func (e *Engine) prune() {
 	}
 }
 
-// RunUntil advances the medium until stop returns true — checked at virtual
-// round boundaries, when every node has completed the round's slot — or
-// maxRounds rounds elapse. It returns the completed rounds and whether stop
-// fired, mirroring noderun.Engine.RunUntil so the two engines report
-// stabilization on the same scale.
-func (e *Engine) RunUntil(maxRounds int, stop func() bool) (rounds int, stopped bool) {
-	if e.g.N() == 0 || stop() {
-		return e.rounds, stop()
-	}
-	for e.rounds < maxRounds {
-		if e.processNext() && stop() {
-			return e.rounds, true
-		}
-	}
-	return e.rounds, stop()
-}
-
 // influenceHorizonRounds bounds, in virtual rounds, how long any beep
 // interval already on the air can keep overlapping listening slots: an
 // interval emitted before time T ends by T+maxLen and can influence
@@ -300,13 +283,14 @@ func (e *Engine) influenceHorizonRounds() int {
 // stabilization is reported only once the stable configuration's black
 // projection has survived, unchanged at every round boundary, for a full
 // influence horizon (influenceHorizonRounds). The returned round count is
-// the round at which the confirmed configuration was FIRST observed, which
-// at ρ = 1 (horizon zero) makes RunConfirmed behave exactly like RunUntil —
-// the pinned synchronous-equivalence semantics.
+// the round at which the confirmed configuration was FIRST observed. At
+// ρ = 1 (horizon zero) it is the first round boundary at which stable()
+// holds — the pinned synchronous-equivalence semantics.
 //
-// A run that reaches maxRounds without a candidate falls back to the
-// snapshot semantics of RunUntil (rounds, stable()); confirmation is
-// allowed to overrun the cap by at most one horizon.
+// A run that reaches maxRounds with no candidate under observation returns
+// the round count and false. A candidate still under observation at the cap
+// may confirm up to one horizon past it; after that the run returns the
+// round count and stable() as observed then.
 func (e *Engine) RunConfirmed(maxRounds int, stable func() bool, black func(int) bool) (rounds int, stabilized bool) {
 	n := e.g.N()
 	if n == 0 {
@@ -359,19 +343,6 @@ func (e *Engine) RunConfirmed(maxRounds int, stable func() bool, black func(int)
 	}
 }
 
-// StepRound advances the medium until the next virtual round completes —
-// every node has finished one more slot. Between StepRound calls at ρ = 1
-// the configuration equals the synchronous engine's after the same number
-// of Steps, which is how the cross-runtime equivalence matrix compares the
-// two engines round-for-round.
-func (e *Engine) StepRound() {
-	if e.g.N() == 0 {
-		return
-	}
-	for !e.processNext() {
-	}
-}
-
 // Rounds returns the number of completed virtual rounds: the slot count of
 // the slowest node, the asynchronous analogue of the synchronous round
 // counter.
@@ -396,15 +367,6 @@ func (e *Engine) ObservedSlotLens() (min, max int64) {
 	}
 	return e.obsMin, e.obsMax
 }
-
-// Model returns the communication model the medium enforces.
-func (e *Engine) Model() noderun.Model { return e.model }
-
-// Drift returns the drift model advancing the clocks.
-func (e *Engine) Drift() Drift { return e.drift }
-
-// Program returns vertex u's program, for observer-side inspection.
-func (e *Engine) Program(u int) noderun.Program { return e.progs[u] }
 
 // pushEvent inserts ev into the min-heap.
 func (e *Engine) pushEvent(ev event) {

@@ -97,9 +97,6 @@ func (EventualSync) Name() string { return "eventual-sync" }
 // Rho implements Drift.
 func (d EventualSync) Rho() float64 { return d.rho }
 
-// GST returns the stabilization time in base slots.
-func (d EventualSync) GST() int { return d.gst }
-
 // SlotLen implements Drift.
 func (d EventualSync) SlotLen(_, _ int, start int64, clock *xrand.Rand) int64 {
 	if start >= int64(d.gst)*SlotTicks {

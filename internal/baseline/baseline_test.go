@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func TestLubyProducesMIS(t *testing.T) {
 	}
 	for name, g := range families {
 		res := Luby(g, 7)
-		if err := verify.MISBools(g, res.InMIS); err != nil {
+		if err := misBools(g, res.InMIS); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if g.N() > 0 && res.Rounds == 0 {
@@ -41,7 +42,7 @@ func TestPermutationGreedyProducesMIS(t *testing.T) {
 	}
 	for name, g := range families {
 		res := PermutationGreedy(g, 9)
-		if err := verify.MISBools(g, res.InMIS); err != nil {
+		if err := misBools(g, res.InMIS); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -102,7 +103,7 @@ func TestGreedyMIS(t *testing.T) {
 	if !mis2[1] || !mis2[3] || mis2[0] || mis2[2] || mis2[4] {
 		t.Fatalf("GreedyMIS custom order = %v", mis2)
 	}
-	if err := verify.MISBools(g, mis2); err != nil {
+	if err := misBools(g, mis2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +124,7 @@ func TestPermutationGreedyMatchesSequentialGreedy(t *testing.T) {
 				t.Fatalf("trial %d: parallel and sequential greedy differ at %d", trial, u)
 			}
 		}
-		if err := verify.CheckGreedyMISCompatible(g, perm, func(u int) bool { return res.InMIS[u] }); err != nil {
+		if err := checkGreedyMISCompatible(g, perm, func(u int) bool { return res.InMIS[u] }); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -136,8 +137,8 @@ func TestBaselinesMISProperty(t *testing.T) {
 		r := master.Split(seed)
 		n := 2 + r.Intn(60)
 		g := graph.Gnp(n, r.Float64()*0.4, r)
-		return verify.MISBools(g, Luby(g, seed).InMIS) == nil &&
-			verify.MISBools(g, PermutationGreedy(g, seed).InMIS) == nil
+		return misBools(g, Luby(g, seed).InMIS) == nil &&
+			misBools(g, PermutationGreedy(g, seed).InMIS) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -155,4 +156,12 @@ func TestLubyDeterministic(t *testing.T) {
 			t.Fatal("Luby sets differ across identical runs")
 		}
 	}
+}
+
+// misBools is verify.MIS for a []bool vertex set.
+func misBools(g *graph.Graph, s []bool) error {
+	if len(s) != g.N() {
+		return fmt.Errorf("mask length %d != graph order %d", len(s), g.N())
+	}
+	return verify.MIS(g, func(u int) bool { return s[u] })
 }

@@ -79,9 +79,6 @@ func NewRestartMIS(g *graph.Graph, d int, zetaK uint, seed uint64) *RestartMIS {
 	return r
 }
 
-// Round returns the completed rounds.
-func (r *RestartMIS) Round() int { return r.round }
-
 // InMIS reports whether u currently claims MIS membership.
 func (r *RestartMIS) InMIS(u int) bool { return r.state[u] == phaseInMIS }
 

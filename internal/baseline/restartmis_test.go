@@ -54,7 +54,7 @@ func TestRestartMISStatesWellFormed(t *testing.T) {
 			}
 		}
 	}
-	if r.Round() != 2000 {
+	if r.round != 2000 {
 		t.Fatal("round counter wrong")
 	}
 }

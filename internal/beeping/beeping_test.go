@@ -117,7 +117,8 @@ func TestCollisionDetectionIsNecessary(t *testing.T) {
 	for i, nd := range nodes {
 		progs[i] = nd
 	}
-	engine := noderun.NewEngine(g, noderun.BeepingNoCD(), progs)
+	noCD := noderun.Model{Name: "beeping", Channels: 1, MaxBeepsPerNode: 1}
+	engine := noderun.NewEngine(g, noCD, progs)
 	for r := 0; r < 100; r++ {
 		engine.Step()
 	}

@@ -5,14 +5,11 @@
 // population counts, which this representation makes cache-friendly.
 package bitset
 
-import (
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 const wordBits = 64
 
-// Set is a fixed-capacity bitset over the universe [0, Len()). The zero value
+// Set is a fixed-capacity bitset over the universe [0, n). The zero value
 // is an empty set of capacity zero; use New to size it.
 type Set struct {
 	words []uint64
@@ -26,9 +23,6 @@ func New(n int) *Set {
 	}
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
-
-// Len returns the capacity (universe size) of the set.
-func (s *Set) Len() int { return s.n }
 
 // Reset reshapes s into an empty set over the universe [0, n), reusing the
 // existing word allocation when its capacity suffices. It is the recycling
@@ -60,23 +54,9 @@ func (s *Set) Remove(i int) {
 	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
-// SetTo adds i when v is true and removes it otherwise.
-func (s *Set) SetTo(i int, v bool) {
-	if v {
-		s.Add(i)
-	} else {
-		s.Remove(i)
-	}
-}
-
 // Contains reports whether i is in the set.
 func (s *Set) Contains(i int) bool {
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Flip toggles membership of i.
-func (s *Set) Flip(i int) {
-	s.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
 }
 
 // Clear removes all elements.
@@ -121,79 +101,6 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// CopyFrom overwrites s with the contents of t. The sets must have the same
-// capacity.
-func (s *Set) CopyFrom(t *Set) {
-	s.mustMatch(t)
-	copy(s.words, t.words)
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := New(s.n)
-	copy(c.words, s.words)
-	return c
-}
-
-// Union sets s = s ∪ t.
-func (s *Set) Union(t *Set) {
-	s.mustMatch(t)
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersect sets s = s ∩ t.
-func (s *Set) Intersect(t *Set) {
-	s.mustMatch(t)
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// Subtract sets s = s \ t.
-func (s *Set) Subtract(t *Set) {
-	s.mustMatch(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
-// Equal reports whether s and t contain exactly the same elements. Sets of
-// different capacity are never equal.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether s ∩ t is nonempty.
-func (s *Set) Intersects(t *Set) bool {
-	s.mustMatch(t)
-	for i, w := range t.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectionCount returns |s ∩ t| without materializing the intersection.
-func (s *Set) IntersectionCount(t *Set) int {
-	s.mustMatch(t)
-	c := 0
-	for i, w := range t.words {
-		c += bits.OnesCount64(s.words[i] & w)
-	}
-	return c
-}
-
 // ForEach calls fn for every element of the set in increasing order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
@@ -206,18 +113,15 @@ func (s *Set) ForEach(fn func(i int)) {
 	}
 }
 
-// Words returns the number of 64-bit words backing the set: ⌈Len()/64⌉.
-func (s *Set) Words() int { return len(s.words) }
-
 // Word returns the wi-th backing word; bit b of word wi is element 64·wi+b.
 // Bits at or above the universe size are always zero.
 func (s *Set) Word(wi int) uint64 { return s.words[wi] }
 
 // SetWord overwrites the wi-th backing word wholesale. Bits above the
 // universe size in the final word are masked off, preserving the Count
-// invariant. It is the word-parallel counterpart of SetTo: the engine's
-// bit-sliced kernel re-derives 64 memberships at a time and lands them here
-// with one store instead of 64 Contains/SetTo round trips.
+// invariant. It is the word-parallel counterpart of Add and Remove: the
+// engine's bit-sliced kernel re-derives 64 memberships at a time and lands
+// them here with one store instead of 64 single-bit writes.
 func (s *Set) SetWord(wi int, w uint64) {
 	s.words[wi] = w
 	if wi == len(s.words)-1 {
@@ -243,50 +147,4 @@ func (s *Set) ForEachWord(fn func(base int, w uint64)) {
 			fn(wi*wordBits, w)
 		}
 	}
-}
-
-// Elements appends the elements of s, in increasing order, to dst and returns
-// the extended slice. Pass nil to allocate.
-func (s *Set) Elements(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
-}
-
-// String renders the set as a compact element list, e.g. "{1 5 9}".
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
-			b.WriteByte(' ')
-		}
-		first = false
-		writeInt(&b, i)
-	})
-	b.WriteByte('}')
-	return b.String()
-}
-
-func (s *Set) mustMatch(t *Set) {
-	if s.n != t.n {
-		panic("bitset: capacity mismatch")
-	}
-}
-
-// writeInt writes the decimal representation of non-negative v without
-// allocating via fmt.
-func writeInt(b *strings.Builder, v int) {
-	if v == 0 {
-		b.WriteByte('0')
-		return
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	b.Write(buf[i:])
 }

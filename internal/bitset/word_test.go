@@ -54,8 +54,8 @@ func TestSetWordMasksTail(t *testing.T) {
 	if s.Contains(0) || !s.Contains(1) || s.Contains(2) || !s.Contains(3) {
 		t.Fatal("SetWord bits landed on wrong elements")
 	}
-	if s.Words() != 2 {
-		t.Fatalf("Words() = %d, want 2", s.Words())
+	if len(s.words) != 2 {
+		t.Fatalf("%d backing words, want 2", len(s.words))
 	}
 }
 

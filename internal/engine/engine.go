@@ -145,7 +145,7 @@ type Core struct {
 	changes      []change
 	dirtyW       *bitset.Set // dirty lane words (universe = kern.Words())
 	dirtyAll     bool
-	forceGeneric bool        // DisableCompleteFastPath
+	forceGeneric bool        // set by the tests' DisableCompleteFastPath
 	ctx          *RunContext // non-nil when scratch is leased, not owned
 
 	// daemon accounting (daemon.go)
@@ -294,17 +294,6 @@ func (e *Core) ClassACount() int { return e.totalA }
 
 // StableCoreCount returns |I_t|: black vertices with no black neighbor.
 func (e *Core) StableCoreCount() int { return e.inI.Count() }
-
-// Complete reports whether the complete-graph fast path is engaged.
-func (e *Core) Complete() bool { return e.complete }
-
-// DisableCompleteFastPath forces the generic per-vertex counters even on
-// complete graphs; differential tests use it to exercise both paths on one
-// execution.
-func (e *Core) DisableCompleteFastPath() {
-	e.forceGeneric = true
-	e.Rebuild()
-}
 
 // Stabilized reports N+(I_t) = V. I_t is monotone non-decreasing under every
 // rule's dynamics (a stable black vertex keeps re-randomizing between its

@@ -7,6 +7,7 @@ import (
 	"ssmis/internal/engine/kernel"
 	"ssmis/internal/graph"
 	"ssmis/internal/sched"
+	"ssmis/internal/verify"
 	"ssmis/internal/xrand"
 )
 
@@ -35,7 +36,7 @@ func testInit(n int, seed uint64, ctx *RunContext) ([]uint8, []*xrand.Rand) {
 	var state []uint8
 	var rngs []*xrand.Rand
 	if ctx != nil {
-		state, rngs = ctx.Uint8Buf(n), ctx.VertexStreams(n, master)
+		state, rngs = ctx.Uint8Buf(n), ctx.VertexStreamsPerm(n, master, nil)
 	} else {
 		state, rngs = make([]uint8, n), make([]*xrand.Rand, n)
 		for u := range rngs {
@@ -303,8 +304,32 @@ func TestCompleteFastPathMatchesGeneric(t *testing.T) {
 			t.Fatalf("round %d: fast path diverged", fast.Round())
 		}
 	}
-	if !slow.Stabilized() || fast.Bits() != slow.Bits() {
+	if !slow.Stabilized() || fast.Round() != slow.Round() || fast.Bits() != slow.Bits() {
 		t.Fatal("fast/generic accounting mismatch")
+	}
+}
+
+// Rebinding from a clique to a non-clique must switch off the
+// complete-graph fast path (and counters must stay exact).
+func TestRebindCliqueFastPathToggles(t *testing.T) {
+	g := graph.Complete(10)
+	e := newTestCore(g, 5, Options{NoopWhenIdle: true})
+	for i := 0; i < 10000 && !e.Stabilized(); i++ {
+		e.Step()
+	}
+	g2 := g.WithEdgeToggled(0, 1)
+	e.Rebind(g2)
+	if e.Complete() {
+		t.Fatal("fast path still enabled after losing an edge")
+	}
+	if err := e.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000 && !e.Stabilized(); i++ {
+		e.Step()
+	}
+	if err := verify.MIS(g2, func(u int) bool { return e.States()[u] == tBlack }); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -117,9 +117,6 @@ func (l *Lanes) Configure(prog *Program, n int) {
 	}
 }
 
-// N returns the universe size.
-func (l *Lanes) N() int { return l.n }
-
 // Words returns the number of 64-bit words per lane.
 func (l *Lanes) Words() int { return len(l.lo) }
 
@@ -151,21 +148,12 @@ func (l *Lanes) Code(u int) uint8 {
 // StateAt returns the rule state value of vertex u (the code round-trip).
 func (l *Lanes) StateAt(u int) uint8 { return l.prog.spec.StateOf[l.Code(u)] }
 
-// Black reports the black projection of vertex u — the lo bit, by the
-// encoding contract.
-func (l *Lanes) Black(u int) bool {
-	return l.lo[u/wordBits]>>(uint(u)%wordBits)&1 == 1
-}
-
 // HasANbr reports the hasANbr bit of vertex u (counter A nonzero).
 func (l *Lanes) HasANbr(u int) bool { return laneBit(l.hbnA, u) == 1 }
 
 // HasBNbr reports the hasBNbr bit of vertex u (counter B nonzero; false
 // when the lane is not engaged).
 func (l *Lanes) HasBNbr(u int) bool { return laneBit(l.hbnB, u) == 1 }
-
-// GateBit reports the gate bit of vertex u (false when not engaged).
-func (l *Lanes) GateBit(u int) bool { return laneBit(l.gate, u) == 1 }
 
 // HBNWords exposes the raw hasANbr/hasBNbr lane words for the engine's
 // commit, whose per-neighbor zero-crossing flips are the hottest writes on

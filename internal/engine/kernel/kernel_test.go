@@ -192,7 +192,8 @@ func TestPredicateWordIdentities(t *testing.T) {
 				if got := l.TouchedWord(u/64)>>(uint(u)%64)&1 == 1; got != tc.prog.TouchedBit(code, a, b) {
 					t.Fatalf("%s n=%d vertex %d: touched=%v, table says %v", tc.name, n, u, got, !got)
 				}
-				wantCore := l.Black(u) && nbrA[u] == 0
+				// Black is the lo bit, by the encoding contract.
+				wantCore := laneBit(l.lo, u) == 1 && nbrA[u] == 0
 				if got := l.CoreWord(u/64)>>(uint(u)%64)&1 == 1; got != wantCore {
 					t.Fatalf("%s n=%d vertex %d: core=%v, rule says %v", tc.name, n, u, got, wantCore)
 				}
@@ -264,7 +265,7 @@ func scalarEval(l *Lanes, rngs []*xrand.Rand, bias float64) ([]Change, int64) {
 	var drawn int64
 	for u := 0; u < l.n; u++ {
 		s := l.StateAt(u)
-		ns, d := l.prog.Next(s, l.HasANbr(u), l.HasBNbr(u), l.GateBit(u), rngs[u], bias)
+		ns, d := l.prog.Next(s, l.HasANbr(u), l.HasBNbr(u), laneBit(l.gate, u) == 1, rngs[u], bias)
 		drawn += d
 		if ns != s {
 			changes = append(changes, Change{U: int32(u), S: ns})
@@ -352,8 +353,8 @@ func TestConfigureRuleSwitchClearsLanes(t *testing.T) {
 	}
 	dirtyAll()
 	l.Configure(twoProg, 100)
-	if l.Words() != 2 || l.N() != 100 {
-		t.Fatalf("reshaped to %d words / n=%d", l.Words(), l.N())
+	if l.Words() != 2 || l.n != 100 {
+		t.Fatalf("reshaped to %d words / n=%d", l.Words(), l.n)
 	}
 	if len(l.hi) != 0 || len(l.hbnB) != 0 || len(l.gate) != 0 {
 		t.Fatal("2-state program left multi-lane state engaged")

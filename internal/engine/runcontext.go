@@ -179,17 +179,12 @@ func (c *RunContext) BoolBuf(n int) []bool {
 	return c.mask
 }
 
-// VertexStreams leases the context's per-vertex generator array, reseeded to
-// master.Split(u) for each vertex u — the allocation-free counterpart of
-// splitting n fresh streams per run.
-func (c *RunContext) VertexStreams(n int, master *xrand.Rand) []*xrand.Rand {
-	return c.VertexStreamsPerm(n, master, nil)
-}
-
-// VertexStreamsPerm is VertexStreams under a locality relabeling: the stream
-// of original vertex u (always master.Split(u) — stream identity is keyed by
-// original ids) lands at slot ord.NewID(u), where the relabeled engine looks
-// it up. A nil ordering is the identity.
+// VertexStreamsPerm leases the context's per-vertex generator array — the
+// allocation-free counterpart of splitting n fresh streams per run — under a
+// locality relabeling: the stream of original vertex u (always
+// master.Split(u) — stream identity is keyed by original ids) lands at slot
+// ord.NewID(u), where the relabeled engine looks it up. A nil ordering is
+// the identity.
 func (c *RunContext) VertexStreamsPerm(n int, master *xrand.Rand, ord *graph.Ordering) []*xrand.Rand {
 	if cap(c.rands) < n {
 		c.rands = make([]xrand.Rand, n)

@@ -66,16 +66,6 @@ func (m *Measurement) Count() int { return m.rounds.N() }
 // Summary of the round samples; panics if all trials failed.
 func (m *Measurement) Summary() stats.Summary { return m.rounds.Summary() }
 
-// Failures returns the number of runs that hit the round cap.
-func (m *Measurement) Failures() int { return m.failures }
-
-// Broken returns the number of stabilized runs whose black set failed MIS
-// verification (any nonzero value is a simulator bug).
-func (m *Measurement) Broken() int { return m.misBroken }
-
-// Trials returns the trial count the measurement was created with.
-func (m *Measurement) Trials() int { return m.trials }
-
 // RoundsValues returns the per-run stabilization-round samples in trial
 // order (the tail-analysis input; allocates a copy).
 func (m *Measurement) RoundsValues() []float64 { return m.rounds.Values() }

@@ -42,19 +42,6 @@ func (r *Report) Good() bool {
 	return true
 }
 
-// String summarizes the report on one line.
-func (r *Report) String() string {
-	s := fmt.Sprintf("good-graph n=%d p=%.4g:", r.N, r.P)
-	for k := 1; k <= 6; k++ {
-		mark := "ok"
-		if !r.Pass[k] {
-			mark = "FAIL"
-		}
-		s += fmt.Sprintf(" P%d=%s", k, mark)
-	}
-	return s
-}
-
 // Checker runs the property checks with a configurable sampling budget.
 type Checker struct {
 	// Samples is the number of random subsets (or triples) drawn per

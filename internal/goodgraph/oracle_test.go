@@ -5,6 +5,8 @@ package goodgraph
 // This grounds the sampled checker: a graph the exhaustive checker accepts
 // can never be rejected by the sampler, and planted violations the sampler
 // might miss are found with certainty — the tests quantify both directions.
+// It is the exact oracle of those tests and nothing else calls it, so it
+// lives with them.
 
 import (
 	"fmt"

@@ -54,16 +54,6 @@ func Star(n int) *Graph {
 	return b.Build()
 }
 
-// CompleteBinaryTree returns the complete binary tree on n vertices with root
-// 0 and children 2i+1, 2i+2 (heap layout).
-func CompleteBinaryTree(n int) *Graph {
-	b := NewBuilder(n)
-	for u := 1; u < n; u++ {
-		b.AddEdge(u, (u-1)/2)
-	}
-	return b.Build()
-}
-
 // RandomTree returns a uniformly random recursive tree on n vertices: vertex
 // i > 0 attaches to a uniform vertex in [0, i). Such trees have expected
 // maximum degree Θ(log n) and arboricity 1, the family of Theorem 11.
@@ -149,24 +139,6 @@ func Torus(rows, cols int) *Graph {
 	return b.Build()
 }
 
-// Hypercube returns the d-dimensional hypercube on 2^d vertices.
-func Hypercube(d int) *Graph {
-	if d < 0 || d > 24 {
-		panic("graph: Hypercube dimension out of range [0,24]")
-	}
-	n := 1 << uint(d)
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for bit := 0; bit < d; bit++ {
-			v := u ^ (1 << uint(bit))
-			if v > u {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // DisjointCliques returns the disjoint union of count cliques each of size
 // size (Remark 9's workload: √n cliques K_{√n}).
 func DisjointCliques(count, size int) *Graph {
@@ -180,36 +152,6 @@ func DisjointCliques(count, size int) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// CliqueChain returns count cliques of the given size arranged in a chain,
-// consecutive cliques joined by a single bridge edge. Useful as a
-// high-diameter, locally-dense stress case.
-func CliqueChain(count, size int) *Graph {
-	b := NewBuilder(count * size)
-	for c := 0; c < count; c++ {
-		base := c * size
-		for u := 0; u < size; u++ {
-			for v := u + 1; v < size; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-		if c > 0 {
-			b.AddEdge(base-1, base)
-		}
-	}
-	return b.Build()
-}
-
-// CompleteBipartite returns K_{a,b} with parts [0,a) and [a,a+b).
-func CompleteBipartite(a, b int) *Graph {
-	bl := NewBuilder(a + b)
-	for u := 0; u < a; u++ {
-		for v := 0; v < b; v++ {
-			bl.AddEdge(u, a+v)
-		}
-	}
-	return bl.Build()
 }
 
 // Gnp returns an Erdős–Rényi random graph G(n,p): every pair is an edge
@@ -549,20 +491,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Lollipop returns a clique of size cliqueSize with a path of length tail
-// attached — a classic "dense core, long tail" stress case.
-func Lollipop(cliqueSize, tail int) *Graph {
-	n := cliqueSize + tail
-	b := NewBuilder(n)
-	for u := 0; u < cliqueSize; u++ {
-		for v := u + 1; v < cliqueSize; v++ {
-			b.AddEdge(u, v)
-		}
-	}
-	for i := 0; i < tail; i++ {
-		b.AddEdge(cliqueSize-1+i, cliqueSize+i)
-	}
-	return b.Build()
 }

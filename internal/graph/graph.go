@@ -53,17 +53,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
 // The value is memoized at construction — the graph is immutable, and the
-// engine's counter-width selection, DegreeHistogram, restartmis, and both
-// CLIs' banner lines all ask repeatedly.
+// engine's counter-width selection, restartmis, and both CLIs' banner lines
+// all ask repeatedly.
 func (g *Graph) MaxDegree() int { return g.maxDeg }
-
-// AvgDegree returns the average vertex degree 2m/n, or 0 for n = 0.
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.M()) / float64(g.N())
-}
 
 // Edges calls fn once per undirected edge {u, v} with u < v.
 func (g *Graph) Edges(fn func(u, v int)) {
@@ -74,11 +66,6 @@ func (g *Graph) Edges(fn func(u, v int)) {
 			}
 		}
 	}
-}
-
-// String returns a short human-readable summary.
-func (g *Graph) String() string {
-	return fmt.Sprintf("graph{n=%d m=%d}", g.N(), g.M())
 }
 
 // Builder accumulates edges and produces an immutable Graph. Self-loops are
@@ -239,37 +226,4 @@ func FromEdges(n int, edges [][2]int) *Graph {
 		b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
-}
-
-// InducedSubgraph returns the induced subgraph G[S] together with the mapping
-// from new vertex ids to original ids. S may be in any order; duplicate
-// entries panic.
-func (g *Graph) InducedSubgraph(s []int) (*Graph, []int) {
-	idx := make(map[int]int, len(s))
-	orig := make([]int, len(s))
-	for i, u := range s {
-		if _, dup := idx[u]; dup {
-			panic(fmt.Sprintf("graph: duplicate vertex %d in InducedSubgraph", u))
-		}
-		idx[u] = i
-		orig[i] = u
-	}
-	b := NewBuilder(len(s))
-	for i, u := range orig {
-		for _, v := range g.Neighbors(u) {
-			if j, ok := idx[int(v)]; ok && j > i {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	return b.Build(), orig
-}
-
-// DegreeHistogram returns counts[d] = number of vertices of degree d.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for u := 0; u < g.N(); u++ {
-		counts[g.Degree(u)]++
-	}
-	return counts
 }

@@ -95,7 +95,7 @@ func TestDegreeBucketOrderIsValid(t *testing.T) {
 		ChungLu(2000, 2.5, 8, rng),
 		Gnp(500, 0.02, rng),
 		revStar.Build(),
-		CliqueChain(4, 16),
+		cliqueChain(4, 16),
 	} {
 		ord := DegreeBucketOrder(g)
 		if ord == nil {

@@ -84,21 +84,3 @@ func TestRebindEdgeRemovalBreaksMaximality(t *testing.T) {
 		t.Fatal("isolated-side vertex did not join the MIS")
 	}
 }
-
-func TestRebindCliqueFastPathToggles(t *testing.T) {
-	// Rebinding from a clique to a non-clique must switch off the
-	// complete-graph fast path (and counters must stay exact).
-	g := graph.Complete(10)
-	p := NewTwoState(g, WithSeed(5))
-	Run(p, 10000)
-	g2 := g.WithEdgeToggled(0, 1)
-	p.Rebind(g2)
-	if p.core.Complete() {
-		t.Fatal("fast path still enabled after losing an edge")
-	}
-	p.checkCounters(t)
-	Run(p, 10000)
-	if err := verify.MIS(g2, p.Black); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -19,7 +19,6 @@ type RefTwoState struct {
 	g     *graph.Graph
 	black []bool
 	rngs  []*xrand.Rand
-	round int
 }
 
 // NewRefTwoState creates the oracle with the given initial colors (copied).
@@ -34,9 +33,6 @@ func NewRefTwoState(g *graph.Graph, seed uint64, initial []bool) *RefTwoState {
 
 // Black reports the color of u.
 func (p *RefTwoState) Black(u int) bool { return p.black[u] }
-
-// Round returns completed rounds.
-func (p *RefTwoState) Round() int { return p.round }
 
 func (p *RefTwoState) hasBlackNeighbor(u int, colors []bool) bool {
 	for _, v := range p.g.Neighbors(u) {
@@ -60,7 +56,6 @@ func (p *RefTwoState) Step() {
 		}
 	}
 	p.black = next
-	p.round++
 }
 
 // Stabilized recomputes the activity predicate from scratch.
@@ -79,7 +74,6 @@ type RefThreeState struct {
 	g     *graph.Graph
 	state []TriState
 	rngs  []*xrand.Rand
-	round int
 }
 
 // NewRefThreeState creates the oracle with the given initial states (copied).
@@ -94,9 +88,6 @@ func NewRefThreeState(g *graph.Graph, seed uint64, initial []TriState) *RefThree
 
 // State returns u's current state.
 func (p *RefThreeState) State(u int) TriState { return p.state[u] }
-
-// Round returns completed rounds.
-func (p *RefThreeState) Round() int { return p.round }
 
 // Step is the verbatim Definition 5 rule.
 func (p *RefThreeState) Step() {
@@ -127,7 +118,6 @@ func (p *RefThreeState) Step() {
 		}
 	}
 	p.state = next
-	p.round++
 }
 
 // RefThreeColor is the oracle for ThreeColor, including its own verbatim
@@ -137,7 +127,6 @@ type RefThreeColor struct {
 	color []Color
 	level []uint8
 	rngs  []*xrand.Rand
-	round int
 	zetaK uint
 }
 
@@ -159,9 +148,6 @@ func (p *RefThreeColor) ColorOf(u int) Color { return p.color[u] }
 
 // Level returns u's switch level.
 func (p *RefThreeColor) Level(u int) uint8 { return p.level[u] }
-
-// Round returns completed rounds.
-func (p *RefThreeColor) Round() int { return p.round }
 
 // Step is the verbatim Definition 28 color rule (reading σ_{t-1} off the
 // current levels) followed by the Definition 26 switch rule, with the color
@@ -218,5 +204,4 @@ func (p *RefThreeColor) Step() {
 	}
 	p.color = nextColor
 	p.level = nextLevel
-	p.round++
 }

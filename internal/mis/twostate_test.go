@@ -33,7 +33,7 @@ func TestTwoStateStabilizesOnFamilies(t *testing.T) {
 		"grid":       graph.Grid(10, 10),
 		"gnp-sparse": graph.Gnp(300, 0.01, rng),
 		"gnp-dense":  graph.Gnp(120, 0.3, rng),
-		"bipartite":  graph.CompleteBipartite(10, 15),
+		"bipartite":  completeBipartite(10, 15),
 		"cliques":    graph.DisjointCliques(8, 8),
 	}
 	for name, g := range families {
@@ -212,32 +212,6 @@ func TestTwoStateWithInitialBlackWrongLengthPanics(t *testing.T) {
 	NewTwoState(graph.Path(3), WithInitialBlack([]bool{true}))
 }
 
-func TestTwoStateCompleteFastPathMatchesGeneric(t *testing.T) {
-	g := graph.Complete(40)
-	fast := NewTwoState(g, WithSeed(10))
-	slow := NewTwoState(g, WithSeed(10))
-	if !fast.core.Complete() {
-		t.Fatal("complete graph not detected")
-	}
-	// Disable the fast path and rebuild counters.
-	slow.core.DisableCompleteFastPath()
-	for !fast.Stabilized() || !slow.Stabilized() {
-		fast.Step()
-		slow.Step()
-		for u := 0; u < g.N(); u++ {
-			if fast.Black(u) != slow.Black(u) {
-				t.Fatalf("round %d: fast/slow diverged at %d", fast.Round(), u)
-			}
-		}
-		if fast.Round() > 10000 {
-			t.Fatal("no stabilization")
-		}
-	}
-	if fast.Round() != slow.Round() {
-		t.Fatal("fast and slow stabilized at different rounds")
-	}
-}
-
 func TestTwoStateCorruptionRecovery(t *testing.T) {
 	g := graph.Gnp(100, 0.07, xrand.New(11))
 	p := NewTwoState(g, WithSeed(12))
@@ -320,4 +294,15 @@ func TestTwoStateCliqueMeanRounds(t *testing.T) {
 	if mean > 12*8 { // 12·log2(256)
 		t.Fatalf("K_%d mean stabilization %.1f rounds, suspiciously high", n, mean)
 	}
+}
+
+// completeBipartite builds K_{a,b} with parts [0,a) and [a,a+b).
+func completeBipartite(a, b int) *graph.Graph {
+	bl := graph.NewBuilder(a + b)
+	for u := 0; u < a; u++ {
+		for v := 0; v < b; v++ {
+			bl.AddEdge(u, a+v)
+		}
+	}
+	return bl.Build()
 }

@@ -62,11 +62,6 @@ func BeepingCD() Model {
 	return Model{Name: "beeping-cd", Channels: 1, MaxBeepsPerNode: 1, SenderCollisionDetection: true}
 }
 
-// BeepingNoCD is the classic beeping model without collision detection.
-func BeepingNoCD() Model {
-	return Model{Name: "beeping", Channels: 1, MaxBeepsPerNode: 1, SenderCollisionDetection: false}
-}
-
 // StoneAge is the synchronous stone age model: a constant number of beep
 // channels, at most one beep per node per round, and message reception
 // independent of own transmission (so no collision-detection issue arises).
@@ -104,12 +99,6 @@ func NewEngine(g *graph.Graph, model Model, progs []Program) *Engine {
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() int { return e.round }
-
-// Model returns the communication model the medium enforces.
-func (e *Engine) Model() Model { return e.model }
-
-// Program returns vertex u's program, for inspection between rounds.
-func (e *Engine) Program(u int) Program { return e.progs[u] }
 
 // Step executes one synchronous round. It panics if a program violates the
 // model's beep constraints — protocol bugs, not runtime conditions.

@@ -72,9 +72,11 @@ func TestCollisionDetectionModes(t *testing.T) {
 		t.Fatalf("full-duplex: heard %b/%b, want 1/1", psCD[0].heard, psCD[1].heard)
 	}
 
+	// The classic beeping model: no sender collision detection.
+	noCD := Model{Name: "beeping", Channels: 1, MaxBeepsPerNode: 1}
 	psNo := newEcho(2)
 	psNo[0].beep, psNo[1].beep = true, true
-	e2 := NewEngine(g, BeepingNoCD(), asPrograms(psNo))
+	e2 := NewEngine(g, noCD, asPrograms(psNo))
 	e2.Step()
 	if psNo[0].heard != 0 || psNo[1].heard != 0 {
 		t.Fatalf("no-CD: heard %b/%b, want 0/0", psNo[0].heard, psNo[1].heard)
@@ -82,7 +84,7 @@ func TestCollisionDetectionModes(t *testing.T) {
 	// A silent listener adjacent to a beeper still hears it without CD.
 	psMix := newEcho(2)
 	psMix[0].beep = true
-	e3 := NewEngine(g, BeepingNoCD(), asPrograms(psMix))
+	e3 := NewEngine(g, noCD, asPrograms(psMix))
 	e3.Step()
 	if psMix[1].heard != 1 {
 		t.Fatal("listener did not hear beep in no-CD model")
@@ -174,16 +176,4 @@ func TestProgramCountValidated(t *testing.T) {
 		}
 	}()
 	NewEngine(graph.Path(3), BeepingCD(), asPrograms(newEcho(2)))
-}
-
-func TestModelAccessors(t *testing.T) {
-	g := graph.Path(2)
-	ps := newEcho(2)
-	e := NewEngine(g, StoneAge(3), asPrograms(ps))
-	if e.Model().Channels != 3 || e.Model().Name != "stone-age" {
-		t.Fatal("Model accessor wrong")
-	}
-	if e.Program(1) != ps[1] {
-		t.Fatal("Program accessor wrong")
-	}
 }

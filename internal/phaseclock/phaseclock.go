@@ -58,7 +58,6 @@ type Clock struct {
 	// flips is per-round scratch: the vertices that entered the top (u)
 	// or left it (^u) this round, whose neighbours' counts change.
 	flips     []int32
-	round     int
 	bits      int64
 	completeG bool // fast path: global max level suffices
 }
@@ -74,11 +73,6 @@ func WithD(d int) Option {
 // WithZetaLog2 sets ζ = 2^-k (default k = 7).
 func WithZetaLog2(k uint) Option {
 	return func(c *Clock) { c.zetaLog2 = k }
-}
-
-// WithOnThreshold sets the largest level mapped to "on" (default 2).
-func WithOnThreshold(m uint8) Option {
-	return func(c *Clock) { c.onMax = m }
 }
 
 // WithBuffers builds the clock on caller-owned arrays instead of fresh
@@ -175,9 +169,6 @@ func (c *Clock) Top() uint8 { return uint8(c.d + 2) }
 
 // States returns the number of per-vertex states, D+3.
 func (c *Clock) States() int { return c.d + 3 }
-
-// Round returns the number of completed steps.
-func (c *Clock) Round() int { return c.round }
 
 // RandomBits returns the total random bits consumed so far (a ζ = 2^-k coin
 // costs k bits).
@@ -315,7 +306,6 @@ func (c *Clock) Step(rngs []*xrand.Rand) {
 		c.stepCounted(rngs)
 	}
 	c.levels, c.next = c.next, c.levels
-	c.round++
 }
 
 // stepCounted is one round on a general graph, driven by the top-neighbour

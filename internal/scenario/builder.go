@@ -23,13 +23,6 @@ func New(name string) *Builder {
 // Title sets the compiled experiment's title line.
 func (b *Builder) Title(t string) *Builder { b.s.Title = t; return b }
 
-// Claim sets the compiled experiment's claim line.
-func (b *Builder) Claim(c string) *Builder { b.s.Claim = c; return b }
-
-// Errors returns the construction errors accumulated so far (Build adds the
-// validation issues on top).
-func (b *Builder) Errors() []string { return append([]string(nil), b.errs...) }
-
 // Build assembles the scenario and validates it, returning every
 // construction and validation issue in one *ValidationError.
 func (b *Builder) Build() (*Scenario, error) {
@@ -149,21 +142,16 @@ func (sb *ScalingBuilder) Tail(title string, kMax int) *ScalingBuilder {
 	return sb
 }
 
-// Scenario returns to the parent builder (chaining sugar; the sub-builder
-// mutates the parent in place either way).
-func (sb *ScalingBuilder) Scenario() *Builder { return sb.b }
-
 // DaemonMatrix appends a daemon-matrix unit and returns its sub-builder.
 // The title may use the {n} and {trials} placeholders.
 func (b *Builder) DaemonMatrix(title string) *DaemonMatrixBuilder {
 	u := &DaemonMatrixUnit{Type: "daemon-matrix", Title: title}
 	b.s.Units = append(b.s.Units, Unit{DaemonMatrix: u})
-	return &DaemonMatrixBuilder{b: b, u: u}
+	return &DaemonMatrixBuilder{u: u}
 }
 
 // DaemonMatrixBuilder configures one daemon-matrix unit.
 type DaemonMatrixBuilder struct {
-	b *Builder
 	u *DaemonMatrixUnit
 }
 
@@ -208,26 +196,16 @@ func (db *DaemonMatrixBuilder) Sequential(seqSeedOffset uint64) *DaemonMatrixBui
 	return db
 }
 
-// Notes appends verbatim table notes.
-func (db *DaemonMatrixBuilder) Notes(notes ...string) *DaemonMatrixBuilder {
-	db.u.Notes = append(db.u.Notes, notes...)
-	return db
-}
-
-// Scenario returns to the parent builder.
-func (db *DaemonMatrixBuilder) Scenario() *Builder { return db.b }
-
 // Fault appends a fault unit and returns its sub-builder. The title may use
 // the {n} and {k} placeholders.
 func (b *Builder) Fault(title string) *FaultBuilder {
 	u := &FaultUnit{Type: "fault", Title: title}
 	b.s.Units = append(b.s.Units, Unit{Fault: u})
-	return &FaultBuilder{b: b, u: u}
+	return &FaultBuilder{u: u}
 }
 
 // FaultBuilder configures one fault unit.
 type FaultBuilder struct {
-	b *Builder
 	u *FaultUnit
 }
 
@@ -266,12 +244,3 @@ func (fb *FaultBuilder) Adversaries(names ...string) *FaultBuilder {
 
 // SeedOffset shifts the cell master seeds.
 func (fb *FaultBuilder) SeedOffset(o uint64) *FaultBuilder { fb.u.SeedOffset = o; return fb }
-
-// Notes appends verbatim table notes.
-func (fb *FaultBuilder) Notes(notes ...string) *FaultBuilder {
-	fb.u.Notes = append(fb.u.Notes, notes...)
-	return fb
-}
-
-// Scenario returns to the parent builder.
-func (fb *FaultBuilder) Scenario() *Builder { return fb.b }

@@ -55,20 +55,6 @@ type Unit struct {
 // UnitTypeNames lists the unit type tags.
 func UnitTypeNames() []string { return []string{"scaling", "daemon-matrix", "fault"} }
 
-// typeName returns the tag of the populated member ("" when empty).
-func (u Unit) typeName() string {
-	switch {
-	case u.Scaling != nil:
-		return "scaling"
-	case u.DaemonMatrix != nil:
-		return "daemon-matrix"
-	case u.Fault != nil:
-		return "fault"
-	default:
-		return ""
-	}
-}
-
 // GraphSpec names a registered graph family with its parameter bindings.
 type GraphSpec struct {
 	Family string             `json:"family"`

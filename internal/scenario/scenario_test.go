@@ -23,13 +23,13 @@ func mustBuild(b *Builder) *Scenario {
 
 // validScenario is a minimal well-formed scenario used as the mutation base.
 func validScenario() *Scenario {
-	return mustBuild(New("smoke").
-		Scaling("smoke: 2-state on cycles").
+	b := New("smoke")
+	b.Scaling("smoke: 2-state on cycles").
 		Process("2-state").
 		Graph("cycle", nil).
 		Sizes(64, 128).
-		Trials(6).
-		Scenario())
+		Trials(6)
+	return mustBuild(b)
 }
 
 func wantIssue(t *testing.T, err error, substr string) {
@@ -171,8 +171,8 @@ func TestBuilderAccumulatesErrors(t *testing.T) {
 	for _, want := range []string{"AsyncBounded", "name", "process", "graph family"} {
 		wantIssue(t, err, want)
 	}
-	if errs := b.Errors(); len(errs) != 1 || !strings.Contains(errs[0], "AsyncBounded") {
-		t.Errorf("Errors() = %v, want the one construction error", errs)
+	if errs := b.errs; len(errs) != 1 || !strings.Contains(errs[0], "AsyncBounded") {
+		t.Errorf("construction errors = %v, want the one construction error", errs)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestCodecRejections(t *testing.T) {
 // Encode→Decode→Plan equality across all three unit types and the async
 // runtime — the fuzzer's round-trip property, pinned deterministically.
 func TestRoundTripPlanEquality(t *testing.T) {
-	b := New("kitchen-sink").Title("everything at once").Claim("round trip")
+	b := New("kitchen-sink").Title("everything at once")
 	b.Scaling("sync scaling with tail").
 		Process("2-state").Graph("gnp", Params{"p": 0.02}).
 		Sizes(128, 256).Trials(8).SeedOffset(7).
@@ -235,6 +235,7 @@ func TestRoundTripPlanEquality(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	s.Claim = "round trip"
 	wantPlan, err := s.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -284,14 +285,14 @@ func TestTitleFormat(t *testing.T) {
 // A compiled non-sync unit must actually run: smoke the beeping runtime
 // through the shared pool path at tiny scale.
 func TestCompiledRuntimeScalingRuns(t *testing.T) {
-	s := mustBuild(New("beep-smoke").
-		Scaling("beeping 2-state on cycles").
+	b := New("beep-smoke")
+	b.Scaling("beeping 2-state on cycles").
 		Process("2-state").
 		Graph("cycle", nil).
 		Sizes(48, 96).
 		Trials(4).
-		Runtime("beeping").
-		Scenario())
+		Runtime("beeping")
+	s := mustBuild(b)
 	exp, err := s.Compile()
 	if err != nil {
 		t.Fatal(err)

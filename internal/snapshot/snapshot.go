@@ -109,14 +109,6 @@ func Decode(data []byte, kind string, out any) error {
 	return nil
 }
 
-// Kind reports the payload kind of an encoded snapshot after full envelope
-// validation (version, length, checksum) — the CLIs use it to route a file
-// to the right decoder and to reject damage before trusting the kind.
-func Kind(data []byte) (string, error) {
-	kind, _, err := open(data)
-	return kind, err
-}
-
 // open validates the envelope and returns (kind, payload bytes).
 func open(data []byte) (string, []byte, error) {
 	header := len(magic) + 8 // magic + version + kindLen

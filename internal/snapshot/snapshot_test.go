@@ -43,8 +43,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k, err := Kind(blob); err != nil || k != kind {
-			t.Fatalf("Kind = %q, %v; want %q", k, err, kind)
+		if k, _, err := open(blob); err != nil || k != kind {
+			t.Fatalf("kind = %q, %v; want %q", k, err, kind)
 		}
 		var out testPayload
 		if err := Decode(blob, kind, &out); err != nil {

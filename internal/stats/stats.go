@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the standard descriptive statistics of a sample.
@@ -21,39 +20,6 @@ type Summary struct {
 	Median float64
 	P90    float64
 	P99    float64
-}
-
-// Summarize computes descriptive statistics. It panics on an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		panic("stats: Summarize of empty sample")
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.StdDev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = quantileSorted(sorted, 0.5)
-	s.P90 = quantileSorted(sorted, 0.9)
-	s.P99 = quantileSorted(sorted, 0.99)
-	return s
 }
 
 // String renders the summary on one line.
@@ -71,34 +37,6 @@ func (s Summary) MeanCI95() float64 {
 	return 1.96 * s.StdDev / math.Sqrt(float64(s.N))
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample using linear
-// interpolation between order statistics. It panics on an empty sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Mean returns the arithmetic mean (0 for an empty sample).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -109,27 +47,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MeanInts converts and averages an integer sample.
-func MeanInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// Floats converts an integer sample to float64.
-func Floats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 // LinearFit fits y ≈ a + b·x by ordinary least squares and returns the
@@ -207,27 +124,6 @@ func PowerFit(ns []float64, ts []float64) (c, k, r2 float64) {
 	}
 	a, b, r2 := LinearFit(x, y)
 	return math.Exp(a), b, r2
-}
-
-// Histogram bins xs into width-sized bins starting at lo and returns the
-// counts; values below lo go to bin 0, values at or above lo+width*len
-// clamp into the last bin.
-func Histogram(xs []float64, lo, width float64, bins int) []int {
-	if bins <= 0 || width <= 0 {
-		panic("stats: Histogram needs positive bins and width")
-	}
-	counts := make([]int, bins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }
 
 // GeometricTailSlope estimates the decay rate of P[X >= k·scale] in

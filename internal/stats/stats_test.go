@@ -76,13 +76,6 @@ func TestMeanHelpers(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
 	}
-	if MeanInts([]int{1, 2, 3}) != 2 {
-		t.Fatal("MeanInts wrong")
-	}
-	f := Floats([]int{1, 2})
-	if len(f) != 2 || f[0] != 1 || f[1] != 2 {
-		t.Fatal("Floats wrong")
-	}
 }
 
 func TestLinearFitExact(t *testing.T) {
@@ -186,24 +179,6 @@ func TestPolylogVsPowerDiscrimination(t *testing.T) {
 	if kCross > 0.25 {
 		t.Fatalf("power fit of polylog data has exponent %v", kCross)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 1.7, 2.5, 9.9, -3}
-	h := Histogram(xs, 0, 1, 3)
-	// bin0: 0.5 and -3 (clamped); bin1: 1.5, 1.7; bin2: 2.5 and 9.9 (clamped).
-	if h[0] != 2 || h[1] != 2 || h[2] != 2 {
-		t.Fatalf("Histogram = %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Histogram(nil, 0, 0, 3)
 }
 
 func TestGeometricTailSlope(t *testing.T) {

@@ -64,9 +64,6 @@ func (s *Stream) N() int { return s.n }
 // Mean returns the running mean (0 for an empty stream).
 func (s *Stream) Mean() float64 { return s.mean }
 
-// Min and Max return the extrema (0 for an empty stream).
-func (s *Stream) Min() float64 { return s.min }
-
 // Max returns the largest sample seen (0 for an empty stream).
 func (s *Stream) Max() float64 { return s.max }
 
@@ -102,8 +99,8 @@ func (s *Stream) sortedValues() []float64 {
 	return vals
 }
 
-// Quantile returns the q-quantile with the same interpolation between order
-// statistics as the slice-based Quantile, reconstructed from value counts.
+// Quantile returns the q-quantile (0 <= q <= 1), interpolating linearly
+// between order statistics reconstructed from value counts.
 // It panics on an empty stream or a non-quantile stream.
 func (s *Stream) Quantile(q float64) float64 {
 	if s.n == 0 {
@@ -155,7 +152,7 @@ func (s *Stream) Values() []float64 {
 
 // Summary renders the accumulated sample as the descriptive-statistics
 // struct the experiment tables consume. Median/P90/P99 require a quantile
-// stream. It panics on an empty stream, matching Summarize.
+// stream. It panics on an empty stream.
 func (s *Stream) Summary() Summary {
 	if s.n == 0 {
 		panic("stats: Summary of empty stream")

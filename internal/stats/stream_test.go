@@ -83,8 +83,8 @@ func TestStreamEmptyAndPlain(t *testing.T) {
 	}
 	s.Add(5)
 	s.Add(7)
-	if s.Mean() != 6 || s.Min() != 5 || s.Max() != 7 {
-		t.Fatalf("plain stream wrong: mean=%v min=%v max=%v", s.Mean(), s.Min(), s.Max())
+	if s.Mean() != 6 || s.min != 5 || s.Max() != 7 {
+		t.Fatalf("plain stream wrong: mean=%v min=%v max=%v", s.Mean(), s.min, s.Max())
 	}
 	defer func() {
 		if recover() == nil {

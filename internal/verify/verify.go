@@ -62,22 +62,6 @@ func MIS(g *graph.Graph, inSet func(u int) bool) error {
 	return Maximal(g, inSet)
 }
 
-// MISSet is MIS for a bitset-represented vertex set.
-func MISSet(g *graph.Graph, s *bitset.Set) error {
-	if s.Len() != g.N() {
-		return fmt.Errorf("verify: set capacity %d != graph order %d", s.Len(), g.N())
-	}
-	return MIS(g, s.Contains)
-}
-
-// MISBools is MIS for a []bool-represented vertex set.
-func MISBools(g *graph.Graph, s []bool) error {
-	if len(s) != g.N() {
-		return fmt.Errorf("verify: mask length %d != graph order %d", len(s), g.N())
-	}
-	return MIS(g, func(u int) bool { return s[u] })
-}
-
 // StableBlack returns the set I of vertices that are black with no black
 // neighbor — the paper's monotone core of stable vertices (I_t).
 func StableBlack(g *graph.Graph, black func(u int) bool) *bitset.Set {
@@ -113,30 +97,4 @@ func Unstable(g *graph.Graph, black func(u int) bool) *bitset.Set {
 		}
 	})
 	return out
-}
-
-// CheckGreedyMISCompatible verifies that a set claimed to be the greedy MIS
-// over a given vertex order really is: processing vertices in order, a
-// vertex is in the set iff none of its earlier neighbors is.
-func CheckGreedyMISCompatible(g *graph.Graph, order []int, inSet func(u int) bool) error {
-	if len(order) != g.N() {
-		return fmt.Errorf("verify: order length %d != n %d", len(order), g.N())
-	}
-	pos := make([]int, g.N())
-	for i, u := range order {
-		pos[u] = i
-	}
-	for _, u := range order {
-		expect := true
-		for _, v := range g.Neighbors(u) {
-			if pos[v] < pos[u] && inSet(int(v)) {
-				expect = false
-				break
-			}
-		}
-		if expect != inSet(u) {
-			return fmt.Errorf("verify: vertex %d greedy-inconsistent (want in-set=%v)", u, expect)
-		}
-	}
-	return nil
 }

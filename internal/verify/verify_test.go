@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ssmis/internal/bitset"
 	"ssmis/internal/graph"
 	"ssmis/internal/xrand"
 )
@@ -60,24 +59,6 @@ func TestMIS(t *testing.T) {
 	}
 }
 
-func TestMISSetAndBools(t *testing.T) {
-	g := graph.Complete(4)
-	s := bitset.New(4)
-	s.Add(2)
-	if err := MISSet(g, s); err != nil {
-		t.Fatalf("singleton in clique flagged: %v", err)
-	}
-	if err := MISSet(g, bitset.New(5)); err == nil {
-		t.Fatal("capacity mismatch accepted")
-	}
-	if err := MISBools(g, []bool{false, true, false, false}); err != nil {
-		t.Fatalf("bools MIS flagged: %v", err)
-	}
-	if err := MISBools(g, []bool{true}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestStableBlackAndUnstable(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3
 	// black = {0, 1}: both have black neighbors -> no stable black.
@@ -126,21 +107,6 @@ func TestUnstableEmptyIffMIS(t *testing.T) {
 		if un := Unstable(g, black); !un.Empty() {
 			t.Fatalf("MIS configuration has unstable vertices: %v", un)
 		}
-	}
-}
-
-func TestCheckGreedyMISCompatible(t *testing.T) {
-	g := graph.Path(4)
-	order := []int{0, 1, 2, 3}
-	// Greedy over 0,1,2,3 gives {0, 2}... 3 has earlier neighbor 2 in set -> out.
-	if err := CheckGreedyMISCompatible(g, order, mask(0, 2)); err != nil {
-		t.Fatalf("greedy set flagged: %v", err)
-	}
-	if err := CheckGreedyMISCompatible(g, order, mask(1, 3)); err == nil {
-		t.Fatal("non-greedy set accepted")
-	}
-	if err := CheckGreedyMISCompatible(g, []int{0}, mask(0)); err == nil {
-		t.Fatal("short order accepted")
 	}
 }
 

@@ -98,9 +98,6 @@ func (r *Rand) Bit() bool {
 	return r.Uint64()>>63 == 1
 }
 
-// Bool is an alias for Bit, provided for call-site readability.
-func (r *Rand) Bool() bool { return r.Bit() }
-
 // Uint64n returns a uniformly random integer in [0, n). It panics if n == 0.
 // It uses Lemire's multiply-shift rejection method.
 func (r *Rand) Uint64n(n uint64) uint64 {
@@ -162,12 +159,6 @@ func (r *Rand) BernoulliPow2(k uint) bool {
 	return r.Uint64()>>(64-k) == 0
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials, i.e. a sample from Geometric(p) with support {0,1,...}.
-// It panics if p <= 0 or p > 1. Callers drawing many samples at one p use
-// NewGeom and Geom instead, which compute log(1−p) once.
-func (r *Rand) Geometric(p float64) int { return r.Geom(NewGeom(p)) }
-
 // GeomDist is the Geometric(p) distribution with its inverse-CDF divisor
 // log(1−p) computed once. The G(n,p) and Chung–Lu generators draw one
 // sample per edge to skip non-edges in O(#edges) total time.
@@ -219,9 +210,4 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	return -logFloat(1.0 - r.Float64())
 }

@@ -209,7 +209,7 @@ func TestGeometricMean(t *testing.T) {
 	const p, n = 0.2, 50000
 	sum := 0
 	for i := 0; i < n; i++ {
-		sum += r.Geometric(p)
+		sum += r.Geom(NewGeom(p))
 	}
 	mean := float64(sum) / n
 	want := (1 - p) / p // 4.0
@@ -221,7 +221,7 @@ func TestGeometricMean(t *testing.T) {
 func TestGeometricOne(t *testing.T) {
 	r := New(18)
 	for i := 0; i < 100; i++ {
-		if g := r.Geometric(1); g != 0 {
+		if g := r.Geom(NewGeom(1)); g != 0 {
 			t.Fatalf("Geometric(1) = %d, want 0", g)
 		}
 	}
@@ -234,7 +234,7 @@ func TestGeometricOne(t *testing.T) {
 func TestGeometricTinyPClamped(t *testing.T) {
 	r := New(19)
 	for i := 0; i < 50; i++ {
-		g := r.Geometric(1e-300)
+		g := r.Geom(NewGeom(1e-300))
 		if g < 0 {
 			t.Fatalf("Geometric(1e-300) = %d overflowed negative", g)
 		}
@@ -247,7 +247,7 @@ func TestGeometricPanics(t *testing.T) {
 			t.Fatal("Geometric(0) did not panic")
 		}
 	}()
-	New(1).Geometric(0)
+	NewGeom(0)
 }
 
 func TestPermIsPermutation(t *testing.T) {
@@ -279,18 +279,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
 			t.Fatalf("Perm first element %d frequency %d, want ≈ %.0f", v, c, want)
 		}
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(30)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1.0) > 0.03 {
-		t.Fatalf("ExpFloat64 mean %.4f, want ≈ 1", mean)
 	}
 }
 
