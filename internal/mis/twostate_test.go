@@ -212,6 +212,53 @@ func TestTwoStateWithInitialBlackWrongLengthPanics(t *testing.T) {
 	NewTwoState(graph.Path(3), WithInitialBlack([]bool{true}))
 }
 
+// The complete-graph fast path must replay the generic counter path. K_40
+// takes the fast path; K_40 plus one isolated vertex is not complete, so it
+// runs the generic counters, and its isolated vertex starts black and never
+// moves. Vertex streams are keyed by vertex id, so the clique's 40 vertices
+// see the same coins in both runs.
+func TestTwoStateCompleteFastPathMatchesGeneric(t *testing.T) {
+	const n = 40
+	g := graph.Complete(n)
+	fast := NewTwoState(g, WithSeed(10))
+	b := graph.NewBuilder(n + 1)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	init := make([]bool, n+1)
+	for u := 0; u < n; u++ {
+		init[u] = fast.Black(u)
+	}
+	init[n] = true
+	slow := NewTwoState(b.Build(), WithSeed(10), WithInitialBlack(init))
+	if fast.core.CounterPlane().Active {
+		t.Fatal("complete graph not detected")
+	}
+	if !slow.core.CounterPlane().Active {
+		t.Fatal("generic counters not engaged off the complete graph")
+	}
+	for !fast.Stabilized() || !slow.Stabilized() {
+		fast.Step()
+		slow.Step()
+		for u := 0; u < n; u++ {
+			if fast.Black(u) != slow.Black(u) {
+				t.Fatalf("round %d: fast/slow diverged at %d", fast.Round(), u)
+			}
+		}
+		if fast.Round() > 10000 {
+			t.Fatal("no stabilization")
+		}
+	}
+	if fast.Round() != slow.Round() {
+		t.Fatal("fast and slow stabilized at different rounds")
+	}
+	if fast.RandomBits() != slow.RandomBits() {
+		t.Fatal("fast and slow drew different numbers of random bits")
+	}
+}
+
 func TestTwoStateCorruptionRecovery(t *testing.T) {
 	g := graph.Gnp(100, 0.07, xrand.New(11))
 	p := NewTwoState(g, WithSeed(12))
