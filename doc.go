@@ -114,10 +114,16 @@
 // counter crosses zero, so the lanes cost nothing on the (overwhelmingly
 // common) counter updates that do not cross; Rebuild settles them once from
 // the recounted counters, and on complete graphs both lanes fill from the
-// class totals in O(n/64) words. The dirty frontier itself is tracked per lane word, not
-// per vertex — the refresh re-derives whole words anyway, and the
-// word-index set is 64x smaller (2KB at n=10^6), so the commit's random
-// neighbor marking stays cache-resident. The 3-color switch participates
+// class totals in O(n/64) words. Counter B counts each neighbor's last
+// scattered class, not its current one: a 3-state vertex in I_t keeps
+// flipping between black0 and black1 but stops scattering the flips, since
+// each of its neighbors is a white with a black neighbor whose transitions
+// read only counter A; skipping them removes 60–62% of a 3-state run's
+// neighbor writes at n=10^6. A vertex leaves I_t only through Rebuild,
+// which recounts, and CheckIntegrity recounts under the same invariant. The
+// dirty frontier itself is tracked per lane word, not per vertex — the refresh re-derives
+// whole words anyway, and the word-index set is 64x smaller (2KB at
+// n=10^6), so the commit's random neighbor marking stays cache-resident. The 3-color switch participates
 // through the gate lane (engine.SubProcess): after every MidRound — and at
 // Rebuild — the engine asks it to re-export one bit per vertex (its
 // phase-clock switch values, σ_{t-1} by construction), and evaluation

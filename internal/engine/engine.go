@@ -49,7 +49,10 @@ import (
 // lane code. Counter A is the black projection — the code's lo bit — for all
 // three processes; counter B is rule-specific: a program that engages the B
 // lane feeds it from code 3 exactly (the 3-state process counts black1
-// neighbors there).
+// neighbors there). Counter A counts each neighbor's current class; counter B
+// counts each neighbor's last scattered class: a vertex in I_t stops
+// scattering its class-B flips (commitT), so only the white vertices around
+// I_t, which never read counter B, can see it lag.
 const (
 	classA uint8 = 1 << iota
 	classB
@@ -138,6 +141,7 @@ type Core struct {
 	activeCnt int
 
 	inI        *bitset.Set // the monotone stable core I_t
+	frozenB    *bitset.Set // I_t members that entered in class B (see commitT)
 	coveredAt  []int32     // round a vertex first entered N+(I_t); -1 = never
 	coveredCnt int
 
@@ -194,6 +198,7 @@ func New(g *graph.Graph, prog *kernel.Program, sub SubProcess, initial []uint8, 
 		e.work = bitset.New(n)
 		e.active = bitset.New(n)
 		e.inI = bitset.New(n)
+		e.frozenB = bitset.New(n)
 		e.coveredAt = make([]int32, n)
 		e.plane = new(counterPlane)
 		e.kern = kernel.New(prog, n)
@@ -298,8 +303,11 @@ func (e *Core) StableCoreCount() int { return e.inI.Count() }
 // Stabilized reports N+(I_t) = V. I_t is monotone non-decreasing under every
 // rule's dynamics (a stable black vertex keeps re-randomizing between its
 // black states, and its neighbors are frozen), so coverage is tracked by
-// first-cover stamps and the condition is permanent once reached. For the
-// 2-state process this coincides with quiescence: no vertex active.
+// first-cover stamps and the condition is permanent once reached; a vertex
+// leaves I_t only through Rebuild. Because the neighbors are frozen whites,
+// which read only counter A, an I_t vertex stops scattering its
+// black0/black1 flips into their counter B (commitT). For the 2-state
+// process this coincides with quiescence: no vertex active.
 func (e *Core) Stabilized() bool { return e.coveredCnt == e.g.N() }
 
 // CoveredAt returns the per-vertex first-cover rounds (-1 = not yet covered)
@@ -409,6 +417,7 @@ func (e *Core) Rebuild() {
 	e.work.Clear()
 	e.active.Clear()
 	e.inI.Clear()
+	e.frozenB.Clear()
 	e.workCnt, e.activeCnt = 0, 0
 	e.coveredCnt = 0
 	for i := range e.coveredAt {
@@ -494,6 +503,10 @@ func (e *Core) RebindOrdered(ord *graph.Ordering) {
 // returns a descriptive error on the first divergence — the invariant probe
 // used by property tests. Memberships are re-derived from the program's
 // truth tables one vertex at a time, independently of the lane words.
+// Counter B is recounted from each neighbor's last scattered class (an I_t
+// member's is its frozenB bit; off the complete-graph path), and a counter
+// whose zero projection differs from the current classes' is an error when
+// it would change the vertex's touched or active bit.
 func (e *Core) CheckIntegrity() error {
 	n := e.g.N()
 	if !e.complete {
@@ -509,7 +522,7 @@ func (e *Core) CheckIntegrity() error {
 		if code > 3 {
 			return fmt.Errorf("round %d: state %d of vertex %d is not in the lane encoding", e.round, s, u)
 		}
-		var a, b int32
+		var a, b, lastB int32
 		for _, v := range e.g.Neighbors(u) {
 			cl := e.classTab[e.state[v]]
 			if cl&classA != 0 {
@@ -518,12 +531,28 @@ func (e *Core) CheckIntegrity() error {
 			if cl&classB != 0 {
 				b++
 			}
+			scattered := cl&classB != 0
+			if !e.complete && e.inI.Contains(int(v)) {
+				scattered = e.frozenB.Contains(int(v))
+			}
+			if scattered {
+				lastB++
+			}
 		}
 		if got := e.countA(u); got != a {
 			return fmt.Errorf("round %d: counter A of %d = %d, recomputed %d", e.round, u, got, a)
 		}
-		if got := e.countB(u); got != b {
-			return fmt.Errorf("round %d: counter B of %d = %d, recomputed %d", e.round, u, got, b)
+		if got := e.countB(u); got != lastB {
+			return fmt.Errorf("round %d: counter B of %d = %d, recounted %d from the neighbors' last scattered classes",
+				e.round, u, got, lastB)
+		}
+		if e.prog.TouchedBit(int(code), a > 0, lastB > 0) != e.prog.TouchedBit(int(code), a > 0, b > 0) ||
+			e.prog.ActiveBit(int(code), a > 0, lastB > 0) != e.prog.ActiveBit(int(code), a > 0, b > 0) {
+			return fmt.Errorf("round %d: stale counter B of %d (%d, current classes give %d) changes its touched or active bit",
+				e.round, u, lastB, b)
+		}
+		if e.frozenB.Contains(u) && !e.inI.Contains(u) {
+			return fmt.Errorf("round %d: vertex %d has a frozen counter-B class outside I_t", e.round, u)
 		}
 		cl := e.classTab[s]
 		if cl&classA != 0 {
@@ -556,9 +585,9 @@ func (e *Core) CheckIntegrity() error {
 			return fmt.Errorf("round %d: kernel hasANbr bit of %d = %v, recomputed counter %d",
 				e.round, u, e.kern.HasANbr(u), a)
 		}
-		if e.useB && e.kern.HasBNbr(u) != (b > 0) {
-			return fmt.Errorf("round %d: kernel hasBNbr bit of %d = %v, recomputed counter %d",
-				e.round, u, e.kern.HasBNbr(u), b)
+		if e.useB && e.kern.HasBNbr(u) != (lastB > 0) {
+			return fmt.Errorf("round %d: kernel hasBNbr bit of %d = %v, recounted counter %d",
+				e.round, u, e.kern.HasBNbr(u), lastB)
 		}
 	}
 	if workCnt != e.workCnt {

@@ -160,7 +160,10 @@ func (l *Lanes) HasBNbr(u int) bool { return laneBit(l.hbnB, u) == 1 }
 // the kernel path — flipping bits inline there avoids a call per crossing —
 // and for its Rebuild-time settle from the counter plane. hbnB is nil for a
 // program without counter B. Writers must preserve the lane contract (bit u
-// set iff counter u is nonzero, tail bits zero).
+// set iff counter u is nonzero, tail bits zero). The engine's counter B
+// counts each neighbor's last scattered class: stable-core vertices stop
+// scattering their counter-B flips, so hbnB can lag at the white vertices
+// around I_t, whose touched and active bits never read it.
 func (l *Lanes) HBNWords() (hbnA, hbnB []uint64) { return l.hbnA, l.hbnB }
 
 // StateWords exposes the raw state-code lane words, for the same commit hot

@@ -53,7 +53,10 @@ type Spec struct {
 	StateOf [4]uint8
 	// UseB engages the hasBNbr lane: counter B's zero/nonzero projection,
 	// maintained incrementally like hasANbr. Requires code 3 in use (ClassB
-	// states are exactly lo∧hi).
+	// states are exactly lo∧hi). The engine stops scattering a stable-core
+	// vertex's counter-B flips, so the Active and Touched entries of a
+	// non-black code with a set must not depend on b (the 3-state rule's
+	// do not; engine.Core.CheckIntegrity reports a rule whose do).
 	UseB bool
 	// UseGate engages the per-vertex gate lane, re-exported every round by
 	// the rule's mid-round sub-process (engine.SubProcess). Only forced

@@ -61,9 +61,14 @@ func (e *Core) refreshWord(wi int) {
 }
 
 // enterCore records v's entry into the stable core: v joins I_t and its
-// whole closed neighborhood is stamped covered.
+// whole closed neighborhood is stamped covered. Its neighbors' counter B
+// keeps the class v enters with, since commitT stops scattering v's class-B
+// flips from here on; frozenB records that class.
 func (e *Core) enterCore(v int) {
 	e.inI.Add(v)
+	if e.classTab[e.state[v]]&classB != 0 {
+		e.frozenB.Add(v)
+	}
 	e.cover(v)
 	for _, w := range e.g.Neighbors(v) {
 		e.cover(int(w))

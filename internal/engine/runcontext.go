@@ -29,6 +29,7 @@ import (
 // processes copy what they need and stay valid.
 type RunContext struct {
 	work, active, inI bitset.Set
+	frozenB           bitset.Set
 	coveredAt         []int32
 	plane             counterPlane
 	stateCnt          []int
@@ -212,9 +213,11 @@ func (c *RunContext) lease(e *Core, prog *kernel.Program, n, numStates int) {
 	c.work.Reset(n)
 	c.active.Reset(n)
 	c.inI.Reset(n)
+	c.frozenB.Reset(n)
 	e.work = &c.work
 	e.active = &c.active
 	e.inI = &c.inI
+	e.frozenB = &c.frozenB
 	c.coveredAt = growI32(c.coveredAt, n)
 	e.coveredAt = c.coveredAt
 	c.stateCnt = growInts(c.stateCnt, numStates+1)

@@ -53,10 +53,13 @@ func (s TriState) Black() bool { return s == TriBlack0 || s == TriBlack1 }
 // black0 is code 1 and black1 (the only counter-B state) is code 3 — and the
 // hasBNbr lane carries "has a black1 neighbor", maintained incrementally
 // from counter B's zero crossings (the black1→black0 demotion is its
-// db = −1 step). An active vertex's coin picks black1/black0; a black0
-// vertex that hears a black1 neighbor is touched-but-not-active and demotes
-// to white with no coin. RefThreeState (reference.go) is its literal
-// transcription.
+// db = −1 step). Counter B counts each neighbor's last scattered class: a
+// stable vertex (in I_t) keeps flipping black0/black1 but stops scattering
+// the flips, because all its neighbors are whites with a black neighbor,
+// whose touched and active bits do not read b. An active vertex's coin
+// picks black1/black0; a black0 vertex that hears a black1 neighbor is
+// touched-but-not-active and demotes to white with no coin. RefThreeState
+// (reference.go) is its literal transcription.
 var threeStateProg = kernel.MustCompile(kernel.Spec{
 	StateOf: [4]uint8{uint8(TriWhite), uint8(TriBlack0), 0, uint8(TriBlack1)},
 	UseB:    true,
