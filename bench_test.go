@@ -204,17 +204,17 @@ func BenchmarkCountersNarrowGnp1M(b *testing.B) {
 }
 
 func BenchmarkCountersFlatChungLu1M(b *testing.B) {
-	// Heavy-tailed degrees under the locality relabeling: hubs packed first,
-	// flat int32 counters — the baseline for the split row below.
+	// Heavy-tailed degrees in the generator's weight-sorted ids: hubs
+	// first, flat int32 counters — the baseline for the split row below.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutFlat))
+		mis.WithCounterLayout(engine.LayoutFlat))
 }
 
 func BenchmarkCountersSplitChungLu1M(b *testing.B) {
 	// The hub/tail split: dense int32 hub rows stay cache-resident, the
 	// tail lives in byte lanes.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), mis.WithCounterLayout(engine.LayoutSplit))
+		mis.WithCounterLayout(engine.LayoutSplit))
 }
 
 func mk3State(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process {

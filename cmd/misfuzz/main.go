@@ -80,9 +80,6 @@ func run() int {
 		if msg := fuzzKernel(g, caseSeed); msg != "" {
 			return report(it, n, p, caseSeed, "kernel", msg)
 		}
-		if msg := fuzzRelabel(g, caseSeed); msg != "" {
-			return report(it, n, p, caseSeed, "relabel", msg)
-		}
 		if msg := fuzzThreeState(g, caseSeed); msg != "" {
 			return report(it, n, p, caseSeed, "3-state", msg)
 		}
@@ -231,120 +228,6 @@ func boolInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// fuzzRelabel differentially fuzzes the locality relabeling (forced via
-// WithDegreeOrder) against the identity ordering for all three rules: same
-// graph, same seed, compared state-for-state in original vertex ids every
-// round with exact random-bit accounting at stabilization. Each case also ships a
-// mid-run checkpoint ACROSS the ordering boundary — saved under the
-// relabeling, resumed without it — and the resumed run must replay the
-// identity execution to stabilization.
-func fuzzRelabel(g *graph.Graph, seed uint64) string {
-	r := xrand.New(seed ^ 0xd1b54a32d192ed03)
-	variants := []struct {
-		name     string
-		mk       func(opts ...mis.Option) mis.Process
-		stateOf  func(p mis.Process, u int) int
-		limitMul int
-	}{
-		{
-			"2-state",
-			func(opts ...mis.Option) mis.Process { return mis.NewTwoState(g, opts...) },
-			func(p mis.Process, u int) int {
-				if p.Black(u) {
-					return 1
-				}
-				return 0
-			},
-			4,
-		},
-		{
-			"3-state",
-			func(opts ...mis.Option) mis.Process { return mis.NewThreeState(g, opts...) },
-			func(p mis.Process, u int) int { return int(p.(*mis.ThreeState).State(u)) },
-			4,
-		},
-		{
-			"3-color",
-			func(opts ...mis.Option) mis.Process { return mis.NewThreeColor(g, opts...) },
-			func(p mis.Process, u int) int {
-				tc := p.(*mis.ThreeColor)
-				return int(tc.ColorOf(u))<<8 | int(tc.SwitchLevel(u))
-			},
-			8,
-		},
-	}
-	for _, v := range variants {
-		rel := v.mk(mis.WithSeed(seed), mis.WithDegreeOrder())
-		ident := v.mk(mis.WithSeed(seed), mis.WithIdentityOrder())
-		limit := v.limitMul * mis.DefaultRoundCap(g.N())
-		for rd := 0; rd < limit && !ident.Stabilized(); rd++ {
-			rel.Step()
-			ident.Step()
-			for u := 0; u < g.N(); u++ {
-				if v.stateOf(rel, u) != v.stateOf(ident, u) {
-					return fmt.Sprintf("%s round %d vertex %d: relabeled=%#x identity=%#x",
-						v.name, rd+1, u, v.stateOf(rel, u), v.stateOf(ident, u))
-				}
-			}
-			if rel.Stabilized() != ident.Stabilized() {
-				return fmt.Sprintf("%s round %d: stabilization flags disagree", v.name, rd+1)
-			}
-		}
-		if !ident.Stabilized() {
-			return fmt.Sprintf("%s: no stabilization within %d rounds", v.name, limit)
-		}
-		if rel.RandomBits() != ident.RandomBits() {
-			return fmt.Sprintf("%s bit accounting: relabeled=%d identity=%d",
-				v.name, rel.RandomBits(), ident.RandomBits())
-		}
-		if err := verify.MIS(g, rel.Black); err != nil {
-			return v.name + " relabeled stabilized to non-MIS: " + err.Error()
-		}
-	}
-
-	// Checkpoint portability across orderings: pause a relabeled 2-state run,
-	// restore the snapshot WITHOUT the relabeling, and replay it against the
-	// uninterrupted identity execution.
-	full := mis.NewTwoState(g, mis.WithSeed(seed), mis.WithIdentityOrder())
-	paused := mis.NewTwoState(g, mis.WithSeed(seed), mis.WithDegreeOrder())
-	pauseAt := 1 + r.Intn(6)
-	for i := 0; i < pauseAt; i++ {
-		full.Step()
-		paused.Step()
-	}
-	cp, err := paused.Checkpoint()
-	if err != nil {
-		return "cross-ordering checkpoint: " + err.Error()
-	}
-	blob, err := cp.Encode()
-	if err != nil {
-		return "cross-ordering encode: " + err.Error()
-	}
-	dec, err := mis.DecodeCheckpoint(blob)
-	if err != nil {
-		return "cross-ordering decode: " + err.Error()
-	}
-	restored, err := mis.RestoreTwoState(g, dec, mis.WithIdentityOrder())
-	if err != nil {
-		return "cross-ordering restore: " + err.Error()
-	}
-	limit := 4 * mis.DefaultRoundCap(g.N())
-	for i := 0; i < limit && !full.Stabilized(); i++ {
-		full.Step()
-		restored.Step()
-		for u := 0; u < g.N(); u++ {
-			if full.Black(u) != restored.Black(u) {
-				return fmt.Sprintf("cross-ordering resume diverged at round %d vertex %d", full.Round(), u)
-			}
-		}
-	}
-	if !restored.Stabilized() || full.RandomBits() != restored.RandomBits() {
-		return fmt.Sprintf("cross-ordering resume accounting: stabilized=%v bits %d vs %d",
-			restored.Stabilized(), full.RandomBits(), restored.RandomBits())
-	}
-	return ""
 }
 
 func fuzzThreeState(g *graph.Graph, seed uint64) string {

@@ -68,20 +68,19 @@ func main() {
 
 func run() int {
 	var (
-		runIDs        = flag.String("run", "", "comma-separated experiment ids, or 'all'")
-		scenFiles     = flag.String("scenario", "", "comma-separated scenario JSON files, compiled and run alongside -run")
-		scale         = flag.Float64("scale", 1.0, "cost multiplier (sizes and trials); 0.25 = quick")
-		seed          = flag.Uint64("seed", 2023, "master seed")
-		list          = flag.Bool("list", false, "list experiments and exit")
-		csv           = flag.Bool("csv", false, "emit CSV instead of fixed-width tables")
-		outDir        = flag.String("out", "", "also write one CSV file per table into this directory")
-		workers       = flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS); all experiments share one pool")
-		chunk         = flag.Int("batch", 0, "seeds per scheduler chunk (0 = auto); smaller chunks steal more")
-		times         = flag.Bool("times", false, "report the slowest per-cell wall times for each experiment")
-		identityOrder = flag.Bool("identity-order", false, "disable the engine's locality relabeling; tables are identical by construction")
-		ckpt          = flag.String("checkpoint", "", "checkpoint the whole sweep to this file (atomic write-rename)")
-		every         = flag.Duration("checkpoint-every", 10*time.Second, "interval between sweep checkpoints")
-		resume        = flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
+		runIDs    = flag.String("run", "", "comma-separated experiment ids, or 'all'")
+		scenFiles = flag.String("scenario", "", "comma-separated scenario JSON files, compiled and run alongside -run")
+		scale     = flag.Float64("scale", 1.0, "cost multiplier (sizes and trials); 0.25 = quick")
+		seed      = flag.Uint64("seed", 2023, "master seed")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		csv       = flag.Bool("csv", false, "emit CSV instead of fixed-width tables")
+		outDir    = flag.String("out", "", "also write one CSV file per table into this directory")
+		workers   = flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS); all experiments share one pool")
+		chunk     = flag.Int("batch", 0, "seeds per scheduler chunk (0 = auto); smaller chunks steal more")
+		times     = flag.Bool("times", false, "report the slowest per-cell wall times for each experiment")
+		ckpt      = flag.String("checkpoint", "", "checkpoint the whole sweep to this file (atomic write-rename)")
+		every     = flag.Duration("checkpoint-every", 10*time.Second, "interval between sweep checkpoints")
+		resume    = flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
 	)
 	flag.Parse()
 
@@ -261,8 +260,7 @@ func run() int {
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cfg := experiment.Config{Scale: *scale, Seed: *seed, Pool: pool, Cells: cells, Chunk: *chunk,
-				IdentityOrder: *identityOrder}
+			cfg := experiment.Config{Scale: *scale, Seed: *seed, Pool: pool, Cells: cells, Chunk: *chunk}
 			if sweep != nil {
 				cfg.Checkpoint = sweep.Experiment(e.ID)
 			}

@@ -89,6 +89,8 @@
 // contexts (engine.RunContext): all per-run scratch — bitsets, counters,
 // coverage stamps, per-vertex generator arrays — leases from the worker's
 // context, so a worker amortizes its allocations across thousands of runs.
+// The processes are anonymous, so every run works in the caller's vertex
+// ids: no engine, daemon, checkpoint or clock maps ids.
 //
 // Layer 1a — the bit-sliced kernel (internal/engine/kernel). Each rule is
 // defined exactly once, as a compact kernel.Spec — a two-bit state encoding
@@ -145,40 +147,7 @@
 // coin × gate — against one reference step), and the golden seed lineage
 // captured from the pre-engine simulators (rounds, bits and MIS hashes).
 //
-// Layer 1a' — the locality relabeling (graph.DegreeBucketOrder). On
-// heavy-tailed graphs the kernel's hottest remaining loop is the commit
-// phase's neighbor-counter writes, and in natural vertex order the
-// high-degree hubs that absorb most of those writes are scattered across
-// the address space. The engine can therefore run over a relabeled view of
-// the graph (graph.Ordering: old<->new id maps plus the CSR rebuilt under
-// the permutation): hubs — degree >= 64, grouped into geometric
-// (bit-length) degree buckets, highest first — are packed into the lowest
-// contiguous lane words, and the whole low-degree tail follows in one
-// bucket ordered by a deterministic BFS (on sparse families, m <= 32n),
-// which keeps topologically close vertices in nearby counter and bitset
-// words. The relabeling is invisible outside internal/mis: every vertex
-// draws from the stream split off the master seed by its ORIGINAL id and
-// initialization coins are drawn in original vertex order, so a relabeled
-// execution is a pure graph isomorphism of the identity-ordered one —
-// coin-for-coin bit-identical after id mapping — and every exposed surface
-// (Black/State/ColorOf, masks, coveredAt stamps, fault injection,
-// checkpoints, daemon selections, summaries) maps ids at the boundary.
-// Checkpoints serialize in original order, so a snapshot taken under one
-// ordering restores under any other. Policy: the ordering is a pure
-// function of the graph but costs about one full n=10^6 run to compute, so
-// the auto policy engages it only where it measurably wins — at
-// n >= 2^15, when a run context is attached to memoize it
-// (batch workers share one ordering across thousands of seeds), and only
-// on graphs whose hubs are scattered through the id space: the repo's own
-// generators emit weight-sorted ids, where hubs are already front-packed
-// and a reorder costs without winning (hubless flat-degree families are
-// likewise excluded). WithDegreeOrder forces it, WithIdentityOrder opts
-// out (missweep -identity-order), and the relabel equivalence matrix, the
-// lockstep/refresh matrices' relabel axis, the misfuzz relabel target, and
-// the BENCH_kernel.json locality row pair (gated: the relabeling must
-// never lose on id-scrambled Chung-Lu n=10^6) pin all of it.
-//
-// Layer 1a” — counter planes (engine/counters.go). The engine's neighbor
+// Layer 1a' — counter planes (engine/counters.go). The engine's neighbor
 // counters are behind every commit's hottest loop — a random-access
 // read-modify-write scatter into one cell per touched neighbor — and the
 // counter plane restructures that storage without changing a single value
@@ -190,21 +159,21 @@
 // halfword) the tail counters live in uint8 (uint16) lanes, shrinking the
 // scatter traffic 4x (2x) for identical values, with a loud int32 fallback
 // (CounterPlaneInfo.FellBack, plus panic-guarded lane writes) when a forced
-// narrow layout cannot fit; the hub/tail split — when hubs (degree >= 64)
-// are packed first, naturally by the generators' weight-sorted ids or by
-// the locality relabeling above, the hub prefix keeps a dense full-width
-// int32 plane small enough to stay cache-resident across a round while the
-// tail (always low-degree) shrinks to its narrow width. Each width keeps
-// its own typed slices ([]uint8, []uint16, []int32), written in place by
-// the single-writer commit and reused across RunContext leases. A layout
+// narrow layout cannot fit; the hub/tail split — when the caller's ids put
+// the hubs (degree >= 64) first, as the generators' weight-sorted ids do,
+// the hub prefix keeps a dense full-width int32 plane small enough to stay
+// cache-resident across a round while the tail (always low-degree) shrinks
+// to its narrow width. Each width keeps its own typed slices ([]uint8,
+// []uint16, []int32), written in place by the single-writer commit and
+// reused across RunContext leases. A layout
 // changes only where counters are stored, never what a read returns, so
 // every layout replays coin-for-coin bit-identical executions — the
 // determinism and lockstep matrices pin the layout axis against the
 // default run, CheckIntegrity re-verifies both the layout-selection
 // invariants and a flat recount every time it runs, and the
-// BENCH_kernel.json counter row pairs gate the split
-// at >= 1.1x (flat vs auto on relabeled Chung-Lu n=10^6) and the narrow
-// lanes at >= 1.0x (Gnp n=10^6, must never lose).
+// BENCH_kernel.json counter row pairs gate the split at >= 1.1x (flat vs
+// auto on Chung-Lu n=10^6 in the generator's ids) and the narrow lanes at
+// >= 1.0x (Gnp n=10^6, must never lose).
 //
 // Layer 1c — the phase clock (internal/phaseclock). The 3-color rule's
 // logarithmic switch runs as its mid-round sub-process on a
@@ -291,7 +260,7 @@
 // suite submits, because both sides share one set of spec runners
 // (ScalingSpec, RuntimeScalingSpec, DaemonMatrixSpec, FaultMatrixSpec,
 // LocalTimesSpec in internal/experiment). Checkpointing, cell timing, and
-// worker-count/ordering invariance therefore extend to scenarios by
+// worker-count invariance therefore extend to scenarios by
 // construction: E1, E4 and E18 re-expressed as scenarios are pinned
 // byte-identical to their hand-coded originals at workers 1 and 8.
 //

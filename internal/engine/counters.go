@@ -15,8 +15,8 @@ package engine
 //     cannot fit falls back to int32 loudly (CounterPlaneInfo.FellBack, and
 //     the scatter loops guard the bound with a panic rather than wrap).
 //
-//   - Hub/tail split. When the hub prefix [0, h) is populated — natural
-//     weight-sorted generator order, or graph.DegreeBucketOrder packing
+//   - Hub/tail split. When the hub prefix [0, h) is populated — as in
+//     the weight-sorted ids of the heavy-tailed generators, which put the
 //     hubs first — the hubs keep a dense full-width int32 plane of their
 //     own, small enough to stay cache-resident across a round, while the
 //     tail (degree < graph.HubDegreeMin, so always narrow) shrinks to its
@@ -104,8 +104,8 @@ type counterPlane struct {
 
 // resolveCounterLayout picks the plane geometry for g under the requested
 // layout: the hub prefix h is the maximal prefix of vertices with degree >=
-// graph.HubDegreeMin (so it is populated exactly when hubs are packed
-// first — by the generators' weight-sorted ids or by DegreeBucketOrder),
+// graph.HubDegreeMin (so it is populated exactly when the caller's ids put
+// the hubs first, as the generators' weight-sorted ids do),
 // and the tail width is the smallest cell holding the maximum degree
 // outside it (a counter never exceeds its vertex's degree).
 func resolveCounterLayout(g *graph.Graph, req CounterLayout) (layout CounterLayout, width uint8, hubLen int, fellBack bool) {

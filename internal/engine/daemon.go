@@ -29,7 +29,6 @@ package engine
 
 import (
 	"math/bits"
-	"sort"
 
 	"ssmis/internal/sched"
 	"ssmis/internal/xrand"
@@ -61,30 +60,21 @@ func (e *Core) DaemonStep(d sched.Daemon, rng *xrand.Rand) bool {
 	if e.sub != nil {
 		panic("engine: the rule has a synchronous sub-process; daemon scheduling unsupported")
 	}
-	// The privileged set is presented to the daemon in ORIGINAL vertex ids:
-	// under a locality relabeling (Options.Order) the worklist iterates in
-	// relabeled order, so the collected ids are mapped back and re-sorted —
-	// the daemon sees the exact set, order, and ids of the identity-ordered
-	// run, which keeps its selection coins and history bit-identical.
-	ord := e.opts.Order
+	// The privileged set reaches the daemon in ascending vertex order.
 	e.priv = e.priv[:0]
 	e.work.ForEachWord(func(base int, w uint64) {
 		for ; w != 0; w &= w - 1 {
 			if u := base + bits.TrailingZeros64(w); !e.inI.Contains(u) {
-				e.priv = append(e.priv, ord.OldID(u))
+				e.priv = append(e.priv, u)
 			}
 		}
 	})
 	if len(e.priv) == 0 {
 		return false
 	}
-	if ord != nil {
-		sort.Ints(e.priv)
-	}
 	selected := d.Select(e.priv, rng)
 	e.changes = e.changes[:0]
-	for _, su := range selected {
-		u := ord.NewID(su)
+	for _, u := range selected {
 		s := e.state[u]
 		ns, drawn := e.prog.Next(s, e.countA(u) > 0, e.countB(u) > 0, false, e.rngs[u], e.opts.Bias)
 		e.bits += drawn

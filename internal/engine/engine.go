@@ -95,17 +95,6 @@ type Options struct {
 	// execution coin-for-coin — the plane changes only where counters are
 	// stored, never what a read returns.
 	CounterLayout CounterLayout
-	// Order, when non-nil, declares that the graph handed to New is a
-	// locality relabeling (graph.Ordering) of the caller's original graph,
-	// with the initial state and per-vertex streams already permuted to
-	// match. The engine itself never permutes anything — its lanes, counters,
-	// bitsets, and dirty words simply run in relabeled space — but it uses
-	// the maps at the two boundaries it owns: daemon selections are presented
-	// to the scheduler in original ids, and checkpoints (internal/snapshot)
-	// capture streams and coverage stamps keyed by original ids. Because
-	// every vertex draws coins from its own stream, a relabeled execution is
-	// coin-for-coin identical to the identity-ordered one after id mapping.
-	Order *graph.Ordering
 }
 
 // change is one committed transition: vertex U moves to state S — the
@@ -172,10 +161,6 @@ func New(g *graph.Graph, prog *kernel.Program, sub SubProcess, initial []uint8, 
 	if !(opts.Bias > 0 && opts.Bias < 1) {
 		panic(fmt.Sprintf("engine: coin bias %v outside (0,1)", opts.Bias))
 	}
-	if opts.Order != nil && len(opts.Order.Perm) != n {
-		panic(fmt.Sprintf("engine: ordering over %d vertices for graph order %d",
-			len(opts.Order.Perm), n))
-	}
 	if prog.UseGate() != (sub != nil) {
 		panic(fmt.Sprintf("engine: program gate lane %v but sub-process given %v", prog.UseGate(), sub != nil))
 	}
@@ -223,13 +208,8 @@ func New(g *graph.Graph, prog *kernel.Program, sub SubProcess, initial []uint8, 
 	return e
 }
 
-// Graph returns the underlying graph (the relabeled one when an Order is
-// set — the engine only ever sees relabeled space).
+// Graph returns the underlying graph.
 func (e *Core) Graph() *graph.Graph { return e.g }
-
-// Order returns the locality relabeling the engine was constructed under,
-// or nil for the identity ordering.
-func (e *Core) Order() *graph.Ordering { return e.opts.Order }
 
 // Round returns the number of completed rounds.
 func (e *Core) Round() int { return e.round }
@@ -480,23 +460,6 @@ func (e *Core) Rebind(g *graph.Graph) {
 	}
 	e.g = g
 	e.Rebuild()
-}
-
-// RebindOrdered is Rebind for an engine running under a locality relabeling:
-// ord must hold the same permutation re-applied to the new graph
-// (graph.Ordering.Rebind), and the engine switches to ord.G. It panics if
-// the engine was constructed without an ordering or the permutation length
-// changed.
-func (e *Core) RebindOrdered(ord *graph.Ordering) {
-	if e.opts.Order == nil {
-		panic("engine: RebindOrdered on an engine without an ordering")
-	}
-	if len(ord.Perm) != e.g.N() {
-		panic(fmt.Sprintf("engine: RebindOrdered with ordering over %d vertices for graph order %d",
-			len(ord.Perm), e.g.N()))
-	}
-	e.opts.Order = ord
-	e.Rebind(ord.G)
 }
 
 // CheckIntegrity recomputes every incremental structure from scratch and

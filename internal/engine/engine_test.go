@@ -36,7 +36,7 @@ func testInit(n int, seed uint64, ctx *RunContext) ([]uint8, []*xrand.Rand) {
 	var state []uint8
 	var rngs []*xrand.Rand
 	if ctx != nil {
-		state, rngs = ctx.Uint8Buf(n), ctx.VertexStreamsPerm(n, master, nil)
+		state, rngs = ctx.Uint8Buf(n), ctx.VertexStreams(n, master)
 	} else {
 		state, rngs = make([]uint8, n), make([]*xrand.Rand, n)
 		for u := range rngs {

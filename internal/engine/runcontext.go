@@ -49,47 +49,12 @@ type RunContext struct {
 	// per-round scratch, all leased through ClockBufs.
 	clockA, clockB       []uint8
 	clockTop, clockFlips []int32
-
-	// Locality-ordering memo: batch shards run thousands of seeds over one
-	// shared graph, and both the degree-bucketed ordering and the auto
-	// policy's verdict on it are pure functions of the graph, so each is
-	// computed once per (context, graph) pair. ordG is the key.
-	ordG *graph.Graph
-	ord  OrderingMemo
 }
 
-// OrderingMemo is a RunContext's per-graph locality-ordering memo. The
-// ordering and the auto policy's verdict are kept apart: a forced
-// relabeling must not inherit an identity verdict, and an auto construction
-// must not inherit an ordering its policy rejects.
-type OrderingMemo struct {
-	// Ordering is the graph's degree-bucketed relabeling; nil until
-	// computed.
-	Ordering *graph.Ordering
-	// Judged reports that Relabel holds the auto policy's verdict.
-	Judged, Relabel bool
-}
-
-// OrderingMemo returns the memo for g, emptied first when the previous call
-// was for a different graph.
-func (c *RunContext) OrderingMemo(g *graph.Graph) *OrderingMemo {
-	if c.ordG != g {
-		c.ordG, c.ord = g, OrderingMemo{}
-	}
-	return &c.ord
-}
-
-// CachedOrdering returns the ordering the auto policy chose for g and
-// whether the policy has judged g; (nil, true) means it chose the identity.
-func (c *RunContext) CachedOrdering(g *graph.Graph) (*graph.Ordering, bool) {
-	if c.ordG != g || !c.ord.Judged {
-		return nil, false
-	}
-	if !c.ord.Relabel {
-		return nil, true
-	}
-	return c.ord.Ordering, true
-}
+// CachedOrdering reports (nil, true) for every graph: processes always run
+// in the caller's vertex ids, so a context never holds a relabeling. Only
+// the benchmark's relabeled= stamp (misbench) still reads it.
+func (c *RunContext) CachedOrdering(*graph.Graph) (*graph.Ordering, bool) { return nil, true }
 
 // NewRunContext returns an empty context; buffers grow on first lease and
 // are reused afterwards.
@@ -180,13 +145,10 @@ func (c *RunContext) BoolBuf(n int) []bool {
 	return c.mask
 }
 
-// VertexStreamsPerm leases the context's per-vertex generator array — the
-// allocation-free counterpart of splitting n fresh streams per run — under a
-// locality relabeling: the stream of original vertex u (always
-// master.Split(u) — stream identity is keyed by original ids) lands at slot
-// ord.NewID(u), where the relabeled engine looks it up. A nil ordering is
-// the identity.
-func (c *RunContext) VertexStreamsPerm(n int, master *xrand.Rand, ord *graph.Ordering) []*xrand.Rand {
+// VertexStreams leases the context's per-vertex generator array — the
+// allocation-free counterpart of splitting n fresh streams per run: slot u
+// holds master.Split(u).
+func (c *RunContext) VertexStreams(n int, master *xrand.Rand) []*xrand.Rand {
 	if cap(c.rands) < n {
 		c.rands = make([]xrand.Rand, n)
 		c.rngs = make([]*xrand.Rand, n)
@@ -194,9 +156,8 @@ func (c *RunContext) VertexStreamsPerm(n int, master *xrand.Rand, ord *graph.Ord
 	c.rands = c.rands[:n]
 	c.rngs = c.rngs[:n]
 	for u := 0; u < n; u++ {
-		i := ord.NewID(u)
-		master.SplitInto(&c.rands[i], uint64(u))
-		c.rngs[i] = &c.rands[i]
+		master.SplitInto(&c.rands[u], uint64(u))
+		c.rngs[u] = &c.rands[u]
 	}
 	return c.rngs
 }

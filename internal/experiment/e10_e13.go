@@ -175,7 +175,7 @@ func e11SelfStabilization() Experiment {
 					RunJobs(cfg, fmt.Sprintf("E11b %v/%v", kind, adv), trials, cfg.Seed+5,
 						func(rc *engine.RunContext, t int, seed uint64) any {
 							g := gen(seed)
-							p := NewProcess(kind, g, cfg.procOpts(mis.WithRunContext(rc), mis.WithSeed(seed))...)
+							p := NewProcess(kind, g, mis.WithRunContext(rc), mis.WithSeed(seed))
 							if !mis.Run(p, 8*mis.DefaultRoundCap(n)).Stabilized {
 								return recOutcome{}
 							}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ssmis/internal/batch"
-	"ssmis/internal/mis"
 )
 
 // Config controls the cost of a run.
@@ -41,23 +40,6 @@ type Config struct {
 	// cells into a sweep checkpoint and replays any journaled prefix on
 	// resume (the missweep -checkpoint/-resume flags); see checkpoint.go.
 	Checkpoint *ExperimentCheckpoint
-	// IdentityOrder opts every process out of the locality relabeling the
-	// engine auto-selects on large graphs (the missweep -identity-order
-	// flag). Relabeled runs are graph isomorphisms of identity-ordered ones,
-	// so the tables must not change — the CI relabel sweep smoke compares
-	// them byte for byte.
-	IdentityOrder bool
-}
-
-// procOpts prepends the configuration-level process options (the
-// identity-order switch) to a cell's own options; every runner that
-// constructs a process directly must route its options through here so the
-// -identity-order invariance smoke covers it.
-func (c Config) procOpts(opts ...mis.Option) []mis.Option {
-	if !c.IdentityOrder {
-		return opts
-	}
-	return append([]mis.Option{mis.WithIdentityOrder()}, opts...)
 }
 
 // CellLog accumulates per-cell wall-time measurements; safe for concurrent

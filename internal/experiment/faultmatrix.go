@@ -100,7 +100,7 @@ func RunFaultMatrix(cfg Config, spec FaultMatrixSpec) Table {
 			RunJobs(cfg, fmt.Sprintf("%s %v/%v", spec.Label, kind, adv), trials, cfg.Seed+spec.SeedOffset,
 				func(rc *engine.RunContext, trial int, seed uint64) any {
 					g := spec.Family.Build(n, seed)
-					p := NewProcess(kind, g, cfg.procOpts(mis.WithRunContext(rc), mis.WithSeed(seed))...)
+					p := NewProcess(kind, g, mis.WithRunContext(rc), mis.WithSeed(seed))
 					if !mis.Run(p, 8*mis.DefaultRoundCap(g.N())).Stabilized {
 						return recOutcome{}
 					}

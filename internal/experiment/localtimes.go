@@ -65,8 +65,7 @@ func RunLocalTimes(cfg Config, spec LocalTimesSpec) Table {
 				if !spec.Family.Det {
 					g = spec.Family.Build(n, seed)
 				}
-				p := NewProcess(spec.Kind, g,
-					cfg.procOpts(mis.WithRunContext(rc), mis.WithSeed(seed), mis.WithLocalTimes())...)
+				p := NewProcess(spec.Kind, g, mis.WithRunContext(rc), mis.WithSeed(seed), mis.WithLocalTimes())
 				res := mis.Run(p, 4*mis.DefaultRoundCap(g.N()))
 				if !res.Stabilized {
 					return localTimes{}

@@ -113,7 +113,7 @@ func RunTrials(cfg Config, kind Kind, gen GraphGen, trials int, roundCap int, ma
 			if limit <= 0 {
 				limit = mis.DefaultRoundCap(g.N())
 			}
-			p := NewProcess(kind, g, append([]mis.Option{mis.WithRunContext(rc), mis.WithSeed(seed)}, cfg.procOpts(opts...)...)...)
+			p := NewProcess(kind, g, append([]mis.Option{mis.WithRunContext(rc), mis.WithSeed(seed)}, opts...)...)
 			res := mis.Run(p, limit)
 			switch {
 			case !res.Stabilized:

@@ -7,57 +7,24 @@ import (
 	"sort"
 )
 
-// Ordering is a relabeling view of a graph: a permutation of the vertex set
-// together with the CSR graph rebuilt under it. It exists so the engine's
-// hot loops (lane words, neighbor counters, dirty-word tracking) can run
-// over a cache-friendlier vertex order while everything observable — random
-// streams, daemon selections, checkpoints, colors, summaries — stays keyed
-// by original ids, mapped only at the boundary.
-//
-// Perm maps original ids to relabeled ids (Perm[old] = new); Inv is its
-// inverse (Inv[new] = old); G is the relabeled graph: vertex Perm[u] of G
-// has exactly the neighbors {Perm[v] : v ~ u}. A nil *Ordering everywhere
-// means the identity (no relabeling); NewID and OldID are nil-safe.
+// Ordering is a relabeling of a graph: a permutation of the vertex set
+// together with the CSR graph rebuilt under it. Perm maps original ids to
+// relabeled ids (Perm[old] = new); Inv is its inverse (Inv[new] = old); G
+// is the relabeled graph: vertex Perm[u] of G has exactly the neighbors
+// {Perm[v] : v ~ u}. The processes run in the caller's ids, so nothing in
+// the engine uses an Ordering; the benchmark (misbench) times
+// DegreeBucketOrder as a graph-layer metric.
 type Ordering struct {
 	Perm []int32 // Perm[old] = new
 	Inv  []int32 // Inv[new] = old
 	G    *Graph  // CSR rebuilt under Perm
 }
 
-// NewID maps an original vertex id to its relabeled id (identity on a nil
-// receiver).
-func (o *Ordering) NewID(u int) int {
-	if o == nil {
-		return u
-	}
-	return int(o.Perm[u])
-}
-
-// OldID maps a relabeled vertex id back to its original id (identity on a
-// nil receiver).
-func (o *Ordering) OldID(u int) int {
-	if o == nil {
-		return u
-	}
-	return int(o.Inv[u])
-}
-
-// Rebind returns an ordering holding the same permutation over a new graph
-// on the same vertex set (topology churn under a held relabeling). The
-// Perm/Inv slices are shared with the receiver, which stays valid.
-func (o *Ordering) Rebind(g *Graph) *Ordering {
-	if g.N() != len(o.Perm) {
-		panic(fmt.Sprintf("graph: Rebind ordering of %d vertices to graph of order %d",
-			len(o.Perm), g.N()))
-	}
-	return &Ordering{Perm: o.Perm, Inv: o.Inv, G: Relabel(g, o.Perm)}
-}
-
-// HubDegreeMin is the degree at which a vertex counts as a hub for the
-// locality ordering. Below it the bucket structure would only scatter the
-// BFS locality of the long tail; hub packing pays exactly for the vertices
-// whose neighbor-counter words absorb a super-constant share of the commit
-// phase's writes.
+// HubDegreeMin is the degree at which a vertex counts as a hub, for
+// DegreeBucketOrder's buckets and for the engine's hub/tail counter split.
+// Below it the bucket structure would only scatter the BFS locality of the
+// long tail; hubs are the vertices whose neighbor-counter words absorb a
+// super-constant share of the commit phase's writes.
 const HubDegreeMin = 64
 
 // degreeBucket maps a degree to its locality bucket: geometric (bit-length)
@@ -70,16 +37,14 @@ func degreeBucket(deg int) int {
 	return bits.Len(uint(deg))
 }
 
-// DegreeBucketOrder computes the locality ordering used by the engine's
-// bit-sliced kernel path: hubs (degree >= HubDegreeMin) are grouped into
-// geometric degree buckets (bit length of deg(u)), buckets laid out from
-// highest to lowest so the high-degree hubs — whose neighbor-counter words
-// absorb most of the commit phase's writes — land packed into the lowest,
-// contiguous lane words; the entire low-degree tail shares one bucket
-// behind them. On sparse families (m <= 32n) the order within each bucket
+// DegreeBucketOrder computes a degree-bucketed locality ordering: hubs
+// (degree >= HubDegreeMin) are grouped into geometric degree buckets (bit
+// length of deg(u)), buckets laid out from highest to lowest so the
+// high-degree hubs land packed into the lowest ids; the entire low-degree
+// tail shares one bucket behind them. On sparse families (m <= 32n) the order within each bucket
 // follows a deterministic global BFS (restarted from the highest-degree
-// unvisited vertex), which keeps topologically close vertices in nearby
-// words; on dense families the within-bucket order keeps original ids,
+// unvisited vertex), which keeps topologically close vertices at nearby
+// ids; on dense families the within-bucket order keeps original ids,
 // where the CSR is already local.
 //
 // The result is a pure function of the graph. DegreeBucketOrder returns nil

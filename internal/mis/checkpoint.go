@@ -17,6 +17,7 @@ package mis
 
 import (
 	"fmt"
+	"slices"
 
 	"ssmis/internal/engine"
 	"ssmis/internal/engine/kernel"
@@ -31,13 +32,12 @@ import (
 // envelope; DecodeCheckpoint validates and unwraps.
 type Checkpoint = snapshot.Process
 
-// newRestoredClock rebuilds the 3-color switch from checkpointed levels
-// (stored in original vertex ids) on the engine's — possibly relabeled —
-// graph.
-func newRestoredClock(eg *graph.Graph, c *Checkpoint, ord *graph.Ordering) *phaseclock.Clock {
-	cl := phaseclock.New(eg, phaseclock.WithZetaLog2(c.ZetaLog2))
+// newRestoredClock rebuilds the 3-color switch on g from checkpointed
+// levels.
+func newRestoredClock(g *graph.Graph, c *Checkpoint) *phaseclock.Clock {
+	cl := phaseclock.New(g, phaseclock.WithZetaLog2(c.ZetaLog2))
 	for u, l := range c.Levels {
-		cl.SetLevel(ord.NewID(u), l)
+		cl.SetLevel(u, l)
 	}
 	cl.SetRandomBits(c.ClockBits)
 	return cl
@@ -94,14 +94,12 @@ func restoreOptions(c *Checkpoint, opts []Option) (options, error) {
 	return o, nil
 }
 
-// restoreCore assembles an engine over restored state (already permuted
-// into ord's space by the caller) and replays the checkpointed accounting
-// (round/bits, daemon steps/moves, coverage stamps) into it; the returned
-// stream resumes daemon scheduling coin-for-coin (nil when the checkpoint
-// carries none). Checkpoints are keyed by original ids, so a run saved
-// under one ordering restores under any other.
-func restoreCore(g *graph.Graph, ord *graph.Ordering, prog *kernel.Program, sub engine.SubProcess, state []uint8, rngs []*xrand.Rand, o options, noop bool, c *Checkpoint) (*engine.Core, *xrand.Rand, error) {
-	core := engine.New(engineGraph(g, ord), prog, sub, state, rngs, o.engine(noop, ord))
+// restoreCore assembles an engine over restored state and replays the
+// checkpointed accounting (round/bits, daemon steps/moves, coverage stamps)
+// into it; the returned stream resumes daemon scheduling coin-for-coin (nil
+// when the checkpoint carries none).
+func restoreCore(g *graph.Graph, prog *kernel.Program, sub engine.SubProcess, state []uint8, rngs []*xrand.Rand, o options, noop bool, c *Checkpoint) (*engine.Core, *xrand.Rand, error) {
+	core := engine.New(g, prog, sub, state, rngs, o.engine(noop))
 	schedRng, err := c.RestoreEngine(core)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mis: %w", err)
@@ -117,9 +115,9 @@ func (p *TwoState) Checkpoint() (*Checkpoint, error) {
 	}
 	engineStates := p.core.States()
 	states := make([]uint8, len(engineStates))
-	for i, s := range engineStates {
+	for u, s := range engineStates {
 		if s == twoBlack {
-			states[p.ord.OldID(i)] = 1
+			states[u] = 1
 		}
 	}
 	c.Process = "2-state"
@@ -145,20 +143,18 @@ func RestoreTwoState(g *graph.Graph, c *Checkpoint, opts ...Option) (*TwoState, 
 	if err != nil {
 		return nil, err
 	}
-	ord := orderingFor(g, o)
 	state := make([]uint8, g.N())
 	for u, s := range c.States {
-		ns := twoWhite
+		state[u] = twoWhite
 		if s == 1 {
-			ns = twoBlack
+			state[u] = twoBlack
 		}
-		state[ord.NewID(u)] = ns
 	}
-	core, schedRng, err := restoreCore(g, ord, twoStateProg, nil, state, permuteRngs(ord, rngs), o, true, c)
+	core, schedRng, err := restoreCore(g, twoStateProg, nil, state, rngs, o, true, c)
 	if err != nil {
 		return nil, err
 	}
-	return &TwoState{core: core, opts: o, g: g, ord: ord, schedRng: schedRng}, nil
+	return &TwoState{core: core, opts: o, schedRng: schedRng}, nil
 }
 
 // Checkpoint snapshots the 3-state process.
@@ -168,7 +164,7 @@ func (p *ThreeState) Checkpoint() (*Checkpoint, error) {
 		return nil, err
 	}
 	c.Process = "3-state"
-	c.States = unpermuteU8(p.ord, p.core.States())
+	c.States = slices.Clone(p.core.States())
 	return c, nil
 }
 
@@ -188,21 +184,18 @@ func RestoreThreeState(g *graph.Graph, c *Checkpoint, opts ...Option) (*ThreeSta
 	if err != nil {
 		return nil, err
 	}
-	ord := orderingFor(g, o)
-	state := make([]uint8, g.N())
 	for u, s := range c.States {
 		switch TriState(s) {
 		case TriWhite, TriBlack0, TriBlack1:
-			state[ord.NewID(u)] = s
 		default:
 			return nil, fmt.Errorf("mis: invalid 3-state value %d at vertex %d", s, u)
 		}
 	}
-	core, schedRng, err := restoreCore(g, ord, threeStateProg, nil, state, permuteRngs(ord, rngs), o, false, c)
+	core, schedRng, err := restoreCore(g, threeStateProg, nil, slices.Clone(c.States), rngs, o, false, c)
 	if err != nil {
 		return nil, err
 	}
-	return &ThreeState{core: core, opts: o, g: g, ord: ord, schedRng: schedRng}, nil
+	return &ThreeState{core: core, opts: o, schedRng: schedRng}, nil
 }
 
 // Checkpoint snapshots the 3-color process, including its switch.
@@ -211,13 +204,12 @@ func (p *ThreeColor) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := p.N()
-	levels := make([]uint8, n)
-	for i := 0; i < n; i++ {
-		levels[p.ord.OldID(i)] = p.sw.clock.Level(i)
+	levels := make([]uint8, p.N())
+	for u := range levels {
+		levels[u] = p.sw.clock.Level(u)
 	}
 	c.Process = "3-color"
-	c.States = unpermuteU8(p.ord, p.core.States())
+	c.States = slices.Clone(p.core.States())
 	c.Levels = levels
 	c.ClockBits = p.sw.clock.RandomBits()
 	c.ZetaLog2 = p.opts.switchZetaLog2
@@ -245,21 +237,17 @@ func RestoreThreeColor(g *graph.Graph, c *Checkpoint, opts ...Option) (*ThreeCol
 	if o.switchZetaLog2 == 0 || o.switchZetaLog2 > 64 {
 		return nil, fmt.Errorf("mis: checkpoint switch parameter k = %d outside [1, 64]", c.ZetaLog2)
 	}
-	ord := orderingFor(g, o)
-	state := make([]uint8, n)
 	for u, s := range c.States {
 		switch Color(s) {
 		case ColorWhite, ColorBlack, ColorGray:
-			state[ord.NewID(u)] = s
 		default:
 			return nil, fmt.Errorf("mis: invalid color value %d at vertex %d", s, u)
 		}
 	}
-	engineRngs := permuteRngs(ord, rngs)
-	sw := &logSwitch{clock: newRestoredClock(engineGraph(g, ord), c, ord), rngs: engineRngs}
-	core, _, err := restoreCore(g, ord, threeColorProg, sw, state, engineRngs, o, false, c)
+	sw := &logSwitch{clock: newRestoredClock(g, c), rngs: rngs}
+	core, _, err := restoreCore(g, threeColorProg, sw, slices.Clone(c.States), rngs, o, false, c)
 	if err != nil {
 		return nil, err
 	}
-	return &ThreeColor{core: core, sw: sw, opts: o, g: g, ord: ord}, nil
+	return &ThreeColor{core: core, sw: sw, opts: o}, nil
 }

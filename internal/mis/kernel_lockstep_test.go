@@ -82,13 +82,11 @@ func boolInt(b bool) int {
 }
 
 // The lockstep matrix for all three rules on the bit-sliced engine. The
-// default process (auto counter layout, identity order) must replay its
-// reference transcription state for state, every round, until it
-// stabilizes on a valid MIS; then every variant — the degree-bucketed
-// relabeling and each forced counter-plane geometry — must
-// replay the default run round by round: full states (black0 vs black1,
-// switch levels), active counts, bit accounting, and the final coveredAt
-// stamps.
+// default process (auto counter layout) must replay its reference
+// transcription state for state, every round, until it stabilizes on a
+// valid MIS; then every forced counter-plane geometry must replay the
+// default run round by round: full states (black0 vs black1, switch
+// levels), active counts, bit accounting, and the final coveredAt stamps.
 func TestKernelLockstepMatrix(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -101,16 +99,7 @@ func TestKernelLockstepMatrix(t *testing.T) {
 		// counter-layout axis below exercises the hub/tail split for real.
 		{"powerlaw", graph.ChungLu(1500, 2.0, 8, xrand.New(6))},
 	}
-	axes := []struct {
-		relabel bool
-		layout  engine.CounterLayout
-	}{
-		{false, engine.LayoutAuto},
-		{true, engine.LayoutAuto},
-		{false, engine.LayoutFlat},
-		{false, engine.LayoutNarrow},
-		{false, engine.LayoutSplit},
-	}
+	layouts := []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit}
 	type timed interface{ StabilizationTimes() []int }
 	for _, pr := range lockstepProcs() {
 		for _, gc := range graphs {
@@ -134,17 +123,9 @@ func TestKernelLockstepMatrix(t *testing.T) {
 			if err := verify.MIS(gc.g, base.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
-			for _, ax := range axes {
-				if !ax.relabel && ax.layout == engine.LayoutAuto {
-					continue // the default run itself
-				}
-				name := fmt.Sprintf("%s/%s/relabel=%v layout=%v",
-					pr.name, gc.name, ax.relabel, ax.layout)
-				opts := []Option{WithSeed(99), WithLocalTimes(), WithCounterLayout(ax.layout)}
-				if ax.relabel {
-					opts = append(opts, WithDegreeOrder())
-				}
-				p := pr.mk(gc.g, opts...)
+			for _, layout := range layouts {
+				name := fmt.Sprintf("%s/%s/layout=%v", pr.name, gc.name, layout)
+				p := pr.mk(gc.g, WithSeed(99), WithLocalTimes(), WithCounterLayout(layout))
 				// Round-by-round, against a fresh default twin, so a
 				// divergence is pinned to the exact round it appears.
 				twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
@@ -178,16 +159,17 @@ func TestKernelLockstepMatrix(t *testing.T) {
 
 // Daemon steps move vertices through the program's per-vertex transition
 // and share Step's commit and refresh. Under each fair daemon a 3-state
-// process under the degree-bucketed ordering must replay the default
-// (identity-order) execution move for move, with intact incremental
-// structures, and end on a valid MIS.
+// process with each forced counter-plane geometry must replay the default
+// execution move for move, with intact incremental structures, and end on
+// a valid MIS.
 func TestKernelDaemonLockstep(t *testing.T) {
 	g := graph.Gnp(150, 0.05, xrand.New(3))
 	daemons := []sched.Daemon{sched.Synchronous{}, sched.CentralRandom{}, sched.DistributedRandom{}}
 	for _, d := range daemons {
 		base := NewThreeState(g, WithSeed(5))
-		variants := []*ThreeState{
-			NewThreeState(g, WithSeed(5), WithDegreeOrder()),
+		var variants []*ThreeState
+		for _, l := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
+			variants = append(variants, NewThreeState(g, WithSeed(5), WithCounterLayout(l)))
 		}
 		cap := DefaultDaemonStepCap(g.N())
 		for i := 0; i < cap && !base.Stabilized(); i++ {

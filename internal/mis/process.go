@@ -119,24 +119,19 @@ type options struct {
 	// ctx, when non-nil, leases all per-run scratch (engine structures,
 	// state vector, vertex streams) from a per-worker run context.
 	ctx *engine.RunContext
-	// order selects the locality-relabeling policy (order.go): auto,
-	// identity opt-out, or forced degree-bucketed.
-	order orderMode
 	// counterLayout selects the engine's neighbor-counter plane layout
 	// (default auto; forced values for differential tests and benchmarks).
 	counterLayout engine.CounterLayout
 }
 
 // engine translates the option set into engine options; noopWhenIdle selects
-// the 2-state quiescence semantics for Step, ord the locality relabeling the
-// constructor resolved (nil = identity).
-func (o options) engine(noopWhenIdle bool, ord *graph.Ordering) engine.Options {
+// the 2-state quiescence semantics for Step.
+func (o options) engine(noopWhenIdle bool) engine.Options {
 	return engine.Options{
 		Bias:          o.blackBias,
 		NoopWhenIdle:  noopWhenIdle,
 		Ctx:           o.ctx,
 		CounterLayout: o.counterLayout,
-		Order:         ord,
 	}
 }
 
@@ -295,14 +290,11 @@ func initialBlackMask(g *graph.Graph, o options, rng *xrand.Rand) []bool {
 }
 
 // splitVertexStreams derives the per-vertex random streams from the master
-// seed. The stream of original vertex u is always master.Split(u) — stream
-// identity is keyed by original ids — and under a locality relabeling (ord
-// non-nil) it is seeded into slot ord.NewID(u), where the relabeled engine
-// indexes it. A run context, when present, supplies the generator array
-// allocation-free.
-func splitVertexStreams(n int, master *xrand.Rand, ctx *engine.RunContext, ord *graph.Ordering) []*xrand.Rand {
+// seed: the stream of vertex u is master.Split(u). A run context, when
+// present, supplies the generator array allocation-free.
+func splitVertexStreams(n int, master *xrand.Rand, ctx *engine.RunContext) []*xrand.Rand {
 	if ctx != nil {
-		return ctx.VertexStreamsPerm(n, master, ord)
+		return ctx.VertexStreams(n, master)
 	}
 	// One contiguous backing array instead of n individual allocations: at
 	// n=10^6 the per-vertex Splits used to be the bulk of construction's
@@ -311,9 +303,8 @@ func splitVertexStreams(n int, master *xrand.Rand, ctx *engine.RunContext, ord *
 	backing := make([]xrand.Rand, n)
 	rngs := make([]*xrand.Rand, n)
 	for u := 0; u < n; u++ {
-		i := ord.NewID(u)
-		master.SplitInto(&backing[i], uint64(u))
-		rngs[i] = &backing[i]
+		master.SplitInto(&backing[u], uint64(u))
+		rngs[u] = &backing[u]
 	}
 	return rngs
 }

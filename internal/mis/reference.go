@@ -27,7 +27,7 @@ func NewRefTwoState(g *graph.Graph, seed uint64, initial []bool) *RefTwoState {
 	return &RefTwoState{
 		g:     g,
 		black: append([]bool(nil), initial...),
-		rngs:  splitVertexStreams(g.N(), master, nil, nil),
+		rngs:  splitVertexStreams(g.N(), master, nil),
 	}
 }
 
@@ -82,7 +82,7 @@ func NewRefThreeState(g *graph.Graph, seed uint64, initial []TriState) *RefThree
 	return &RefThreeState{
 		g:     g,
 		state: append([]TriState(nil), initial...),
-		rngs:  splitVertexStreams(g.N(), master, nil, nil),
+		rngs:  splitVertexStreams(g.N(), master, nil),
 	}
 }
 
@@ -138,7 +138,7 @@ func NewRefThreeColor(g *graph.Graph, seed uint64, colors []Color, levels []uint
 		g:     g,
 		color: append([]Color(nil), colors...),
 		level: append([]uint8(nil), levels...),
-		rngs:  splitVertexStreams(g.N(), master, nil, nil),
+		rngs:  splitVertexStreams(g.N(), master, nil),
 		zetaK: phaseclock.DefaultZetaLog2,
 	}
 }

@@ -14,11 +14,10 @@ import (
 // forced uneven frontiers (star: one hub word saturates, leaf words go
 // quiet; caterpillar: churn concentrates on the spine; complete: dirtyAll
 // forces the full O(n/64) refresh every changing round; power-law: a hub
-// prefix with a whole pure-hub lane word) × variants — the degree-bucketed
-// relabeling and every forced counter-plane geometry. Summaries, per-vertex
-// colors, and the coveredAt stamps behind the local-times instrument must
-// be byte-identical to the default run, which TestKernelLockstepMatrix pins
-// to the reference transcriptions.
+// prefix with a whole pure-hub lane word) × every forced counter-plane
+// geometry. Summaries, per-vertex colors, and the coveredAt stamps behind
+// the local-times instrument must be byte-identical to the default run,
+// which TestKernelLockstepMatrix pins to the reference transcriptions.
 func TestRefreshDeterminismMatrix(t *testing.T) {
 	type proc struct {
 		name string
@@ -41,16 +40,6 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		// word.
 		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42))},
 	}
-	type variant struct {
-		name   string
-		opts   []Option
-		layout engine.CounterLayout // forced plane geometry, or auto
-	}
-	variants := []variant{{"relabel", []Option{WithDegreeOrder()}, engine.LayoutAuto}}
-	for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
-		variants = append(variants, variant{fmt.Sprintf("layout=%v", layout),
-			[]Option{WithCounterLayout(layout)}, layout})
-	}
 	type timed interface{ StabilizationTimes() []int }
 	for _, pr := range procs {
 		for _, gc := range graphs {
@@ -64,10 +53,10 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
 			baseTimes := base.(timed).StabilizationTimes()
-			for _, v := range variants {
-				name := fmt.Sprintf("%s/%s/%s", pr.name, gc.name, v.name)
-				p := pr.mk(gc.g, append([]Option{WithSeed(77), WithLocalTimes()}, v.opts...)...)
-				if info := counterPlaneOf(p); v.layout != engine.LayoutAuto && info.Active && info.Layout != v.layout {
+			for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
+				name := fmt.Sprintf("%s/%s/layout=%v", pr.name, gc.name, layout)
+				p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithCounterLayout(layout))
+				if info := counterPlaneOf(p); info.Active && info.Layout != layout {
 					t.Fatalf("%s: plane resolved to %v", name, info.Layout)
 				}
 				if res := Run(p, cap); res != baseRes {

@@ -104,10 +104,6 @@ type ThreeColor struct {
 	core *engine.Core
 	sw   *logSwitch
 	opts options
-	// g is the caller's graph in original vertex ids; ord the locality
-	// relabeling the engine and switch run under (nil = identity, order.go).
-	g   *graph.Graph
-	ord *graph.Ordering
 }
 
 var _ Process = (*ThreeColor)(nil)
@@ -120,15 +116,12 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 	o := buildOptions(opts)
 	master := xrand.New(o.seed)
 	n := g.N()
-	ord := orderingFor(g, o)
-	eg := engineGraph(g, ord)
 	state := stateBuf(n, o.ctx)
 	irng := initStream(n, master)
-	// Initialization coins (colors, then switch levels below) are drawn in
-	// original vertex order; only the storage slot is relabeled.
+	// Initialization coins: colors first, then switch levels below.
 	if o.initialBlack == nil && o.init == InitRandom {
 		for u := 0; u < n; u++ {
-			state[ord.NewID(u)] = uint8(1 + irng.Intn(3))
+			state[u] = uint8(1 + irng.Intn(3))
 		}
 	} else {
 		for u, b := range initialBlackMask(g, o, irng) {
@@ -136,31 +129,28 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 			if b {
 				s = uint8(ColorBlack)
 			}
-			state[ord.NewID(u)] = s
+			state[u] = s
 		}
 	}
 	// D=3, on iff level ≤ 2; ζ = 2^-switchZetaLog2 (paper: 2^-7). A run
 	// context leases the clock's level, count and scratch arrays too, so a
 	// context-backed 3-color run makes no per-run O(n) allocation at all.
-	// The clock lives in the engine's (possibly relabeled) vertex space.
 	var clock *phaseclock.Clock
 	if o.ctx != nil {
-		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2),
+		clock = phaseclock.New(g, phaseclock.WithZetaLog2(o.switchZetaLog2),
 			phaseclock.WithBuffers(o.ctx.ClockBufs(n)))
 	} else {
-		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2))
+		clock = phaseclock.New(g, phaseclock.WithZetaLog2(o.switchZetaLog2))
 	}
 	sw := &logSwitch{
 		clock: clock,
-		rngs:  splitVertexStreams(n, master, o.ctx, ord),
+		rngs:  splitVertexStreams(n, master, o.ctx),
 	}
-	sw.clock.RandomizeLevelsPerm(irng, ordPerm(ord))
+	sw.clock.RandomizeLevels(irng)
 	return &ThreeColor{
-		core: engine.New(eg, threeColorProg, sw, state, sw.rngs, o.engine(false, ord)),
+		core: engine.New(g, threeColorProg, sw, state, sw.rngs, o.engine(false)),
 		sw:   sw,
 		opts: o,
-		g:    g,
-		ord:  ord,
 	}
 }
 
@@ -189,16 +179,16 @@ func (p *ThreeColor) RandomBits() int64 { return p.core.Bits() + p.sw.clock.Rand
 func (p *ThreeColor) ActiveCount() int { return p.core.ActiveCount() }
 
 // Black implements Process.
-func (p *ThreeColor) Black(u int) bool { return Color(p.core.State(p.ord.NewID(u))) == ColorBlack }
+func (p *ThreeColor) Black(u int) bool { return Color(p.core.State(u)) == ColorBlack }
 
 // ColorOf returns the current color of u.
-func (p *ThreeColor) ColorOf(u int) Color { return Color(p.core.State(p.ord.NewID(u))) }
+func (p *ThreeColor) ColorOf(u int) Color { return Color(p.core.State(u)) }
 
 // SwitchLevel returns u's current switch level (0..5).
-func (p *ThreeColor) SwitchLevel(u int) uint8 { return p.sw.clock.Level(p.ord.NewID(u)) }
+func (p *ThreeColor) SwitchLevel(u int) uint8 { return p.sw.clock.Level(u) }
 
 // SwitchOn returns u's current switch value.
-func (p *ThreeColor) SwitchOn(u int) bool { return p.sw.clock.On(p.ord.NewID(u)) }
+func (p *ThreeColor) SwitchOn(u int) bool { return p.sw.clock.On(u) }
 
 // GrayCount returns |Γ_t|.
 func (p *ThreeColor) GrayCount() int { return p.core.StateCount(uint8(ColorGray)) }
@@ -206,8 +196,8 @@ func (p *ThreeColor) GrayCount() int { return p.core.StateCount(uint8(ColorGray)
 // Stabilized implements Process.
 func (p *ThreeColor) Stabilized() bool { return p.core.Stabilized() }
 
-// Graph returns the underlying graph (the caller's, in original vertex ids).
-func (p *ThreeColor) Graph() *graph.Graph { return p.g }
+// Graph returns the underlying graph.
+func (p *ThreeColor) Graph() *graph.Graph { return p.core.Graph() }
 
 // Step implements Process: one synchronous round of Definition 28. The color
 // update reads the switch values σ_{t-1} from the end of the previous round;
@@ -215,25 +205,16 @@ func (p *ThreeColor) Graph() *graph.Graph { return p.g }
 func (p *ThreeColor) Step() { p.core.Step() }
 
 // Rebind switches the process (and its switch sub-process) to a new graph
-// on the same vertex set, keeping all vertex states (topology churn); a
-// held relabeling is carried over to the new graph. It panics on order
-// mismatch.
+// on the same vertex set, keeping all vertex states (topology churn). It
+// panics on order mismatch.
 func (p *ThreeColor) Rebind(g *graph.Graph) {
-	p.g = g
-	if p.ord != nil {
-		p.ord = p.ord.Rebind(g)
-		p.sw.clock.Rebind(p.ord.G)
-		p.core.RebindOrdered(p.ord)
-		return
-	}
 	p.sw.clock.Rebind(g)
 	p.core.Rebind(g)
 }
 
 // Corrupt overwrites the color and switch level of u mid-run.
 func (p *ThreeColor) Corrupt(u int, c Color, level uint8) {
-	i := p.ord.NewID(u)
-	p.core.States()[i] = uint8(c)
-	p.sw.clock.SetLevel(i, level)
+	p.core.States()[u] = uint8(c)
+	p.sw.clock.SetLevel(u, level)
 	p.core.Rebuild()
 }

@@ -90,10 +90,6 @@ var threeStateProg = kernel.MustCompile(kernel.Spec{
 type ThreeState struct {
 	core *engine.Core
 	opts options
-	// g is the caller's graph in original vertex ids; ord the locality
-	// relabeling the engine runs under (nil = identity, order.go).
-	g   *graph.Graph
-	ord *graph.Ordering
 	// schedRng drives daemon selection (daemon.go), created on first use.
 	schedRng *xrand.Rand
 }
@@ -107,14 +103,11 @@ func NewThreeState(g *graph.Graph, opts ...Option) *ThreeState {
 	o := buildOptions(opts)
 	master := xrand.New(o.seed)
 	n := g.N()
-	ord := orderingFor(g, o)
 	state := stateBuf(n, o.ctx)
 	irng := initStream(n, master)
-	// Initialization coins are drawn in original vertex order (part of the
-	// pinned execution); only the storage slot is relabeled.
 	if o.initialBlack == nil && o.init == InitRandom {
 		for u := 0; u < n; u++ {
-			state[ord.NewID(u)] = uint8(1 + irng.Intn(3))
+			state[u] = uint8(1 + irng.Intn(3))
 		}
 	} else {
 		for u, b := range initialBlackMask(g, o, irng) {
@@ -122,15 +115,13 @@ func NewThreeState(g *graph.Graph, opts ...Option) *ThreeState {
 			if b {
 				s = uint8(TriBlack1)
 			}
-			state[ord.NewID(u)] = s
+			state[u] = s
 		}
 	}
 	return &ThreeState{
-		core: engine.New(engineGraph(g, ord), threeStateProg, nil, state,
-			splitVertexStreams(n, master, o.ctx, ord), o.engine(false, ord)),
+		core: engine.New(g, threeStateProg, nil, state,
+			splitVertexStreams(n, master, o.ctx), o.engine(false)),
 		opts: o,
-		g:    g,
-		ord:  ord,
 	}
 }
 
@@ -159,36 +150,27 @@ func (p *ThreeState) RandomBits() int64 { return p.core.Bits() }
 func (p *ThreeState) ActiveCount() int { return p.core.ActiveCount() }
 
 // Black implements Process.
-func (p *ThreeState) Black(u int) bool { return TriState(p.core.State(p.ord.NewID(u))).Black() }
+func (p *ThreeState) Black(u int) bool { return TriState(p.core.State(u)).Black() }
 
 // State returns the full state of u.
-func (p *ThreeState) State(u int) TriState { return TriState(p.core.State(p.ord.NewID(u))) }
+func (p *ThreeState) State(u int) TriState { return TriState(p.core.State(u)) }
 
 // Stabilized implements Process.
 func (p *ThreeState) Stabilized() bool { return p.core.Stabilized() }
 
-// Graph returns the underlying graph (the caller's, in original vertex ids).
-func (p *ThreeState) Graph() *graph.Graph { return p.g }
+// Graph returns the underlying graph.
+func (p *ThreeState) Graph() *graph.Graph { return p.core.Graph() }
 
 // Step implements Process: one synchronous round of Definition 5.
 func (p *ThreeState) Step() { p.core.Step() }
 
 // Rebind switches the process to a new graph on the same vertex set,
-// keeping all vertex states (topology churn); a held relabeling is carried
-// over to the new graph. It panics on order mismatch.
-func (p *ThreeState) Rebind(g *graph.Graph) {
-	p.g = g
-	if p.ord != nil {
-		p.ord = p.ord.Rebind(g)
-		p.core.RebindOrdered(p.ord)
-		return
-	}
-	p.core.Rebind(g)
-}
+// keeping all vertex states (topology churn). It panics on order mismatch.
+func (p *ThreeState) Rebind(g *graph.Graph) { p.core.Rebind(g) }
 
 // Corrupt overwrites the state of u mid-run and rebuilds the derived
 // structures.
 func (p *ThreeState) Corrupt(u int, s TriState) {
-	p.core.States()[p.ord.NewID(u)] = uint8(s)
+	p.core.States()[u] = uint8(s)
 	p.core.Rebuild()
 }

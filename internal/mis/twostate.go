@@ -44,10 +44,6 @@ var twoStateProg = kernel.MustCompile(kernel.Spec{
 type TwoState struct {
 	core *engine.Core
 	opts options
-	// g is the caller's graph in original vertex ids; ord the locality
-	// relabeling the engine runs under (nil = identity, order.go).
-	g   *graph.Graph
-	ord *graph.Ordering
 	// schedRng drives daemon selection (daemon.go), created on first use.
 	schedRng *xrand.Rand
 }
@@ -60,24 +56,18 @@ func NewTwoState(g *graph.Graph, opts ...Option) *TwoState {
 	o := buildOptions(opts)
 	master := xrand.New(o.seed)
 	n := g.N()
-	ord := orderingFor(g, o)
 	state := stateBuf(n, o.ctx)
-	// The mask is drawn over the original graph in original vertex order
-	// (initialization coins are part of the pinned execution); only the
-	// storage slot is relabeled.
 	for u, b := range initialBlackMask(g, o, initStream(n, master)) {
 		s := twoWhite
 		if b {
 			s = twoBlack
 		}
-		state[ord.NewID(u)] = s
+		state[u] = s
 	}
 	return &TwoState{
-		core: engine.New(engineGraph(g, ord), twoStateProg, nil, state,
-			splitVertexStreams(n, master, o.ctx, ord), o.engine(true, ord)),
+		core: engine.New(g, twoStateProg, nil, state,
+			splitVertexStreams(n, master, o.ctx), o.engine(true)),
 		opts: o,
-		g:    g,
-		ord:  ord,
 	}
 }
 
@@ -106,16 +96,15 @@ func (p *TwoState) RandomBits() int64 { return p.core.Bits() }
 func (p *TwoState) ActiveCount() int { return p.core.ActiveCount() }
 
 // Black implements Process.
-func (p *TwoState) Black(u int) bool { return p.core.State(p.ord.NewID(u)) == twoBlack }
+func (p *TwoState) Black(u int) bool { return p.core.State(u) == twoBlack }
 
 // Stabilized implements Process. For the 2-state process, "no active vertex"
 // is equivalent to "every vertex covered by the stable core" (the black set
 // is then an MIS).
 func (p *TwoState) Stabilized() bool { return p.core.Stabilized() }
 
-// Graph returns the underlying graph (the caller's, in original vertex ids,
-// whatever ordering the engine runs under).
-func (p *TwoState) Graph() *graph.Graph { return p.g }
+// Graph returns the underlying graph.
+func (p *TwoState) Graph() *graph.Graph { return p.core.Graph() }
 
 // Step implements Process: one synchronous round of Definition 4. A step on
 // a quiescent process is a no-op (the round counter does not advance).
@@ -129,7 +118,7 @@ func (p *TwoState) Corrupt(u int, black bool) {
 	if black {
 		s = twoBlack
 	}
-	p.core.States()[p.ord.NewID(u)] = s
+	p.core.States()[u] = s
 	p.core.Rebuild()
 }
 
@@ -144,7 +133,7 @@ func (p *TwoState) CorruptAll(black []bool) {
 		if b {
 			s = twoBlack
 		}
-		state[p.ord.NewID(u)] = s
+		state[u] = s
 	}
 	p.core.Rebuild()
 }
@@ -152,25 +141,15 @@ func (p *TwoState) CorruptAll(black []bool) {
 // Rebind switches the process to a new graph on the same vertex set, keeping
 // all vertex states — the topology-churn scenario: links changed, nodes kept
 // their one bit of state, and self-stabilization must absorb the difference.
-// The held relabeling (if any) is carried over to the new graph. It panics
-// if the new graph has a different order.
-func (p *TwoState) Rebind(g *graph.Graph) {
-	p.g = g
-	if p.ord != nil {
-		p.ord = p.ord.Rebind(g)
-		p.core.RebindOrdered(p.ord)
-		return
-	}
-	p.core.Rebind(g)
-}
+// It panics if the new graph has a different order.
+func (p *TwoState) Rebind(g *graph.Graph) { p.core.Rebind(g) }
 
-// BlackMask returns a copy of the current color vector, indexed by original
-// vertex ids.
+// BlackMask returns a copy of the current color vector.
 func (p *TwoState) BlackMask() []bool {
 	state := p.core.States()
 	out := make([]bool, len(state))
-	for i, s := range state {
-		out[p.ord.OldID(i)] = s == twoBlack
+	for u, s := range state {
+		out[u] = s == twoBlack
 	}
 	return out
 }
@@ -182,17 +161,15 @@ func (p *TwoState) StableBlackCount() int { return p.core.StableCoreCount() }
 func (p *TwoState) BlackCount() int { return p.core.ClassACount() }
 
 // stabilizationTimes converts the engine's first-cover stamps to the
-// StabilizationTimes contract (nil unless WithLocalTimes was requested),
-// mapping from the engine's internal order back to original vertex ids.
+// StabilizationTimes contract (nil unless WithLocalTimes was requested).
 func stabilizationTimes(core *engine.Core, o options) []int {
 	if !o.trackLocal {
 		return nil
 	}
 	stamps := core.CoveredAt()
-	ord := core.Order()
 	out := make([]int, len(stamps))
-	for i, r := range stamps {
-		out[ord.OldID(i)] = int(r)
+	for u, r := range stamps {
+		out[u] = int(r)
 	}
 	return out
 }

@@ -206,22 +206,9 @@ func (c *Clock) SetLevel(u int, level uint8) {
 // RandomizeLevels sets every level to an independent uniform value in
 // [0, Top], the "arbitrary initial state" of a self-stabilization adversary.
 func (c *Clock) RandomizeLevels(rng *xrand.Rand) {
-	c.RandomizeLevelsPerm(rng, nil)
-}
-
-// RandomizeLevelsPerm is RandomizeLevels under a vertex relabeling: draws
-// stay in ORIGINAL vertex order (the u-th draw belongs to original vertex
-// u, keeping the rng sequence identical to an unrelabeled clock) but land
-// at slot perm[u] of a clock built on the relabeled graph. A nil perm is
-// the identity.
-func (c *Clock) RandomizeLevelsPerm(rng *xrand.Rand, perm []int32) {
 	top := int(c.Top()) + 1
 	for u := range c.levels {
-		i := u
-		if perm != nil {
-			i = int(perm[u])
-		}
-		c.levels[i] = uint8(rng.Intn(top))
+		c.levels[u] = uint8(rng.Intn(top))
 	}
 	c.recount()
 }

@@ -4,8 +4,8 @@ package scenario
 // Run submits the exact cell structure the hand-coded experiments submit —
 // ScalingSpec/RunScalingSweep for sync scaling units, RuntimeScalingSpec
 // for the alternative media, DaemonMatrixSpec and FaultMatrixSpec for the
-// matrices. Checkpointing, cell timing, -identity-order invariance
-// and -workers independence all come for free from that shared path.
+// matrices. Checkpointing, cell timing and -workers independence all come
+// for free from that shared path.
 
 import (
 	"fmt"

@@ -80,35 +80,15 @@ func DecodeProcess(data []byte) (*Process, error) {
 // core: round/bit accounting, daemon step/move accounting, coverage stamps,
 // the per-vertex streams, and (when non-nil) the daemon selection stream.
 // The caller fills the process-specific fields (name, state encoding,
-// switch levels, options). Snapshots are keyed by ORIGINAL vertex ids: when
-// the core runs under a locality relabeling (engine.Options.Order), the
-// coverage stamps and stream array are permuted back before serialization,
-// so a checkpoint saved under any ordering restores under any other.
+// switch levels, options).
 func (p *Process) CaptureEngine(core *engine.Core, schedRng *xrand.Rand) error {
 	p.N = core.Graph().N()
 	p.Round = core.Round()
 	p.Bits = core.Bits()
 	p.Steps = core.Steps()
 	p.Moves = core.Moves()
-	ord := core.Order()
-	if ord == nil {
-		p.CoveredAt = append([]int32(nil), core.CoveredAt()...)
-	} else {
-		stamps := core.CoveredAt()
-		p.CoveredAt = make([]int32, len(stamps))
-		for i, r := range stamps {
-			p.CoveredAt[ord.OldID(i)] = r
-		}
-	}
-	streams := core.Rngs()
-	if ord != nil {
-		orig := make([]*xrand.Rand, len(streams))
-		for i, r := range streams {
-			orig[ord.OldID(i)] = r
-		}
-		streams = orig
-	}
-	rngs, err := MarshalRngs(streams)
+	p.CoveredAt = append([]int32(nil), core.CoveredAt()...)
+	rngs, err := MarshalRngs(core.Rngs())
 	if err != nil {
 		return err
 	}
@@ -132,16 +112,7 @@ func (p *Process) RestoreEngine(core *engine.Core) (*xrand.Rand, error) {
 	core.SetAccounting(p.Round, p.Bits)
 	core.SetDaemonAccounting(p.Steps, p.Moves)
 	if p.CoveredAt != nil {
-		stamps := p.CoveredAt
-		// Stamps are stored in original ids; a core running under a locality
-		// relabeling needs them in its internal order.
-		if ord := core.Order(); ord != nil {
-			stamps = make([]int32, len(p.CoveredAt))
-			for u, r := range p.CoveredAt {
-				stamps[ord.NewID(u)] = r
-			}
-		}
-		if err := core.SetCoverageStamps(stamps); err != nil {
+		if err := core.SetCoverageStamps(p.CoveredAt); err != nil {
 			return nil, err
 		}
 	}

@@ -109,18 +109,6 @@ func WithBlackBias(p float64) Option { return mis.WithBlackBias(p) }
 // through each process's StabilizationTimes method (see experiment E14).
 func WithLocalTimes() Option { return mis.WithLocalTimes() }
 
-// WithIdentityOrder opts a process out of the locality relabeling the
-// engine auto-selects on large graphs, keeping engine storage in original
-// vertex ids. Relabeled executions are graph isomorphisms of
-// identity-ordered ones — outcomes, coins, and histories are identical —
-// so this is a diagnostic/benchmark knob.
-func WithIdentityOrder() Option { return mis.WithIdentityOrder() }
-
-// WithDegreeOrder forces the degree-bucketed locality relabeling on
-// regardless of graph size or run context. Primarily for tests and
-// benchmarks; the auto policy already selects it where it pays off.
-func WithDegreeOrder() Option { return mis.WithDegreeOrder() }
-
 // ToggleEdge returns a copy of g with edge {u,v} added if absent, removed
 // if present. Combine with a process's Rebind method to model topology
 // churn (experiment E15).
