@@ -14,7 +14,6 @@ import (
 
 	"ssmis"
 	"ssmis/internal/baseline"
-	"ssmis/internal/engine"
 	"ssmis/internal/graph"
 	"ssmis/internal/mis"
 	"ssmis/internal/xrand"
@@ -171,11 +170,16 @@ func BenchmarkEngineFrontierChungLu100k(b *testing.B) {
 }
 
 func BenchmarkEngineKernelGnp1M(b *testing.B) {
-	// The n=10^6 frontier workload (the misbench gnp1m-2state instance).
+	// The n=10^6 frontier workload (the misbench gnp1m-2state instance), on
+	// byte counter lanes; internal/engine's BenchmarkCountersFlatGnp1M runs
+	// the same executions with int32 counters forced.
 	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7))
 }
 
 func BenchmarkEngineKernelChungLu1M(b *testing.B) {
+	// 16-bit counter lanes (maximum degree 31466); internal/engine's
+	// BenchmarkCountersFlatChungLu1M runs the same executions with int32
+	// counters forced.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7))
 }
 
@@ -183,38 +187,6 @@ func BenchmarkEngineKernelClique4k(b *testing.B) {
 	// Refresh-heavy: on a complete graph every changing round sets dirtyAll,
 	// and hasBlackNbr is re-derived from the class total in O(n/64) words.
 	benchEngine(b, ssmis.Complete(4096))
-}
-
-// --- counter-plane benchmarks: the flat full-width int32 counter arrays
-// against the width-adaptive/hub-split plane on the same kernel executions
-// (coin-for-coin identical; only counter storage differs). The gated record
-// lives in BENCH_kernel.json (counters-split and counters-narrow row
-// pairs). ---
-
-func BenchmarkCountersFlatGnp1M(b *testing.B) {
-	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7),
-		mis.WithCounterLayout(engine.LayoutFlat))
-}
-
-func BenchmarkCountersNarrowGnp1M(b *testing.B) {
-	// Auto resolves the same geometry on this degree profile (max degree
-	// fits a byte, no hub prefix): narrow lanes, 4x less scatter traffic.
-	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7),
-		mis.WithCounterLayout(engine.LayoutNarrow))
-}
-
-func BenchmarkCountersFlatChungLu1M(b *testing.B) {
-	// Heavy-tailed degrees in the generator's weight-sorted ids: hubs
-	// first, flat int32 counters — the baseline for the split row below.
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		mis.WithCounterLayout(engine.LayoutFlat))
-}
-
-func BenchmarkCountersSplitChungLu1M(b *testing.B) {
-	// The hub/tail split: dense int32 hub rows stay cache-resident, the
-	// tail lives in byte lanes.
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		mis.WithCounterLayout(engine.LayoutSplit))
 }
 
 func mk3State(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process {

@@ -107,9 +107,23 @@ func run() int {
 	flag.Parse()
 
 	// The pool's 0 = GOMAXPROCS convention must not swallow negative typos
-	// (-workers -3) silently.
+	// (-workers -3) silently, nor may the 0 = auto of -batch. A -trials
+	// below 1 would run a single seed, and a negative -checkpoint-every
+	// would write only the exit snapshot.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "misrun: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
+		return 2
+	}
+	if *chunk < 0 {
+		fmt.Fprintf(os.Stderr, "misrun: -batch must be >= 0 (0 = auto), got %d\n", *chunk)
+		return 2
+	}
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "misrun: -trials must be >= 1, got %d\n", *trials)
+		return 2
+	}
+	if *ckptEvery < 0 {
+		fmt.Fprintf(os.Stderr, "misrun: -checkpoint-every must be >= 0 (0 = only at exit), got %d\n", *ckptEvery)
 		return 2
 	}
 	// -workers and -batch shape the -trials pool; a single run has no pool,

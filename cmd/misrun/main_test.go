@@ -16,18 +16,25 @@ import (
 // TestNegativeWorkersRejected drives the real flag path: the test binary
 // re-executes itself with MISRUN_ARGS set, and the child runs run() on
 // those arguments. Each pool flag misrun cannot honour must fail loudly at
-// flag parsing (exit 2): a negative -workers instead of being silently
-// coerced to GOMAXPROCS by the pool, and -workers or -batch without
-// -trials, where there is no pool for them to size. So must each graph
-// flag out of its generator's range, with one line instead of a panic's
-// goroutine trace (which also exits 2).
+// flag parsing (exit 2): a negative -workers or -batch instead of being
+// silently coerced to GOMAXPROCS or automatic chunks by the pool, a
+// -trials below 1 instead of running one seed, and -workers or -batch
+// without -trials, where there is no pool for them to size. So must a
+// negative -checkpoint-every, instead of writing only the exit snapshot,
+// and each graph flag out of its generator's range, with one line instead
+// of a panic's goroutine trace (which also exits 2).
 func TestNegativeWorkersRejected(t *testing.T) {
 	if args := os.Getenv("MISRUN_ARGS"); args != "" {
 		os.Args = append([]string{"misrun"}, strings.Fields(args)...)
 		os.Exit(run())
 	}
+	ckpt := filepath.Join(t.TempDir(), "f")
 	cases := []struct{ args, diag string }{
 		{"-graph clique -n 8 -workers -3", "-workers must be >= 0"},
+		{"-graph clique -n 8 -trials 4 -batch -3", "-batch must be >= 0"},
+		{"-graph clique -n 8 -trials 0", "-trials must be >= 1"},
+		{"-graph clique -n 8 -trials -2", "-trials must be >= 1"},
+		{"-graph clique -n 8 -checkpoint-every -5 -checkpoint " + ckpt, "-checkpoint-every must be >= 0"},
 		{"-graph gnp -n 500 -p 0.02 -proc 2state -seed 1 -workers 4", "need -trials > 1"},
 		{"-graph clique -n 8 -batch 2", "need -trials > 1"},
 		{"-graph clique -n 8 -trials 1 -workers 2", "need -trials > 1"},

@@ -150,30 +150,21 @@
 // Layer 1a' — counter planes (engine/counters.go). The engine's neighbor
 // counters are behind every commit's hottest loop — a random-access
 // read-modify-write scatter into one cell per touched neighbor — and the
-// counter plane restructures that storage without changing a single value
-// anyone reads. Two mechanisms, resolved per graph from the degree
-// profile at Rebuild (mis.WithCounterLayout forces one for tests and
-// benchmarks; auto is the default):
-// width-adaptive tail lanes — a counter never exceeds its vertex's degree,
-// so when the maximum degree outside the hub prefix fits a byte (or a
-// halfword) the tail counters live in uint8 (uint16) lanes, shrinking the
-// scatter traffic 4x (2x) for identical values, with a loud int32 fallback
-// (CounterPlaneInfo.FellBack, plus panic-guarded lane writes) when a forced
-// narrow layout cannot fit; the hub/tail split — when the caller's ids put
-// the hubs (degree >= 64) first, as the generators' weight-sorted ids do,
-// the hub prefix keeps a dense full-width int32 plane small enough to stay
-// cache-resident across a round while the tail (always low-degree) shrinks
-// to its narrow width. Each width keeps its own typed slices ([]uint8,
-// []uint16, []int32), written in place by the single-writer commit and
-// reused across RunContext leases. A layout
-// changes only where counters are stored, never what a read returns, so
-// every layout replays coin-for-coin bit-identical executions — the
-// determinism and lockstep matrices pin the layout axis against the
-// default run, CheckIntegrity re-verifies both the layout-selection
-// invariants and a flat recount every time it runs, and the
-// BENCH_kernel.json counter row pairs gate the split at >= 1.1x (flat vs
-// auto on Chung-Lu n=10^6 in the generator's ids) and the narrow lanes at
-// >= 1.0x (Gnp n=10^6, must never lose).
+// counter plane sizes that storage without changing a single value anyone
+// reads. The paper's rules read a counter only through its zero test, and a
+// counter never exceeds its vertex's degree, so one rule picks the lanes at
+// Rebuild from the graph's maximum degree alone: uint8 lanes up to degree
+// 255, uint16 up to 65535, int32 above — 4x (2x) less scatter traffic than
+// int32 cells for identical values. Each width keeps its own typed slices,
+// written in place by the single-writer commit (panic-guarded against a
+// wrap) and reused across RunContext leases. A width changes only where
+// counters are stored, never what a read returns: CheckIntegrity verifies
+// the width against the maximum degree and every counter against a
+// recount, the lockstep matrix pins a graph of each width to the reference
+// transcriptions, and the BENCH_kernel.json counter row pairs gate the
+// lanes against int32 counters forced by a test-only hook, at >= 1.1x on
+// Chung-Lu n=10^6 (16-bit lanes) and >= 1.0x on Gnp n=10^6 (byte lanes,
+// must never lose).
 //
 // Layer 1c — the phase clock (internal/phaseclock). The 3-color rule's
 // logarithmic switch runs as its mid-round sub-process on a

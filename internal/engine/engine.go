@@ -88,13 +88,6 @@ type Options struct {
 	// RunContext. Constructing another engine on the same context invalidates
 	// this one. Results are bit-identical with or without a context.
 	Ctx *RunContext
-	// CounterLayout selects where the neighbor counters live (counters.go):
-	// LayoutAuto resolves the hub/tail split and the tail lane width from
-	// the degree profile; the forced values exist for differential tests
-	// and the BENCH_kernel.json layout rows. Every layout replays the same
-	// execution coin-for-coin — the plane changes only where counters are
-	// stored, never what a read returns.
-	CounterLayout CounterLayout
 }
 
 // change is one committed transition: vertex U moves to state S — the
@@ -365,9 +358,9 @@ func (e *Core) Rebuild() {
 	n := e.g.N()
 	e.complete = !e.forceGeneric && n >= 2 && e.g.M() == n*(n-1)/2
 	if !e.complete {
-		// Re-resolve the counter-plane layout (the graph may have changed
+		// Re-resolve the counter lane width (the graph may have changed
 		// under Rebind) and reshape its arrays, zeroed.
-		e.plane.configure(e.g, e.opts.CounterLayout, e.useB)
+		e.plane.configure(e.g, e.useB)
 	}
 	for i := range e.stateCnt {
 		e.stateCnt[i] = 0
@@ -421,10 +414,8 @@ func (e *Core) Rebuild() {
 
 // rebuildCountsT recounts every neighbor counter into the freshly zeroed
 // plane. No overflow guard: the width selection proves counter <= degree <=
-// max tail degree fits the lane.
-func rebuildCountsT[T cell](e *Core, tailA, tailB []T) {
-	p := e.plane
-	hubLen := p.hubLen
+// max degree fits the lane.
+func rebuildCountsT[T cell](e *Core, cntA, cntB []T) {
 	n := e.g.N()
 	for u := 0; u < n; u++ {
 		cl := e.classTab[e.state[u]]
@@ -433,20 +424,12 @@ func rebuildCountsT[T cell](e *Core, tailA, tailB []T) {
 		}
 		if cl&classA != 0 {
 			for _, v := range e.g.Neighbors(u) {
-				if vi := int(v); vi < hubLen {
-					p.hubA[vi]++
-				} else {
-					tailA[vi]++
-				}
+				cntA[v]++
 			}
 		}
 		if cl&classB != 0 {
 			for _, v := range e.g.Neighbors(u) {
-				if vi := int(v); vi < hubLen {
-					p.hubB[vi]++
-				} else {
-					tailB[vi]++
-				}
+				cntB[v]++
 			}
 		}
 	}
@@ -473,7 +456,7 @@ func (e *Core) Rebind(g *graph.Graph) {
 func (e *Core) CheckIntegrity() error {
 	n := e.g.N()
 	if !e.complete {
-		if err := e.plane.checkLayout(e.g, e.opts.CounterLayout); err != nil {
+		if err := e.plane.checkLayout(e.g); err != nil {
 			return fmt.Errorf("round %d: %w", e.round, err)
 		}
 	}

@@ -10,3 +10,9 @@ func (e *Core) DisableCompleteFastPath() {
 	e.forceGeneric = true
 	e.Rebuild()
 }
+
+// ForceFlatCounters makes every engine built on c keep full-width int32
+// neighbor counters whatever the graph's maximum degree; differential tests
+// and the flat rows of the kernel record run real processes on such a
+// context beside the default lanes.
+func ForceFlatCounters(c *RunContext) { c.plane.flat = true }

@@ -301,10 +301,11 @@ func coin(r *xrand.Rand, bias float64) (bool, int64) {
 // own stream (active: next code from the CoinHi/CoinLo maps) or takes its
 // forced transition (ForcedOn/ForcedOff by its gate bit, no coin), and the
 // vertices whose state changes are appended to dst as pending changes.
-// Nothing is committed — the lanes stay frozen at the pre-round state, so
-// every vertex reads the same pre-round configuration. It returns the extended change list and the number of random bits drawn:
-// one bit per coin at bias 1/2, one 64-bit Bernoulli sample per coin
-// otherwise (Program.Next is the same transition one vertex at a time).
+// Nothing is committed: the lanes stay frozen at the pre-round state, so
+// every vertex reads the same pre-round configuration. It returns the
+// extended change list and the number of random bits drawn. That is one
+// bit per coin at bias 1/2, and one 64-bit Bernoulli sample per coin
+// otherwise. Program.Next is the same transition one vertex at a time.
 func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	if p.fast2 {

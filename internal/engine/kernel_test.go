@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ssmis/internal/graph"
 	"ssmis/internal/sched"
+	"ssmis/internal/verify"
 	"ssmis/internal/xrand"
 )
 
@@ -78,6 +80,51 @@ func TestKernelDaemonSynchronousMatchesStep(t *testing.T) {
 		}
 		if step.Bits() != daemon.Bits() {
 			t.Fatalf("trial %d: bits %d vs %d", trial, step.Bits(), daemon.Bits())
+		}
+	}
+}
+
+// Under each fair daemon the 3-state rule with int32 counters forced must
+// replay the default byte lanes move for move — the daemon path's
+// per-vertex evaluation reads the counters through countA/countB, the
+// commit writes them through commitT — with intact incremental structures
+// on both, until both stabilize on a valid MIS.
+func TestKernelDaemonLockstep(t *testing.T) {
+	g := graph.Gnp(150, 0.05, xrand.New(3))
+	n := g.N()
+	for _, d := range []sched.Daemon{sched.Synchronous{}, sched.CentralRandom{}, sched.DistributedRandom{}} {
+		init := xrand.New(5)
+		state := make([]uint8, n)
+		for u := range state {
+			state[u] = uint8(1 + init.Intn(3))
+		}
+		base := newThreeTestCore(g, slices.Clone(state), 5, false)
+		flat := newThreeTestCore(g, state, 5, true)
+		if b, f := base.CounterPlane(), flat.CounterPlane(); b.WidthBits != 8 || f.WidthBits != 32 {
+			t.Fatalf("%s: planes %+v and %+v, want 8 and 32 bits", d.Name(), b, f)
+		}
+		baseRng, flatRng := xrand.New(7), xrand.New(7)
+		for step := 0; !base.Stabilized(); step++ {
+			if step == 1000*n {
+				t.Fatalf("%s: no stabilization within %d steps", d.Name(), step)
+			}
+			base.DaemonStep(d, baseRng)
+			flat.DaemonStep(d, flatRng)
+			if flat.Moves() != base.Moves() || flat.Bits() != base.Bits() || !statesEqual(base, flat) {
+				t.Fatalf("%s: step %d diverged: moves %d/%d, bits %d/%d", d.Name(), step,
+					base.Moves(), flat.Moves(), base.Bits(), flat.Bits())
+			}
+			for _, e := range []*Core{base, flat} {
+				if err := e.CheckIntegrity(); err != nil {
+					t.Fatalf("%s: step %d: %v", d.Name(), step, err)
+				}
+			}
+		}
+		if !flat.Stabilized() {
+			t.Fatalf("%s: the flat run did not stabilize with the default one", d.Name())
+		}
+		if err := verify.MIS(g, func(u int) bool { return base.State(u) != tWhite }); err != nil {
+			t.Fatalf("%s: %v", d.Name(), err)
 		}
 	}
 }

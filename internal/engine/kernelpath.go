@@ -50,7 +50,7 @@ import "fmt"
 // loops are split per (da, db) shape: this is the dominant flat cost of the
 // whole engine, and a call or a loop-invariant branch per neighbor is
 // measurable at n = 10^6. Off the complete-graph fast path the neighbor
-// scatter dispatches once per batch on the counter plane's tail width.
+// scatter dispatches once per batch on the counter plane's lane width.
 func (e *Core) commit(changes []change) {
 	if e.complete {
 		e.commitComplete(changes)
@@ -106,14 +106,13 @@ func (e *Core) commitComplete(changes []change) {
 	}
 }
 
-// commitT is the commit over a counter plane with tail cell type T — the
+// commitT is the commit over a counter plane with cell type T — the
 // engine's hottest loop, stenciled per width so the neighbor scatter
-// carries no width dispatch; the hub test (vi < hubLen) is a single
-// predictable branch (always false on flat/narrow planes). The deltas are
-// single steps (da, db in {-1,0,1}; db is 0 unless the program engages
-// counter B), so a counter crosses zero exactly when its new value is da
-// (rising) or 0 (falling); tail writes round-trip through int32 so a narrow
-// lane can never wrap silently (the check folds away at full width).
+// carries no width dispatch. The deltas are single steps (da, db in
+// {-1,0,1}; db is 0 unless the program engages counter B), so a counter
+// crosses zero exactly when its new value is da (rising) or 0 (falling);
+// lane writes round-trip through int32 so a narrow lane can never wrap
+// silently (the check folds away at full width).
 //
 // A change whose only class delta is counter B (a 3-state black0↔black1
 // flip) skips its neighbor loop when u is in I_t. Every neighbor of u is
@@ -125,9 +124,7 @@ func (e *Core) commitComplete(changes []change) {
 // only through Rebuild, which recounts every counter; CheckIntegrity
 // recounts under the same invariant and fails if the lag could change any
 // touched or active bit.
-func commitT[T cell](e *Core, changes []change, tailA, tailB []T) {
-	p := e.plane
-	hubLen := p.hubLen
+func commitT[T cell](e *Core, changes []change, cntA, cntB []T) {
 	hbnA, hbnB := e.kern.HBNWords()
 	loL, hiL := e.kern.StateWords()
 	prog := e.prog
@@ -169,24 +166,16 @@ func commitT[T cell](e *Core, changes []change, tailA, tailB []T) {
 			for _, v := range e.g.Neighbors(u) {
 				vi := int(v)
 				bit := uint64(1) << (uint(vi) & 63)
-				var na, nb int32
-				if vi < hubLen {
-					na = p.hubA[vi] + da
-					p.hubA[vi] = na
-					nb = p.hubB[vi] + db
-					p.hubB[vi] = nb
-				} else {
-					na = int32(tailA[vi]) + da
-					if int32(T(na)) != na {
-						panicCounterOverflow(vi, na)
-					}
-					tailA[vi] = T(na)
-					nb = int32(tailB[vi]) + db
-					if int32(T(nb)) != nb {
-						panicCounterOverflow(vi, nb)
-					}
-					tailB[vi] = T(nb)
+				na := int32(cntA[vi]) + da
+				if int32(T(na)) != na {
+					panicCounterOverflow(vi, na)
 				}
+				cntA[vi] = T(na)
+				nb := int32(cntB[vi]) + db
+				if int32(T(nb)) != nb {
+					panicCounterOverflow(vi, nb)
+				}
+				cntB[vi] = T(nb)
 				if na == da {
 					hbnA[vi>>6] |= bit
 				} else if na == 0 {
@@ -205,17 +194,11 @@ func commitT[T cell](e *Core, changes []change, tailA, tailB []T) {
 			}
 			for _, v := range e.g.Neighbors(u) {
 				vi := int(v)
-				var nb int32
-				if vi < hubLen {
-					nb = p.hubB[vi] + db
-					p.hubB[vi] = nb
-				} else {
-					nb = int32(tailB[vi]) + db
-					if int32(T(nb)) != nb {
-						panicCounterOverflow(vi, nb)
-					}
-					tailB[vi] = T(nb)
+				nb := int32(cntB[vi]) + db
+				if int32(T(nb)) != nb {
+					panicCounterOverflow(vi, nb)
 				}
+				cntB[vi] = T(nb)
 				if nb == db {
 					hbnB[vi>>6] |= 1 << (uint(vi) & 63)
 				} else if nb == 0 {
@@ -226,17 +209,11 @@ func commitT[T cell](e *Core, changes []change, tailA, tailB []T) {
 		case da != 0:
 			for _, v := range e.g.Neighbors(u) {
 				vi := int(v)
-				var na int32
-				if vi < hubLen {
-					na = p.hubA[vi] + da
-					p.hubA[vi] = na
-				} else {
-					na = int32(tailA[vi]) + da
-					if int32(T(na)) != na {
-						panicCounterOverflow(vi, na)
-					}
-					tailA[vi] = T(na)
+				na := int32(cntA[vi]) + da
+				if int32(T(na)) != na {
+					panicCounterOverflow(vi, na)
 				}
+				cntA[vi] = T(na)
 				if na == da {
 					hbnA[vi>>6] |= 1 << (uint(vi) & 63)
 				} else if na == 0 {

@@ -73,7 +73,7 @@ func growI32(buf []int32, n int) []int32 {
 }
 
 // growU16 mirrors growI32 for uint16 slices (the counter plane's 16-bit
-// tail lanes).
+// lanes).
 func growU16(buf []uint16, n int) []uint16 {
 	if cap(buf) < n {
 		return make([]uint16, n)

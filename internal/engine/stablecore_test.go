@@ -36,17 +36,20 @@ const (
 )
 
 // newThreeTestCore builds a 3-state core on g from the given states, vertex
-// u drawing from master.Split(u).
-func newThreeTestCore(g *graph.Graph, state []uint8, seed uint64, layout CounterLayout) *Core {
+// u drawing from master.Split(u); flat forces int32 counters.
+func newThreeTestCore(g *graph.Graph, state []uint8, seed uint64, flat bool) *Core {
 	master := xrand.New(seed)
 	rngs := make([]*xrand.Rand, g.N())
 	for u := range rngs {
 		rngs[u] = master.Split(uint64(u))
 	}
-	return New(g, threeTestProg, nil, state, rngs, Options{Bias: 0.5, CounterLayout: layout})
+	opts := Options{Bias: 0.5}
+	if flat {
+		opts.Ctx = NewRunContext()
+		ForceFlatCounters(opts.Ctx)
+	}
+	return New(g, threeTestProg, nil, state, rngs, opts)
 }
-
-var allLayouts = []CounterLayout{LayoutFlat, LayoutNarrow, LayoutSplit, LayoutAuto}
 
 // A black centre of an all-white star is in I_t from the start and flips
 // between black1 and black0 every other round or so. Its leaves are frozen
@@ -56,15 +59,15 @@ var allLayouts = []CounterLayout{LayoutFlat, LayoutNarrow, LayoutSplit, LayoutAu
 func TestStableCoreStopsScatteringCounterB(t *testing.T) {
 	g := graph.Star(200)
 	n := g.N()
-	for _, layout := range allLayouts {
+	for _, flat := range []bool{false, true} {
 		state := make([]uint8, n)
 		for u := range state {
 			state[u] = tWhite
 		}
 		state[0] = tBlack1
-		e := newThreeTestCore(g, state, 3, layout)
+		e := newThreeTestCore(g, state, 3, flat)
 		if !e.inI.Contains(0) || !e.Stabilized() {
-			t.Fatalf("%v: the black centre of a white star is not in I_t", layout)
+			t.Fatalf("flat=%v: the black centre of a white star is not in I_t", flat)
 		}
 		want := make([]int32, n)
 		for u := 1; u < n; u++ {
@@ -78,36 +81,37 @@ func TestStableCoreStopsScatteringCounterB(t *testing.T) {
 				flips++
 			}
 			if err := e.CheckIntegrity(); err != nil {
-				t.Fatalf("%v step %d: %v", layout, step, err)
+				t.Fatalf("flat=%v step %d: %v", flat, step, err)
 			}
 			for u := 1; u < n; u++ {
 				if got := e.countB(u); got != want[u] {
-					t.Fatalf("%v step %d: counter B of leaf %d moved from %d to %d", layout, step, u, want[u], got)
+					t.Fatalf("flat=%v step %d: counter B of leaf %d moved from %d to %d", flat, step, u, want[u], got)
 				}
 			}
 		}
 		if flips == 0 {
-			t.Fatalf("%v: the centre never flipped, so nothing was exercised", layout)
+			t.Fatalf("flat=%v: the centre never flipped, so nothing was exercised", flat)
 		}
 		e.States()[0] = tBlack0
 		e.Rebuild()
 		if err := e.CheckIntegrity(); err != nil {
-			t.Fatalf("%v after Rebuild: %v", layout, err)
+			t.Fatalf("flat=%v after Rebuild: %v", flat, err)
 		}
 		for u := 1; u < n; u++ {
 			if got := e.countB(u); got != 0 {
-				t.Fatalf("%v after Rebuild: counter B of leaf %d = %d under a black0 centre", layout, u, got)
+				t.Fatalf("flat=%v after Rebuild: counter B of leaf %d = %d under a black0 centre", flat, u, got)
 			}
 		}
 	}
 }
 
-// The 3-state rule under every counter layout, with CheckIntegrity after
-// every step and after edits that move vertices into and out of I_t: a
-// stable vertex overwritten by a random state, a white neighbor of one
-// turned black1 (evicting it from I_t), and a stable vertex swapped to its
-// other black state. The complete graph runs the class-total fast path,
-// where counter B is never frozen.
+// The 3-state rule on its default lanes and with int32 counters forced,
+// with CheckIntegrity after every step and after edits that move vertices
+// into and out of I_t: a stable vertex overwritten by a random state, a
+// white neighbor of one turned black1 (evicting it from I_t), and a stable
+// vertex swapped to its other black state. Star(300) resolves to 16-bit
+// lanes, the other sparse graphs to byte lanes. The complete graph runs the
+// class-total fast path, where counter B is never frozen.
 func TestThreeStateIntegrityAroundStableCore(t *testing.T) {
 	rng := xrand.New(17)
 	graphs := []*graph.Graph{
@@ -115,19 +119,20 @@ func TestThreeStateIntegrityAroundStableCore(t *testing.T) {
 		graph.ChungLu(600, 2.0, 6, rng),
 		graph.Star(100),
 		graph.Complete(40),
+		graph.Star(300),
 	}
 	for gi, g := range graphs {
-		for _, layout := range allLayouts {
+		for _, flat := range []bool{false, true} {
 			n := g.N()
 			state := make([]uint8, n)
 			for u := range state {
 				state[u] = uint8(1 + rng.Intn(3))
 			}
-			e := newThreeTestCore(g, state, uint64(gi), layout)
+			e := newThreeTestCore(g, state, uint64(gi), flat)
 			check := func(what string) {
 				t.Helper()
 				if err := e.CheckIntegrity(); err != nil {
-					t.Fatalf("graph %d %v %s: %v", gi, layout, what, err)
+					t.Fatalf("graph %d flat=%v %s: %v", gi, flat, what, err)
 				}
 			}
 			check("after New")

@@ -20,11 +20,9 @@ type Ordering struct {
 	G    *Graph  // CSR rebuilt under Perm
 }
 
-// HubDegreeMin is the degree at which a vertex counts as a hub, for
-// DegreeBucketOrder's buckets and for the engine's hub/tail counter split.
-// Below it the bucket structure would only scatter the BFS locality of the
-// long tail; hubs are the vertices whose neighbor-counter words absorb a
-// super-constant share of the commit phase's writes.
+// HubDegreeMin is the degree at which a vertex counts as a hub. Only
+// DegreeBucketOrder's buckets use it now: below it the bucket structure
+// would only scatter the BFS locality of the long tail.
 const HubDegreeMin = 64
 
 // degreeBucket maps a degree to its locality bucket: geometric (bit-length)

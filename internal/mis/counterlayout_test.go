@@ -23,10 +23,11 @@ func counterPlaneOf(p Process) engine.CounterPlaneInfo {
 	}
 }
 
-// The auto layout policy, observed through the public geometry: a star packs
-// one hub and a unit-degree tail (split, byte lanes); a bounded-degree
-// caterpillar has no hub prefix (narrow); weight-sorted power-law ids pack a
-// whole lane word of hubs first (split, populated prefix); the complete
+// The default resolution, observed through the public geometry: the
+// graph's maximum degree alone picks the lane width, whatever the degrees
+// of the other vertices. A star's centre needs 16 bits over a unit-degree
+// tail; the dense G(1024, 0.25), where every vertex has degree >= 200, needs
+// 16 bits too; a star beyond 65535 leaves needs int32 lanes; the complete
 // graph runs its fast path with no plane at all.
 func TestCounterLayoutAuto(t *testing.T) {
 	cases := []struct {
@@ -34,123 +35,100 @@ func TestCounterLayoutAuto(t *testing.T) {
 		g         *graph.Graph
 		layout    engine.CounterLayout
 		widthBits int
-		minHub    int
 	}{
-		{"star", graph.Star(700), engine.LayoutSplit, 8, 1},
-		{"caterpillar", graph.Caterpillar(120, 5), engine.LayoutNarrow, 8, 0},
-		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42)), engine.LayoutSplit, 8, 64},
+		{"caterpillar", graph.Caterpillar(120, 5), engine.LayoutNarrow, 8},
+		{"star", graph.Star(700), engine.LayoutNarrow, 16},
+		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42)), engine.LayoutNarrow, 16},
+		{"gnp-dense", graph.Gnp(1024, 0.25, xrand.New(1)), engine.LayoutNarrow, 16},
+		{"star70k", graph.Star(70000), engine.LayoutFlat, 32},
 	}
 	for _, c := range cases {
 		info := counterPlaneOf(NewTwoState(c.g, WithSeed(1)))
-		if !info.Active || info.FellBack {
-			t.Fatalf("%s: plane inactive or fell back: %+v", c.name, info)
-		}
-		if info.Layout != c.layout || info.WidthBits != c.widthBits || info.HubLen < c.minHub {
-			t.Fatalf("%s: resolved %+v, want layout=%v width=%d hub>=%d",
-				c.name, info, c.layout, c.widthBits, c.minHub)
+		if !info.Active || info.Layout != c.layout || info.WidthBits != c.widthBits || info.HubLen != 0 {
+			t.Errorf("%s (max degree %d): resolved %+v, want layout=%v width=%d with no hub prefix",
+				c.name, c.g.MaxDegree(), info, c.layout, c.widthBits)
 		}
 	}
 	if info := counterPlaneOf(NewTwoState(graph.Complete(256), WithSeed(1))); info.Active {
-		t.Fatalf("complete graph configured a counter plane: %+v", info)
+		t.Errorf("complete graph configured a counter plane: %+v", info)
 	}
 }
 
-// The loud fallback: forcing narrow lanes on a star whose center degree
-// exceeds 16 bits cannot honor a sub-32-bit width, so the plane must fall
-// back to int32 and say so — and the fallback execution must still replay
-// the flat layout bit for bit. A forced split on the same graph needs no
-// fallback: the center lands in the hub prefix and the tail is unit-degree.
+// Rebind re-resolves the lane width: a star whose centre has 65535 leaves
+// fits 16-bit lanes, and adding one more leaf overflows them. An all-black
+// start puts the centre's counter at the degree, so a plane that kept its
+// 16-bit lanes across the Rebind would wrap the recount; instead it must
+// switch to int32 lanes and back, with intact counters, and each rebound
+// run must replay a process built on its graph from the same start.
 func TestCounterLayoutOverflowFallback(t *testing.T) {
-	g := graph.Star(70000) // center degree 69999 > 0xFFFF
-	cap := 4 * DefaultRoundCap(g.N())
-
-	flat := NewTwoState(g, WithSeed(9), WithCounterLayout(engine.LayoutFlat))
-	if info := counterPlaneOf(flat); !info.Active || info.WidthBits != 32 || info.FellBack {
-		t.Fatalf("flat plane: %+v", info)
+	g32 := graph.Star(65537)             // centre degree 65536
+	g16 := g32.WithEdgeToggled(0, 65536) // centre degree 65535
+	allBlack := make([]bool, g32.N())
+	for u := range allBlack {
+		allBlack[u] = true
 	}
-	flatRes := Run(flat, cap)
-	if !flatRes.Stabilized {
-		t.Fatal("flat run did not stabilize")
-	}
-
-	narrow := NewTwoState(g, WithSeed(9), WithCounterLayout(engine.LayoutNarrow))
-	info := counterPlaneOf(narrow)
-	if !info.Active || !info.FellBack || info.WidthBits != 32 || info.HubLen != 0 {
-		t.Fatalf("forced narrow on star(70000) resolved %+v, want a loud int32 fallback", info)
-	}
-	if res := Run(narrow, cap); res != flatRes {
-		t.Fatalf("fallback run %+v, flat %+v", res, flatRes)
-	}
-	for u := 0; u < g.N(); u++ {
-		if narrow.Black(u) != flat.Black(u) {
-			t.Fatalf("color of %d diverged between fallback and flat", u)
+	for _, c := range []struct {
+		from, to  *graph.Graph
+		widthBits int
+	}{
+		{g16, g32, 32},
+		{g32, g16, 16},
+	} {
+		p := NewTwoState(c.from, WithSeed(9), WithInitialBlack(allBlack))
+		p.Rebind(c.to)
+		if info := counterPlaneOf(p); info.WidthBits != c.widthBits {
+			t.Fatalf("rebound onto max degree %d: %d-bit lanes, want %d", c.to.MaxDegree(), info.WidthBits, c.widthBits)
 		}
-	}
-
-	split := NewTwoState(g, WithSeed(9), WithCounterLayout(engine.LayoutSplit))
-	if info := counterPlaneOf(split); !info.Active || info.FellBack || info.WidthBits != 8 || info.HubLen != 1 {
-		t.Fatalf("forced split on star(70000) resolved %+v, want hub=1 byte tail", info)
-	}
-	if res := Run(split, cap); res != flatRes {
-		t.Fatalf("split run %+v, flat %+v", res, flatRes)
+		p.checkCounters(t)
+		fresh := NewTwoState(c.to, WithSeed(9), WithInitialBlack(allBlack))
+		for !p.Stabilized() {
+			p.Step()
+			fresh.Step()
+			p.checkCounters(t)
+			if p.Round() > DefaultRoundCap(p.N()) {
+				t.Fatalf("%d-bit run did not stabilize", c.widthBits)
+			}
+		}
+		if !fresh.Stabilized() || p.Round() != fresh.Round() || p.RandomBits() != fresh.RandomBits() {
+			t.Fatalf("%d-bit: rebound run (%d rounds, %d bits) vs fresh (%d, %d)",
+				c.widthBits, p.Round(), p.RandomBits(), fresh.Round(), fresh.RandomBits())
+		}
+		for u := 0; u < p.N(); u++ {
+			if p.Black(u) != fresh.Black(u) {
+				t.Fatalf("%d-bit: color of %d diverged", c.widthBits, u)
+			}
+		}
 	}
 }
 
 // A run context leased across graphs whose planes resolve to different
-// layouts (split -> narrow -> flat fallback -> split) must reconfigure the
-// plane without leaking cells between runs: each context-backed run must
-// equal its context-free execution exactly. CheckIntegrity-style layout
-// invariants are enforced inside the engine; here the observable contract
-// is checked end to end.
+// widths (8 -> 16 -> 32 -> 8 -> 16 bits) must reconfigure the plane without
+// leaking cells between runs: each context-backed run must equal its
+// context-free execution exactly. CheckIntegrity-style layout invariants
+// are enforced inside the engine; here the observable contract is checked
+// end to end.
 func TestCounterLayoutRunContextReuse(t *testing.T) {
 	ctx := engine.NewRunContext()
-	graphs := []*graph.Graph{
-		graph.ChungLu(8000, 2.0, 10, xrand.New(42)), // split, byte tail
-		graph.Caterpillar(200, 3),                   // narrow, byte lanes
-		graph.Star(70000),                           // narrow request would fall back; auto picks split
-		graph.Gnp(500, 0.05, xrand.New(8)),          // narrow
+	cases := []struct {
+		g         *graph.Graph
+		widthBits int
+	}{
+		{graph.Caterpillar(200, 3), 8},
+		{graph.ChungLu(8000, 2.0, 10, xrand.New(42)), 16},
+		{graph.Star(70000), 32},
+		{graph.Gnp(500, 0.05, xrand.New(8)), 8},
+		{graph.Gnp(1024, 0.25, xrand.New(1)), 16},
 	}
-	for i, g := range graphs {
+	for i, c := range cases {
 		seed := uint64(20 + i)
-		cap := 4 * DefaultRoundCap(g.N())
-		ref := Run(NewThreeState(g, WithSeed(seed)), cap)
-		got := Run(NewThreeState(g, WithSeed(seed), WithRunContext(ctx)), cap)
-		if got != ref {
+		cap := 4 * DefaultRoundCap(c.g.N())
+		ref := Run(NewThreeState(c.g, WithSeed(seed)), cap)
+		p := NewThreeState(c.g, WithSeed(seed), WithRunContext(ctx))
+		if info := counterPlaneOf(p); info.WidthBits != c.widthBits {
+			t.Fatalf("graph %d: %d-bit lanes, want %d", i, info.WidthBits, c.widthBits)
+		}
+		if got := Run(p, cap); got != ref {
 			t.Fatalf("graph %d: context-backed %+v vs fresh %+v", i, got, ref)
-		}
-	}
-}
-
-// Forced layouts must keep checkpoint/restore exact: a run checkpointed
-// mid-flight under the split plane and restored under flat (and vice versa)
-// continues the identical execution — the plane is storage, not state.
-func TestCounterLayoutCheckpointCrossLayout(t *testing.T) {
-	g := graph.ChungLu(3000, 2.0, 8, xrand.New(7))
-	cap := 4 * DefaultRoundCap(g.N())
-	for _, pair := range [][2]engine.CounterLayout{
-		{engine.LayoutSplit, engine.LayoutFlat},
-		{engine.LayoutFlat, engine.LayoutNarrow},
-	} {
-		ref := NewTwoState(g, WithSeed(33), WithCounterLayout(pair[0]))
-		for i := 0; i < 3 && !ref.Stabilized(); i++ {
-			ref.Step()
-		}
-		ck, err := ref.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refRes := Run(ref, cap)
-		restored, err := RestoreTwoState(g, ck, WithCounterLayout(pair[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := Run(restored, cap); res != refRes {
-			t.Fatalf("%v->%v: restored %+v, reference %+v", pair[0], pair[1], res, refRes)
-		}
-		for u := 0; u < g.N(); u++ {
-			if restored.Black(u) != ref.Black(u) {
-				t.Fatalf("%v->%v: color of %d diverged", pair[0], pair[1], u)
-			}
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package mis
 
 import (
-	"fmt"
 	"testing"
 
 	"ssmis/internal/engine"
 	"ssmis/internal/graph"
-	"ssmis/internal/sched"
 	"ssmis/internal/verify"
 	"ssmis/internal/xrand"
 )
@@ -81,28 +79,33 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// The lockstep matrix for all three rules on the bit-sliced engine. The
-// default process (auto counter layout) must replay its reference
-// transcription state for state, every round, until it stabilizes on a
-// valid MIS; then every forced counter-plane geometry must replay the
-// default run round by round: full states (black0 vs black1, switch
-// levels), active counts, bit accounting, and the final coveredAt stamps.
+// The lockstep matrix for all three rules on the bit-sliced engine: the
+// process must replay its reference transcription state for state, every
+// round, until it stabilizes on a valid MIS. The graphs cover every
+// counter plane: byte lanes (the G(n,p) graphs), 16-bit lanes (the
+// power-law graph, maximum degree 580), int32 lanes (a star with 65536
+// leaves) and none (the complete graph's fast path).
 func TestKernelLockstepMatrix(t *testing.T) {
 	graphs := []struct {
-		name string
-		g    *graph.Graph
+		name     string
+		g        *graph.Graph
+		no3Color bool
 	}{
-		{"gnp-sparse", graph.Gnp(400, 0.01, xrand.New(1))},
-		{"gnp-dense", graph.Gnp(200, 0.2, xrand.New(2))},
-		{"complete", graph.Complete(257)}, // odd order: partial tail word
-		// Weight-sorted power-law ids: a populated hub prefix, so the
-		// counter-layout axis below exercises the hub/tail split for real.
-		{"powerlaw", graph.ChungLu(1500, 2.0, 8, xrand.New(6))},
+		{"gnp-sparse", graph.Gnp(400, 0.01, xrand.New(1)), false},
+		{"gnp-dense", graph.Gnp(200, 0.2, xrand.New(2)), false},
+		{"complete", graph.Complete(257), false}, // odd order: partial tail word
+		{"powerlaw", graph.ChungLu(1500, 2.0, 8, xrand.New(6)), false},
+		// The 3-color rule skips the star: its phase clock runs 1530 rounds
+		// there, over a minute under -race. The int32 lanes are the same
+		// generic commit the other two rules run, and the 3-color gate lane
+		// is pinned on every other graph.
+		{"star", graph.Star(65537), true},
 	}
-	layouts := []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit}
-	type timed interface{ StabilizationTimes() []int }
 	for _, pr := range lockstepProcs() {
 		for _, gc := range graphs {
+			if gc.no3Color && pr.name == "3-color" {
+				continue
+			}
 			cap := 4 * DefaultRoundCap(gc.g.N())
 			base := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
 			ref := pr.ref(gc.g, 99, base)
@@ -123,82 +126,6 @@ func TestKernelLockstepMatrix(t *testing.T) {
 			if err := verify.MIS(gc.g, base.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
-			for _, layout := range layouts {
-				name := fmt.Sprintf("%s/%s/layout=%v", pr.name, gc.name, layout)
-				p := pr.mk(gc.g, WithSeed(99), WithLocalTimes(), WithCounterLayout(layout))
-				// Round-by-round, against a fresh default twin, so a
-				// divergence is pinned to the exact round it appears.
-				twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes())
-				for !p.Stabilized() && p.Round() < cap {
-					p.Step()
-					twin.Step()
-					if p.ActiveCount() != twin.ActiveCount() || p.RandomBits() != twin.RandomBits() {
-						t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
-							name, p.Round(), p.ActiveCount(), p.RandomBits(),
-							twin.ActiveCount(), twin.RandomBits())
-					}
-					for u := 0; u < gc.g.N(); u++ {
-						if pr.stateOf(p, u) != pr.stateOf(twin, u) {
-							t.Fatalf("%s: state of %d diverged at round %d", name, u, p.Round())
-						}
-					}
-				}
-				if res := (Result{p.Round(), p.Stabilized(), p.RandomBits()}); res != baseRes {
-					t.Fatalf("%s: summary %+v, default %+v", name, res, baseRes)
-				}
-				pt := p.(timed).StabilizationTimes()
-				for u, st := range base.(timed).StabilizationTimes() {
-					if pt[u] != st {
-						t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pt[u], st)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Daemon steps move vertices through the program's per-vertex transition
-// and share Step's commit and refresh. Under each fair daemon a 3-state
-// process with each forced counter-plane geometry must replay the default
-// execution move for move, with intact incremental structures, and end on
-// a valid MIS.
-func TestKernelDaemonLockstep(t *testing.T) {
-	g := graph.Gnp(150, 0.05, xrand.New(3))
-	daemons := []sched.Daemon{sched.Synchronous{}, sched.CentralRandom{}, sched.DistributedRandom{}}
-	for _, d := range daemons {
-		base := NewThreeState(g, WithSeed(5))
-		var variants []*ThreeState
-		for _, l := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
-			variants = append(variants, NewThreeState(g, WithSeed(5), WithCounterLayout(l)))
-		}
-		cap := DefaultDaemonStepCap(g.N())
-		for i := 0; i < cap && !base.Stabilized(); i++ {
-			base.DaemonStep(d)
-			for _, v := range variants {
-				v.DaemonStep(d)
-				if v.Moves() != base.Moves() || v.RandomBits() != base.RandomBits() {
-					t.Fatalf("%s: step %d moves/bits diverged", d.Name(), i)
-				}
-			}
-			if err := base.core.CheckIntegrity(); err != nil {
-				t.Fatalf("%s: step %d: %v", d.Name(), i, err)
-			}
-		}
-		if !base.Stabilized() {
-			t.Fatalf("%s: did not stabilize", d.Name())
-		}
-		for _, v := range variants {
-			if !v.Stabilized() {
-				t.Fatalf("%s: variant did not stabilize", d.Name())
-			}
-			for u := 0; u < g.N(); u++ {
-				if v.State(u) != base.State(u) {
-					t.Fatalf("%s: state of %d diverged", d.Name(), u)
-				}
-			}
-		}
-		if err := verify.MIS(g, base.Black); err != nil {
-			t.Fatalf("%s: %v", d.Name(), err)
 		}
 	}
 }

@@ -119,19 +119,15 @@ type options struct {
 	// ctx, when non-nil, leases all per-run scratch (engine structures,
 	// state vector, vertex streams) from a per-worker run context.
 	ctx *engine.RunContext
-	// counterLayout selects the engine's neighbor-counter plane layout
-	// (default auto; forced values for differential tests and benchmarks).
-	counterLayout engine.CounterLayout
 }
 
 // engine translates the option set into engine options; noopWhenIdle selects
 // the 2-state quiescence semantics for Step.
 func (o options) engine(noopWhenIdle bool) engine.Options {
 	return engine.Options{
-		Bias:          o.blackBias,
-		NoopWhenIdle:  noopWhenIdle,
-		Ctx:           o.ctx,
-		CounterLayout: o.counterLayout,
+		Bias:         o.blackBias,
+		NoopWhenIdle: noopWhenIdle,
+		Ctx:          o.ctx,
 	}
 }
 
@@ -179,21 +175,9 @@ func WithSwitchZetaLog2(k uint) Option {
 	return func(o *options) { o.switchZetaLog2 = k }
 }
 
-// WithCounterLayout forces the engine's neighbor-counter plane layout
-// (engine.LayoutFlat/LayoutNarrow/LayoutSplit) instead of the auto
-// resolution from the degree profile. Every layout replays the same
-// execution coin-for-coin — the plane changes only where counters live,
-// never what a read returns — so this is a test and benchmark hook, never a
-// semantic knob; it is not part of the public ssmis API. The determinism and
-// lockstep matrices pin all layouts against the default one.
-func WithCounterLayout(l engine.CounterLayout) Option {
-	return func(o *options) { o.counterLayout = l }
-}
-
-// CounterPlane reports the engine's resolved counter-plane geometry — the
-// observable half of the loud-fallback contract (FellBack is set when a
-// forced narrow/split layout could not honor a sub-32-bit width). The zero
-// Info on the complete-graph fast path, which keeps no per-vertex counters.
+// CounterPlane reports the engine's resolved counter-plane geometry: the
+// lane width the graph's maximum degree needs. The zero Info on the
+// complete-graph fast path, which keeps no per-vertex counters.
 func (p *TwoState) CounterPlane() engine.CounterPlaneInfo { return p.core.CounterPlane() }
 
 // CounterPlane reports the engine's resolved counter-plane geometry; see

@@ -13,11 +13,14 @@ import (
 // Determinism matrix for the engine's membership refresh: every process ×
 // forced uneven frontiers (star: one hub word saturates, leaf words go
 // quiet; caterpillar: churn concentrates on the spine; complete: dirtyAll
-// forces the full O(n/64) refresh every changing round; power-law: a hub
-// prefix with a whole pure-hub lane word) × every forced counter-plane
-// geometry. Summaries, per-vertex colors, and the coveredAt stamps behind
-// the local-times instrument must be byte-identical to the default run,
-// which TestKernelLockstepMatrix pins to the reference transcriptions.
+// forces the full O(n/64) refresh every changing round; power-law: the
+// hubs' lane words saturate while the tail goes quiet), each run twice:
+// fresh, and on one run context that the whole matrix leases in turn, so
+// its counter plane and membership sets are reshaped between 16-bit, byte
+// and no lanes before every run. Summaries, per-vertex colors, and the
+// coveredAt stamps behind the local-times instrument must be byte-identical
+// to the fresh run, whose rule TestKernelLockstepMatrix pins to the
+// reference transcriptions.
 func TestRefreshDeterminismMatrix(t *testing.T) {
 	type proc struct {
 		name string
@@ -35,12 +38,10 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		{"star", graph.Star(700)},
 		{"caterpillar", graph.Caterpillar(120, 5)},
 		{"complete", graph.Complete(256)},
-		// Weight-sorted power-law ids pack >= 64 hubs first, so the counter
-		// plane resolves to the hub/tail split with a whole pure-hub lane
-		// word.
 		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42))},
 	}
 	type timed interface{ StabilizationTimes() []int }
+	ctx := engine.NewRunContext()
 	for _, pr := range procs {
 		for _, gc := range graphs {
 			cap := 4 * DefaultRoundCap(gc.g.N())
@@ -53,25 +54,20 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
 			baseTimes := base.(timed).StabilizationTimes()
-			for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
-				name := fmt.Sprintf("%s/%s/layout=%v", pr.name, gc.name, layout)
-				p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithCounterLayout(layout))
-				if info := counterPlaneOf(p); info.Active && info.Layout != layout {
-					t.Fatalf("%s: plane resolved to %v", name, info.Layout)
+			name := fmt.Sprintf("%s/%s/leased", pr.name, gc.name)
+			p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithRunContext(ctx))
+			if res := Run(p, cap); res != baseRes {
+				t.Fatalf("%s: summary %+v, fresh %+v", name, res, baseRes)
+			}
+			for u := 0; u < gc.g.N(); u++ {
+				if p.Black(u) != base.Black(u) {
+					t.Fatalf("%s: color of %d diverged", name, u)
 				}
-				if res := Run(p, cap); res != baseRes {
-					t.Fatalf("%s: summary %+v, default %+v", name, res, baseRes)
-				}
-				for u := 0; u < gc.g.N(); u++ {
-					if p.Black(u) != base.Black(u) {
-						t.Fatalf("%s: color of %d diverged", name, u)
-					}
-				}
-				pts := p.(timed).StabilizationTimes()
-				for u, bt := range baseTimes {
-					if pts[u] != bt {
-						t.Fatalf("%s: coveredAt stamp of %d is %d, default %d", name, u, pts[u], bt)
-					}
+			}
+			pts := p.(timed).StabilizationTimes()
+			for u, bt := range baseTimes {
+				if pts[u] != bt {
+					t.Fatalf("%s: coveredAt stamp of %d is %d, fresh %d", name, u, pts[u], bt)
 				}
 			}
 		}

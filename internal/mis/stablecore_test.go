@@ -6,8 +6,9 @@ package mis
 // class. CheckIntegrity recounts counter B under exactly that invariant and
 // fails if a lagging counter could change any touched or active bit; these
 // tests call it after every round and after every edit that moves vertices
-// out of I_t — corruption, rebind, checkpoint restore — under every counter
-// layout, on a Chung-Lu graph whose weight-sorted ids put the hubs first.
+// out of I_t — corruption, rebind, checkpoint restore — on a graph of each
+// counter layout: a Chung-Lu graph, whose maximum degree needs 16-bit
+// lanes, and a star whose centre needs int32 lanes.
 
 import (
 	"testing"
@@ -17,13 +18,23 @@ import (
 	"ssmis/internal/xrand"
 )
 
-var coreTestLayouts = []engine.CounterLayout{
-	engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit, engine.LayoutAuto,
+// coreTestGraph is a graph and the counter layout it resolves to.
+type coreTestGraph struct {
+	layout engine.CounterLayout
+	g      *graph.Graph
 }
 
-// hubPrefixGraph is a Chung-Lu graph with a populated hub prefix, so the
-// split and auto layouts keep hub rows apart from the byte-wide tail.
-func hubPrefixGraph() *graph.Graph { return graph.ChungLu(3000, 2.0, 8, xrand.New(42)) }
+// coreTestGraphs returns one graph of each counter layout.
+func coreTestGraphs() []coreTestGraph {
+	return []coreTestGraph{
+		{engine.LayoutNarrow, powerLawGraph()},
+		{engine.LayoutFlat, graph.Star(70000)},
+	}
+}
+
+// powerLawGraph is a Chung-Lu graph whose maximum degree needs 16-bit
+// lanes.
+func powerLawGraph() *graph.Graph { return graph.ChungLu(3000, 2.0, 8, xrand.New(42)) }
 
 // stableCore lists the members of I_t (black, no black neighbor) in
 // original ids, ascending.
@@ -93,12 +104,12 @@ func sameThreeState(t *testing.T, what string, p, q *ThreeState) {
 // rebinding mid-run each move vertices out of I_t, which only Rebuild may
 // do; each must leave counter B consistent with the new configuration.
 func TestThreeStateFrozenCounterBUnderEdits(t *testing.T) {
-	g := hubPrefixGraph()
-	for _, layout := range coreTestLayouts {
-		t.Run(layout.String(), func(t *testing.T) {
-			p := NewThreeState(g, WithSeed(41), WithCounterLayout(layout))
-			if info := p.CounterPlane(); layout != engine.LayoutFlat && layout != engine.LayoutNarrow && info.HubLen == 0 {
-				t.Fatalf("no hub prefix under %v: %+v", layout, info)
+	for _, c := range coreTestGraphs() {
+		g := c.g
+		t.Run(c.layout.String(), func(t *testing.T) {
+			p := NewThreeState(g, WithSeed(41))
+			if info := p.CounterPlane(); info.Layout != c.layout {
+				t.Fatalf("resolved %+v, want %v", info, c.layout)
 			}
 			p.checkCounters(t)
 			p.runChecked(t, 20)
@@ -148,10 +159,10 @@ func TestThreeStateFrozenCounterBUnderEdits(t *testing.T) {
 // process whose counters are recounted from scratch. Both must pass
 // CheckIntegrity every round and continue the identical execution.
 func TestThreeStateFrozenCounterBCheckpointResume(t *testing.T) {
-	g := hubPrefixGraph()
-	for _, layout := range coreTestLayouts {
-		t.Run(layout.String(), func(t *testing.T) {
-			p := NewThreeState(g, WithSeed(43), WithCounterLayout(layout))
+	for _, c := range coreTestGraphs() {
+		g := c.g
+		t.Run(c.layout.String(), func(t *testing.T) {
+			p := NewThreeState(g, WithSeed(43))
 			for _, pause := range []int{3, -1} {
 				if pause > 0 {
 					for i := 0; i < pause; i++ {
@@ -165,7 +176,7 @@ func TestThreeStateFrozenCounterBCheckpointResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q, err := RestoreThreeState(g, ck, WithCounterLayout(layout))
+				q, err := RestoreThreeState(g, ck)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,7 +204,7 @@ func TestThreeStateFrozenCounterBRunContextReuse(t *testing.T) {
 		three bool
 		g     *graph.Graph
 	}{
-		{true, hubPrefixGraph()},
+		{true, powerLawGraph()},
 		{false, graph.Gnp(500, 0.02, xrand.New(3))},
 		{true, graph.ChungLu(1200, 2.0, 6, xrand.New(4))},
 		{true, graph.Gnp(2000, 0.004, xrand.New(5))},
