@@ -10,10 +10,9 @@
 // file (-in <edge-list>). Processes: 2state, 3state, 3color. Engines: sim
 // (default), node (the beeping/stone-age runtime: one node program per
 // vertex, stepped in lockstep rounds).
-// With -trials N, the seeds run on the work-stealing batch pool
-// (-workers sizes it, -batch sets the scheduler chunk) sharing one graph
-// build and per-worker engine scratch; the summary reports wall time and
-// the exact seeds of failed runs.
+// With -trials N, the seeds run on the batch pool (-workers sizes it)
+// sharing one graph build and per-worker engine scratch; the summary
+// reports wall time and the exact seeds of failed runs.
 //
 // With -async the process (2state or 3state) runs on the asynchronous
 // beeping medium: per-node clocks advanced by a drift model (-drift sets
@@ -99,7 +98,6 @@ func run() int {
 		daemon    = flag.String("daemon", "", "schedule the process under a daemon: "+strings.Join(sched.DaemonNames(), "|")+" (2state/3state only)")
 		trials    = flag.Int("trials", 1, "run this many seeds (seed, seed+1, ...) and print summary statistics")
 		workers   = flag.Int("workers", 0, "worker pool size for -trials (0 = GOMAXPROCS)")
-		chunk     = flag.Int("batch", 0, "seeds per scheduler chunk for -trials (0 = auto)")
 		ckptPath  = flag.String("checkpoint", "", "write a resumable process snapshot here at exit (atomic write-rename)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "also snapshot every this many rounds (daemon steps with -daemon); 0 = only at exit")
 		resumeStr = flag.String("resume", "", "resume the run from this process snapshot (sim engine; graph flags must rebuild the same graph)")
@@ -107,15 +105,15 @@ func run() int {
 	flag.Parse()
 
 	// The pool's 0 = GOMAXPROCS convention must not swallow negative typos
-	// (-workers -3) silently, nor may the 0 = auto of -batch. A -trials
-	// below 1 would run a single seed, and a negative -checkpoint-every
-	// would write only the exit snapshot.
+	// (-workers -3) silently, nor may the 0 = default cap of -max-rounds. A
+	// -trials below 1 would run a single seed, and a negative
+	// -checkpoint-every would write only the exit snapshot.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "misrun: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
 		return 2
 	}
-	if *chunk < 0 {
-		fmt.Fprintf(os.Stderr, "misrun: -batch must be >= 0 (0 = auto), got %d\n", *chunk)
+	if *maxRounds < 0 {
+		fmt.Fprintf(os.Stderr, "misrun: -max-rounds must be >= 0 (0 = default cap), got %d\n", *maxRounds)
 		return 2
 	}
 	if *trials < 1 {
@@ -126,10 +124,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "misrun: -checkpoint-every must be >= 0 (0 = only at exit), got %d\n", *ckptEvery)
 		return 2
 	}
-	// -workers and -batch shape the -trials pool; a single run has no pool,
-	// so either flag without -trials would be silently ignored.
-	if *trials <= 1 && (*workers != 0 || *chunk != 0) {
-		fmt.Fprintln(os.Stderr, "misrun: -workers and -batch size the -trials pool; they need -trials > 1")
+	// -workers sizes the -trials pool; a single run has no pool, so the
+	// flag without -trials would be silently ignored.
+	if *trials <= 1 && *workers != 0 {
+		fmt.Fprintln(os.Stderr, "misrun: -workers sizes the -trials pool; it needs -trials > 1")
 		return 2
 	}
 
@@ -201,7 +199,7 @@ func run() int {
 		return runDaemon(g, *procKind, *daemon, init, *seed, *maxRounds, cp, *ckptPath, *ckptEvery)
 	}
 	if *trials > 1 {
-		return runTrials(g, *procKind, init, *seed, *trials, limit, *workers, *chunk)
+		return runTrials(g, *procKind, init, *seed, *trials, limit, *workers)
 	}
 	var proc mis.Process
 	if cp != nil {
@@ -485,10 +483,10 @@ func runDaemon(g *graph.Graph, procKind, daemonName string, init mis.Init, seed 
 	return 0
 }
 
-// runTrials executes many seeded runs on a work-stealing batch pool and
-// prints distribution statistics, per-cell wall time, and — when trials
-// fail — the exact seeds to replay.
-func runTrials(g *graph.Graph, procKind string, init mis.Init, seed uint64, trials, limit, workers, chunk int) int {
+// runTrials executes many seeded runs on a batch pool and prints
+// distribution statistics, per-cell wall time, and — when trials fail —
+// the exact seeds to replay.
+func runTrials(g *graph.Graph, procKind string, init mis.Init, seed uint64, trials, limit, workers int) int {
 	kind, err := experiment.ParseKind(procKind)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "misrun:", err)
@@ -507,7 +505,7 @@ func runTrials(g *graph.Graph, procKind string, init mis.Init, seed uint64, tria
 	pool := batch.NewPool(workers)
 	defer pool.Close()
 	start := time.Now()
-	pool.SubmitOpts([]batch.Shard{{
+	pool.Submit([]batch.Shard{{
 		Build: func() *graph.Graph { return g },
 		Seeds: seeds,
 		Run: func(rc *engine.RunContext, g *graph.Graph, _ int, s uint64) batch.Outcome {
@@ -518,7 +516,7 @@ func runTrials(g *graph.Graph, procKind string, init mis.Init, seed uint64, tria
 			}
 			return batch.Outcome{Rounds: res.Rounds}
 		},
-	}}, batch.SubmitOptions{ChunkSize: chunk}, func(o batch.Outcome) {
+	}}, func(o batch.Outcome) {
 		if o.Failed {
 			failedSeeds = append(failedSeeds, o.Seed)
 			return

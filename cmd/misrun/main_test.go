@@ -16,13 +16,14 @@ import (
 // TestNegativeWorkersRejected drives the real flag path: the test binary
 // re-executes itself with MISRUN_ARGS set, and the child runs run() on
 // those arguments. Each pool flag misrun cannot honour must fail loudly at
-// flag parsing (exit 2): a negative -workers or -batch instead of being
-// silently coerced to GOMAXPROCS or automatic chunks by the pool, a
-// -trials below 1 instead of running one seed, and -workers or -batch
-// without -trials, where there is no pool for them to size. So must a
-// negative -checkpoint-every, instead of writing only the exit snapshot,
-// and each graph flag out of its generator's range, with one line instead
-// of a panic's goroutine trace (which also exits 2).
+// flag parsing (exit 2): a negative -workers instead of being silently
+// coerced to GOMAXPROCS by the pool, a -trials below 1 instead of running
+// one seed, and -workers without -trials, where there is no pool for it to
+// size. So must a negative -max-rounds, on the single-run and -daemon
+// paths, instead of running under the default cap, a negative
+// -checkpoint-every, instead of writing only the exit snapshot, and each
+// graph flag out of its generator's range, with one line instead of a
+// panic's goroutine trace (which also exits 2).
 func TestNegativeWorkersRejected(t *testing.T) {
 	if args := os.Getenv("MISRUN_ARGS"); args != "" {
 		os.Args = append([]string{"misrun"}, strings.Fields(args)...)
@@ -31,13 +32,13 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "f")
 	cases := []struct{ args, diag string }{
 		{"-graph clique -n 8 -workers -3", "-workers must be >= 0"},
-		{"-graph clique -n 8 -trials 4 -batch -3", "-batch must be >= 0"},
 		{"-graph clique -n 8 -trials 0", "-trials must be >= 1"},
 		{"-graph clique -n 8 -trials -2", "-trials must be >= 1"},
+		{"-graph clique -n 8 -max-rounds -5", "-max-rounds must be >= 0"},
+		{"-graph clique -n 8 -daemon central-random -max-rounds -1", "-max-rounds must be >= 0"},
 		{"-graph clique -n 8 -checkpoint-every -5 -checkpoint " + ckpt, "-checkpoint-every must be >= 0"},
-		{"-graph gnp -n 500 -p 0.02 -proc 2state -seed 1 -workers 4", "need -trials > 1"},
-		{"-graph clique -n 8 -batch 2", "need -trials > 1"},
-		{"-graph clique -n 8 -trials 1 -workers 2", "need -trials > 1"},
+		{"-graph gnp -n 500 -p 0.02 -proc 2state -seed 1 -workers 4", "needs -trials > 1"},
+		{"-graph clique -n 8 -trials 1 -workers 2", "needs -trials > 1"},
 		{"-n -5", "-n must be >= 1"},
 		{"-n 0", "-n must be >= 1"},
 		{"-graph path -n 0", "-n must be >= 1"},
@@ -161,10 +162,10 @@ func TestRunTrialsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc := runTrials(g, "2state", mis.InitRandom, 1, 5, 100000, 2, 1); rc != 0 {
+	if rc := runTrials(g, "2state", mis.InitRandom, 1, 5, 100000, 2); rc != 0 {
 		t.Fatalf("runTrials returned %d", rc)
 	}
-	if rc := runTrials(g, "bogus", mis.InitRandom, 1, 5, 1000, 0, 0); rc != 2 {
+	if rc := runTrials(g, "bogus", mis.InitRandom, 1, 5, 1000, 0); rc != 2 {
 		t.Fatalf("bogus process returned %d, want 2", rc)
 	}
 }

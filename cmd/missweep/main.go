@@ -4,8 +4,8 @@
 //
 //	missweep -run all                  # every experiment at full scale
 //	missweep -run E1,E7 -scale 0.25
-//	missweep -run all -workers 8       # one shared work-stealing pool, 8 workers
-//	missweep -run E6 -batch 4 -times   # 4-seed scheduler chunks + per-cell wall times
+//	missweep -run all -workers 8       # one shared pool, 8 workers
+//	missweep -run E6 -times            # per-cell wall times
 //	missweep -list
 //	missweep -run E9 -csv              # machine-readable output
 //
@@ -24,10 +24,11 @@
 // daemons, adversaries and metrics — after the experiment registry.
 //
 // All selected experiments submit their (graph, seed) jobs to ONE shared
-// work-stealing pool (internal/batch) and run concurrently — a straggler
-// cell in E7 no longer serializes the sweep, because E8's jobs fill the
-// idle workers. Output order and table contents are independent of -workers
-// (outcomes aggregate in trial order).
+// pool (internal/batch) and run concurrently. An idle worker takes the next
+// job from the pool's one queue, so a straggler cell in E7 does not
+// serialize the sweep: E8's jobs fill the idle workers. Output order and
+// table contents are independent of -workers (outcomes aggregate in trial
+// order).
 //
 // Sweep checkpointing (-checkpoint) serializes the WHOLE grid to one
 // versioned snapshot file at a configurable interval (-checkpoint-every,
@@ -76,7 +77,6 @@ func run() int {
 		csv       = flag.Bool("csv", false, "emit CSV instead of fixed-width tables")
 		outDir    = flag.String("out", "", "also write one CSV file per table into this directory")
 		workers   = flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS); all experiments share one pool")
-		chunk     = flag.Int("batch", 0, "seeds per scheduler chunk (0 = auto); smaller chunks steal more")
 		times     = flag.Bool("times", false, "report the slowest per-cell wall times for each experiment")
 		ckpt      = flag.String("checkpoint", "", "checkpoint the whole sweep to this file (atomic write-rename)")
 		every     = flag.Duration("checkpoint-every", 10*time.Second, "interval between sweep checkpoints")
@@ -85,15 +85,11 @@ func run() int {
 	flag.Parse()
 
 	// The pool's 0 = GOMAXPROCS convention must not swallow negative typos
-	// (-workers -3) silently, nor may the 0 = auto of -batch. Nor may the
-	// harness's normalization of -scale, which runs 0 and negative scales
-	// at scale 1 and a NaN at no defined scale.
+	// (-workers -3) silently. Nor may the harness's normalization of -scale,
+	// which runs 0 and negative scales at scale 1 and a NaN at no defined
+	// scale.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "missweep: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
-		return 2
-	}
-	if *chunk < 0 {
-		fmt.Fprintf(os.Stderr, "missweep: -batch must be >= 0 (0 = auto), got %d\n", *chunk)
 		return 2
 	}
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
@@ -162,7 +158,7 @@ func run() int {
 		}
 	}
 
-	// One shared work-stealing pool for the whole invocation.
+	// One shared pool for the whole invocation.
 	pool := batch.NewPool(*workers)
 	defer pool.Close()
 
@@ -260,7 +256,7 @@ func run() int {
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cfg := experiment.Config{Scale: *scale, Seed: *seed, Pool: pool, Cells: cells, Chunk: *chunk}
+			cfg := experiment.Config{Scale: *scale, Seed: *seed, Pool: pool, Cells: cells}
 			if sweep != nil {
 				cfg.Checkpoint = sweep.Experiment(e.ID)
 			}

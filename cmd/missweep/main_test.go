@@ -26,10 +26,9 @@ func runSelf(t *testing.T, args string) (int, string) {
 
 // TestWorkersFlagValidation checks that flag values the sweep cannot
 // honour are rejected at flag parsing with a one-line diagnostic (exit 2):
-// a negative -workers (the pool used to coerce it to GOMAXPROCS), a
-// negative -batch (it used to select auto) and a -scale that is not a
-// finite number above 0 (0 and negatives used to run the full scale-1 grid,
-// NaN an undefined one). Valid values still work.
+// a negative -workers (the pool used to coerce it to GOMAXPROCS) and a
+// -scale that is not a finite number above 0 (0 and negatives used to run
+// the full scale-1 grid, NaN an undefined one). Valid values still work.
 func TestWorkersFlagValidation(t *testing.T) {
 	if args := os.Getenv("MISSWEEP_ARGS"); args != "" {
 		os.Args = append([]string{"missweep"}, strings.Fields(args)...)
@@ -37,7 +36,6 @@ func TestWorkersFlagValidation(t *testing.T) {
 	}
 	for _, tc := range []struct{ args, diag string }{
 		{"-list -workers -2", "-workers must be >= 0"},
-		{"-list -batch -3", "-batch must be >= 0"},
 		{"-list -scale 0", "-scale must be a finite number above 0"},
 		{"-list -scale -1", "-scale must be a finite number above 0"},
 		{"-list -scale NaN", "-scale must be a finite number above 0"},
@@ -52,7 +50,7 @@ func TestWorkersFlagValidation(t *testing.T) {
 			t.Errorf("%s: want the one-line diagnostic %q, got %q", tc.args, tc.diag, out)
 		}
 	}
-	for _, args := range []string{"-list -workers 2", "-list -batch 4 -scale 0.05"} {
+	for _, args := range []string{"-list -workers 2", "-list -scale 0.05"} {
 		if code, out := runSelf(t, args); code != 0 {
 			t.Fatalf("%s: exit code = %d, want 0; output: %q", args, code, out)
 		}

@@ -37,6 +37,10 @@ func run() int {
 	)
 	flag.Parse()
 
+	if *maxWidth < 0 {
+		fmt.Fprintf(os.Stderr, "misviz: -width must be >= 0 (0 = no limit), got %d\n", *maxWidth)
+		return 2
+	}
 	k, err := experiment.ParseKind(*procKind)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "misviz:", err)

@@ -10,8 +10,9 @@ import (
 // TestFlagValidation drives the real flag path: the test binary
 // re-executes itself with MISVIZ_ARGS set, and the child runs run() on
 // those arguments. A graph flag out of its generator's range must exit 2
-// with one line instead of a panic's goroutine trace, and -proc takes the
-// process names experiment.ParseKind accepts.
+// with one line instead of a panic's goroutine trace, so must a negative
+// -width instead of rendering as if unlimited, and -proc takes the process
+// names experiment.ParseKind accepts.
 func TestFlagValidation(t *testing.T) {
 	if args := os.Getenv("MISVIZ_ARGS"); args != "" {
 		os.Args = append([]string{"misviz"}, strings.Fields(args)...)
@@ -37,6 +38,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-graph cycle -n 2", "-graph cycle needs -n >= 3"},
 		{"-graph gnp -p 2", "-p must be in [0, 1]"},
 		{"-graph gnp -p NaN", "-p must be in [0, 1]"},
+		{"-graph cycle -n 12 -width -5", "-width must be >= 0"},
 	} {
 		code, out := runSelf(c.args)
 		if code != 2 {
@@ -47,7 +49,7 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("%s: want the one-line diagnostic %q, output: %q", c.args, c.diag, out)
 		}
 	}
-	for _, args := range []string{"-graph path -n 8 -proc 3-state", "-graph grid -n 16 -proc 3color -grid"} {
+	for _, args := range []string{"-graph path -n 8 -proc 3-state", "-graph grid -n 16 -proc 3color -grid", "-graph cycle -n 12 -width 0"} {
 		if code, out := runSelf(args); code != 0 {
 			t.Errorf("%s: exit code = %d, want 0; output: %q", args, code, out)
 		}

@@ -18,7 +18,7 @@
 //	                 └ internal/async ────── per-node clocks, drifting slots,
 //	                       interval-overlap hearing (same program sets)
 //	          ↓ all three draw identical coins; async at ρ=1 ≡ noderun ≡ mis
-//	internal/batch ── work-stealing pool over (graph, seed) jobs
+//	internal/batch ── one job queue over (graph, seed) jobs
 //	internal/experiment (E1–E19), RunSeeds ── sweeps as batch submissions
 //	internal/scenario ── declarative registries + builder + JSON codec,
 //	      compiled onto the experiment layer's spec runners
@@ -199,16 +199,16 @@
 //
 // Layer 2 — internal/batch, many runs, and the module's only parallelism:
 // each pool worker owns one run at a time. Every multi-run workload
-// executes on a work-stealing batch scheduler: work is submitted as shards
-// (one graph, many seeds — the graph builds once, lazily, and is shared
-// read-only across all its seeds), shards are cut into chunks dealt onto
-// per-worker deques, and an idle worker steals from the top of another's
-// deque, so a few huge cells spread across the pool while small cells stay
-// local. Runs are pure functions of (graph, seed); outcomes are delivered
-// to each batch's sink in job order through a reorder buffer and folded
-// into streaming aggregates (Welford mean/CI and counting-map quantiles in
-// internal/stats), so summaries never materialize per-run slices and are
-// bit-identical at any worker count, under any steal schedule.
+// executes on a batch pool: work is submitted as shards (one graph, many
+// seeds — the graph builds once, lazily, and is shared read-only across all
+// its seeds), the pool keeps one FIFO queue of the batches with unclaimed
+// jobs, and an idle worker claims the next job, one at a time, so no job
+// waits while a worker is idle. Runs are pure functions of (graph, seed);
+// outcomes are delivered to each batch's sink in job order through a
+// reorder buffer and folded into streaming aggregates (Welford mean/CI and
+// counting-map quantiles in internal/stats), so summaries never
+// materialize per-run slices and are bit-identical at any worker count and
+// under any completion order.
 //
 // Layer 1b — internal/async, one asynchronous run. The same per-node
 // programs the synchronous runtime executes (beeping.NewPrograms,
@@ -231,13 +231,13 @@
 //
 // Layer 4 — commands. cmd/missweep creates ONE pool per invocation, shared
 // by all selected experiments running concurrently (-workers sizes the
-// pool, -batch sets the chunk size, -times reports per-cell wall times), so
-// a straggler cell in one experiment no longer serializes the sweep:
+// pool, -times reports per-cell wall times), so a straggler cell in one
+// experiment no longer serializes the sweep:
 //
 //	missweep -run all -scale 0.25 -workers 8 -times
 //
 // cmd/misrun's -trials mode runs its seeds on the same substrate (also
-// -workers/-batch) and reports cell wall time plus the exact seeds of any
+// -workers) and reports cell wall time plus the exact seeds of any
 // failed runs. BENCH_batch.json records the scheduler against the old
 // per-cell pools.
 //
@@ -298,8 +298,8 @@
 //	                          experiments' rendered tables plus the
 //	                          in-order outcome journal of every in-flight
 //	                          measurement cell, saved periodically under a
-//	                          scheduler quiesce (batch.Pool.Quiesce drains
-//	                          in-flight chunks so the cut is consistent).
+//	                          scheduler quiesce (batch.Pool.Quiesce waits
+//	                          out in-flight jobs so the cut is consistent).
 //	                          missweep -checkpoint/-checkpoint-every/-resume.
 //
 // Resume guarantees: a restored process draws exactly the coins the

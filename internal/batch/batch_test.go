@@ -1,9 +1,11 @@
 package batch
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ssmis/internal/engine"
 	"ssmis/internal/graph"
@@ -41,15 +43,15 @@ func misShards(seedsPerShard int) []Shard {
 	}
 }
 
-// collect runs the workload on a fresh pool and returns the in-order
-// outcome log plus a streamed summary.
-func collect(t *testing.T, workers int, opt SubmitOptions, seedsPerShard int) ([]Outcome, stats.Summary, uint64) {
+// collect runs shards on a fresh pool and returns the in-order outcome log
+// plus a streamed summary.
+func collect(t *testing.T, workers int, shards []Shard) ([]Outcome, stats.Summary) {
 	t.Helper()
 	p := NewPool(workers)
 	defer p.Close()
 	var log []Outcome
 	rounds := stats.NewQuantileStream()
-	b := p.SubmitOpts(misShards(seedsPerShard), opt, func(o Outcome) {
+	b := p.Submit(shards, func(o Outcome) {
 		log = append(log, o)
 		if !o.Failed && !o.Broken {
 			rounds.Add(float64(o.Rounds))
@@ -59,21 +61,70 @@ func collect(t *testing.T, workers int, opt SubmitOptions, seedsPerShard int) ([
 	if rounds.N() == 0 {
 		t.Fatal("no successful runs")
 	}
-	return log, rounds.Summary(), p.Steals()
+	return log, rounds.Summary()
+}
+
+// laterFirst wraps every runner of shards so that, in each aligned group of
+// eight jobs, job k finishes only after job k+1 has: with eight workers
+// claiming in job order, each group completes in reverse, and every outcome
+// but a group's last waits in the reorder buffer. It returns the wrapped
+// shards and a function that lists the job indices in completion order. A
+// job whose successor has not finished within 5 s fails.
+func laterFirst(shards []Shard) ([]Shard, func() []int) {
+	total := 0
+	for _, sh := range shards {
+		total += len(sh.Seeds)
+	}
+	finished := make([]chan struct{}, total)
+	for k := range finished {
+		finished[k] = make(chan struct{})
+	}
+	var mu sync.Mutex
+	var order []int
+	out := make([]Shard, len(shards))
+	base := 0
+	for s, sh := range shards {
+		inner, first := sh.Run, base
+		out[s] = sh
+		out[s].Run = func(rc *engine.RunContext, g *graph.Graph, i int, seed uint64) Outcome {
+			k := first + i
+			defer close(finished[k])
+			if k%8 != 7 && k+1 < total {
+				select {
+				case <-finished[k+1]:
+				case <-time.After(5 * time.Second):
+					return Outcome{Failed: true}
+				}
+			}
+			o := inner(rc, g, i, seed)
+			mu.Lock()
+			order = append(order, k)
+			mu.Unlock()
+			return o
+		}
+		base += len(sh.Seeds)
+	}
+	return out, func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(order)
+	}
 }
 
 // The same job set must produce bit-identical outcome sequences and
-// summaries at workers=1, workers=8, and under forced steals (every chunk
-// pinned to worker 0 with chunk size 1, so 7 workers only ever steal).
+// summaries at workers=1, workers=8, and at workers=8 under a schedule
+// where later jobs finish first, so outcomes reach the reorder buffer out
+// of order.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	const seeds = 12
-	ref, refSum, _ := collect(t, 1, SubmitOptions{}, seeds)
-	w8, w8Sum, _ := collect(t, 8, SubmitOptions{}, seeds)
-	stolen, stSum, steals := collect(t, 8, SubmitOptions{ChunkSize: 1, PinFirst: true}, seeds)
-	if steals == 0 {
-		t.Fatal("forced-steal schedule recorded no steals")
+	ref, refSum := collect(t, 1, misShards(seeds))
+	w8, w8Sum := collect(t, 8, misShards(seeds))
+	shards, order := laterFirst(misShards(seeds))
+	late, lateSum := collect(t, 8, shards)
+	if slices.IsSorted(order()) {
+		t.Fatal("the later-first schedule completed its jobs in order")
 	}
-	for name, got := range map[string][]Outcome{"workers=8": w8, "forced-steals": stolen} {
+	for name, got := range map[string][]Outcome{"workers=8": w8, "later-first": late} {
 		if len(got) != len(ref) {
 			t.Fatalf("%s: %d outcomes, want %d", name, len(got), len(ref))
 		}
@@ -83,14 +134,50 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	if refSum != w8Sum || refSum != stSum {
-		t.Fatalf("summaries differ:\n w1=%+v\n w8=%+v\n steal=%+v", refSum, w8Sum, stSum)
+	if refSum != w8Sum || refSum != lateSum {
+		t.Fatalf("summaries differ:\n w1=%+v\n w8=%+v\n later-first=%+v", refSum, w8Sum, lateSum)
+	}
+}
+
+// An idle worker takes the next job at once: with two workers, job 0 holds
+// its worker until jobs 1..7 have all started on the other one, and fails
+// if they have not within 5 s.
+func TestNoJobWaitsBehindABusyWorker(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	started := make(chan struct{}, 7)
+	sh := Shard{
+		Seeds: make([]uint64, 8),
+		Run: func(_ *engine.RunContext, _ *graph.Graph, i int, _ uint64) Outcome {
+			if i > 0 {
+				started <- struct{}{}
+				return Outcome{}
+			}
+			deadline := time.After(5 * time.Second)
+			for n := 0; n < 7; n++ {
+				select {
+				case <-started:
+				case <-deadline:
+					return Outcome{Failed: true}
+				}
+			}
+			return Outcome{}
+		},
+	}
+	var failed []int
+	p.Submit([]Shard{sh}, func(o Outcome) {
+		if o.Failed {
+			failed = append(failed, o.Index)
+		}
+	}).Wait()
+	if len(failed) > 0 {
+		t.Fatalf("jobs %v waited behind a busy worker", failed)
 	}
 }
 
 // Outcomes must arrive at the sink in job order with Index/Seed stamped.
 func TestInOrderDelivery(t *testing.T) {
-	ref, _, _ := collect(t, 4, SubmitOptions{ChunkSize: 1}, 9)
+	ref, _ := collect(t, 4, misShards(9))
 	for i, o := range ref {
 		if o.Index != i {
 			t.Fatalf("outcome %d has Index %d", i, o.Index)
@@ -121,7 +208,7 @@ func TestShardGraphBuiltOnce(t *testing.T) {
 			return Outcome{Rounds: i}
 		},
 	}
-	p.SubmitOpts([]Shard{sh}, SubmitOptions{ChunkSize: 1}, nil).Wait()
+	p.Submit([]Shard{sh}, nil).Wait()
 	if builds != 1 {
 		t.Fatalf("Build called %d times", builds)
 	}
@@ -147,7 +234,7 @@ func TestConcurrentBatches(t *testing.T) {
 					return Outcome{Rounds: b*1000 + i}
 				},
 			}
-			p.SubmitOpts([]Shard{sh}, SubmitOptions{ChunkSize: 3}, func(o Outcome) {
+			p.Submit([]Shard{sh}, func(o Outcome) {
 				if o.Rounds != b*1000+want {
 					t.Errorf("batch %d: outcome %d out of order", b, o.Rounds)
 				}
@@ -183,7 +270,7 @@ func TestEmptyBatchAndClose(t *testing.T) {
 // for any cut point, including mid-shard and whole-batch prefixes.
 func TestReplayPrefixMatchesUninterrupted(t *testing.T) {
 	const seeds = 4 // 12 jobs across the three shards
-	ref, refSum, _ := collect(t, 1, SubmitOptions{}, seeds)
+	ref, refSum := collect(t, 1, misShards(seeds))
 	for _, cut := range []int{0, 1, 5, 7, len(ref) - 1, len(ref)} {
 		for _, workers := range []int{1, 8} {
 			p := NewPool(workers)
@@ -227,7 +314,7 @@ func TestReplayPrefixMatchesUninterrupted(t *testing.T) {
 // so a journal written by Record is itself a valid Replay prefix.
 func TestRecordJournalsEveryDelivery(t *testing.T) {
 	const seeds = 3
-	ref, _, _ := collect(t, 2, SubmitOptions{}, seeds)
+	ref, _ := collect(t, 2, misShards(seeds))
 	cut := len(ref) / 2
 	p := NewPool(4)
 	defer p.Close()
@@ -271,7 +358,7 @@ func TestReplayPrefixTooLongPanics(t *testing.T) {
 	}}}, SubmitOptions{Replay: make([]Outcome, 2)}, nil)
 }
 
-// Quiesce must return only once no chunk is executing, freeze all delivery
+// Quiesce must return only once no job is executing, freeze all delivery
 // until Resume, and leave queued work intact: the batch then completes with
 // the full in-order outcome sequence.
 func TestQuiesceFreezesDelivery(t *testing.T) {
@@ -285,12 +372,12 @@ func TestQuiesceFreezesDelivery(t *testing.T) {
 		Run: func(_ *engine.RunContext, _ *graph.Graph, i int, _ uint64) Outcome {
 			started <- struct{}{}
 			if i == 0 {
-				<-release // hold the first chunk in flight while we quiesce
+				<-release // hold job 0 in flight while we quiesce
 			}
 			return Outcome{Rounds: i}
 		},
 	}
-	b := p.SubmitOpts([]Shard{sh}, SubmitOptions{ChunkSize: 1}, func(o Outcome) {
+	b := p.Submit([]Shard{sh}, func(o Outcome) {
 		atomic.AddInt64(&delivered, 1)
 	})
 	<-started // job 0 is in flight
@@ -331,7 +418,7 @@ func TestQuiesceIdleAndRepeated(t *testing.T) {
 		sh := Shard{Seeds: make([]uint64, 16), Run: func(_ *engine.RunContext, _ *graph.Graph, i int, _ uint64) Outcome {
 			return Outcome{Rounds: i}
 		}}
-		b := p.SubmitOpts([]Shard{sh}, SubmitOptions{ChunkSize: 4}, func(Outcome) { count++ })
+		b := p.Submit([]Shard{sh}, func(Outcome) { count++ })
 		b.Wait()
 		if count != 16 {
 			t.Fatalf("round %d delivered %d", round, count)

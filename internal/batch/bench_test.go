@@ -1,7 +1,7 @@
 package batch
 
-// Batch-scheduler throughput: the work-stealing pool (shared across cells,
-// per-worker run contexts, streaming aggregation) against a faithful
+// Batch-scheduler throughput: the batch pool (one job queue shared across
+// cells, per-worker run contexts, streaming aggregation) against a faithful
 // reconstruction of the pre-batch execution model (one ad-hoc worker pool
 // per cell, fresh engine allocations per run, slice-based aggregation — the
 // shape RunSeeds and the experiment harness's runTrials had before this
@@ -51,8 +51,8 @@ type sweepCell struct {
 // of every experiment grid — tiny cliques and sparse G(n,p) instances run
 // for hundreds of seeds) plus a few large cells. Small cells are where the
 // scheduler's design pays: per-worker run contexts amortize the O(n)
-// per-run allocations that dominate sub-millisecond runs, and chunked
-// deques replace the old model's per-job unbuffered-channel handoff.
+// per-run allocations that dominate sub-millisecond runs, and one shared job
+// queue replaces the old model's per-job unbuffered-channel handoff.
 func mixedSweep() []sweepCell {
 	var cells []sweepCell
 	// Bounded-arboricity ladder cells (the E4 families): deterministic
@@ -174,7 +174,7 @@ func runSweepOld(cells []sweepCell, workers int) []cellResult {
 	return out
 }
 
-// runSweepBatch executes the same sweep on one shared work-stealing pool:
+// runSweepBatch executes the same sweep on one shared batch pool:
 // every cell is a shard, graphs build once per shard, workers reuse their
 // run contexts, and the aggregates stream.
 func runSweepBatch(cells []sweepCell, workers int) []cellResult {
@@ -311,8 +311,10 @@ func TestRecordBatchBench(t *testing.T) {
 	// the measurement so the workflow never hard-codes a core-count
 	// assumption: on a single-CPU runner the win comes from context
 	// amortization and shared builds alone and shared-runner noise is
-	// proportionally larger (gate 0.9); with real parallelism cross-cell
-	// stealing must additionally never lose to per-cell pools (gate 1.0).
+	// proportionally larger (gate 0.9); with real parallelism the shared
+	// queue, which lets workers run one cell's jobs while another cell's
+	// last jobs finish, must additionally never lose to per-cell pools
+	// (gate 1.0).
 	gate := 0.9
 	if runtime.GOMAXPROCS(0) > 1 {
 		gate = 1.0
@@ -324,7 +326,7 @@ func TestRecordBatchBench(t *testing.T) {
 		RunsPerSec float64 `json:"runs_per_sec"`
 	}
 	report := map[string]any{
-		"description": "Work-stealing batch scheduler vs the pre-batch per-cell worker pools on the acceptance workload: a mixed sweep of 32 small cells (8 caterpillar, 8 grid, 6 path — the E4 deterministic families the old harness rebuilt per trial — plus 10 prebuilt cliques n=48..84) and 2 large cells (G(n=20000, avg10)), 2-state process, best of 3 sweeps. 'old_per_cell_pool' reconstructs the removed RunSeeds/runTrials model (pool per cell, per-trial builds of deterministic graphs, fresh allocations per run, slice aggregation); 'batch_pool' is internal/batch (one shared pool, per-worker run contexts, once-per-shard graph builds, streaming aggregation). On a 1-CPU container the speedup comes from context amortization and shared builds alone; multi-core adds cross-cell stealing. The 'gate' field is the core-count-aware regression threshold CI enforces (0.9 at GOMAXPROCS=1 to absorb shared-runner noise, 1.0 with real parallelism). Regenerate with: BENCH_BATCH_OUT=$PWD/BENCH_batch.json go test -run TestRecordBatchBench ./internal/batch",
+		"description": "Batch pool (one shared job queue) vs the pre-batch per-cell worker pools on the acceptance workload: a mixed sweep of 32 small cells (8 caterpillar, 8 grid, 6 path — the E4 deterministic families the old harness rebuilt per trial — plus 10 prebuilt cliques n=48..84) and 2 large cells (G(n=20000, avg10)), 2-state process, best of 3 sweeps. 'old_per_cell_pool' reconstructs the removed RunSeeds/runTrials model (pool per cell, per-trial builds of deterministic graphs, fresh allocations per run, slice aggregation); 'batch_pool' is internal/batch (one shared pool whose idle workers take the next job from one FIFO queue, per-worker run contexts, once-per-shard graph builds, streaming aggregation). On a 1-CPU container the speedup comes from context amortization and shared builds alone; multi-core adds the shared queue, where a worker that finishes one cell's jobs takes the next cell's instead of waiting for the cell's slowest run. The 'gate' field is the core-count-aware regression threshold CI enforces (0.9 at GOMAXPROCS=1 to absorb shared-runner noise, 1.0 with real parallelism). Regenerate with: BENCH_BATCH_OUT=$PWD/BENCH_batch.json go test -run TestRecordBatchBench ./internal/batch",
 		"environment": map[string]any{
 			"goos":         runtime.GOOS,
 			"goarch":       runtime.GOARCH,

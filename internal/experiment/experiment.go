@@ -24,18 +24,15 @@ type Config struct {
 	Scale float64
 	// Seed is the master seed; every trial derives from it.
 	Seed uint64
-	// Pool, when non-nil, is the work-stealing scheduler every cell submits
-	// its runs to. cmd/missweep creates one per invocation and shares it
-	// across all selected experiments, so the pool's workers stay busy
-	// across experiment boundaries (cross-experiment parallelism). Nil falls
-	// back to a lazily created process-wide pool sized to GOMAXPROCS.
+	// Pool, when non-nil, is the batch pool every cell submits its runs
+	// to. cmd/missweep creates one per invocation and shares it across all
+	// selected experiments, so the pool's workers stay busy across
+	// experiment boundaries (cross-experiment parallelism). Nil falls back
+	// to a lazily created process-wide pool sized to GOMAXPROCS.
 	Pool *batch.Pool
 	// Cells, when non-nil, collects per-cell wall times (one entry per
 	// scheduler submission) for the sweep commands' timing reports.
 	Cells *CellLog
-	// Chunk caps how many seeds of one cell a pool worker claims at a time
-	// (the missweep -batch flag); <= 0 lets the scheduler choose.
-	Chunk int
 	// Checkpoint, when non-nil, journals this experiment's measurement
 	// cells into a sweep checkpoint and replays any journaled prefix on
 	// resume (the missweep -checkpoint/-resume flags); see checkpoint.go.

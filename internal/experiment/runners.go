@@ -96,7 +96,7 @@ func TrialSeeds(masterSeed uint64, trials int) []uint64 {
 
 // RunTrials measures the stabilization time of `kind` over `trials` runs on
 // graphs produced by gen, submitted as one shard to the configuration's
-// shared work-stealing pool. Fixed graphs are built once and shared
+// shared batch pool. Fixed graphs are built once and shared
 // read-only across the shard; per-seed families sample inside the job.
 // Results are deterministic regardless of scheduling: every trial derives
 // from its own seed and outcomes aggregate in trial order.
@@ -132,7 +132,7 @@ func RunTrials(cfg Config, kind Kind, gen GraphGen, trials int, roundCap int, ma
 	// With a sweep checkpoint attached, the cell's journaled prefix replays
 	// through the reorder buffer instead of re-running, and new in-order
 	// deliveries extend the journal (checkpoint.go).
-	opt := batch.SubmitOptions{ChunkSize: cfg.Chunk}
+	var opt batch.SubmitOptions
 	if cfg.Checkpoint != nil {
 		opt.Replay, opt.Record = cfg.Checkpoint.cell(label, trials)
 	}
@@ -166,7 +166,7 @@ func RunJobsOver(cfg Config, label string, seeds []uint64,
 			return batch.Outcome{Extra: job(rc, i, seed)}
 		},
 	}
-	cfg.pool().SubmitOpts([]batch.Shard{sh}, batch.SubmitOptions{ChunkSize: cfg.Chunk}, func(o batch.Outcome) {
+	cfg.pool().Submit([]batch.Shard{sh}, func(o batch.Outcome) {
 		collect(o.Index, o.Extra)
 	}).Wait()
 	cfg.logCell(label, len(seeds), time.Since(start))

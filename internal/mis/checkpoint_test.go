@@ -325,12 +325,11 @@ func TestCheckpointDaemonResume(t *testing.T) {
 }
 
 // A batch sweep whose every run is checkpointed mid-flight, serialized,
-// restored and finished on the work-stealing pool must reproduce the
-// uninterrupted sweep exactly — per-seed rounds, bit totals and final
-// colors, for all three processes — and identically at workers=1 and
-// workers=8 under maximal steal pressure (chunk=1). This is the
-// batch-sweep face of the checkpoint contract: resume composes with the
-// scheduler, not just with a single synchronous run.
+// restored and finished on the batch pool must reproduce the uninterrupted
+// sweep exactly — per-seed rounds, bit totals and final colors, for all
+// three processes — and identically at workers=1 and workers=8. This is
+// the batch-sweep face of the checkpoint contract: resume composes with
+// the scheduler, not just with a single synchronous run.
 func TestCheckpointBatchSweepResume(t *testing.T) {
 	g := graph.Gnp(80, 0.06, xrand.New(77))
 	limit := 8 * DefaultRoundCap(g.N())
@@ -387,7 +386,7 @@ func TestCheckpointBatchSweepResume(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			pool := batch.NewPool(workers)
 			got := make([]outcome, 0, len(seeds))
-			pool.SubmitOpts([]batch.Shard{{
+			pool.Submit([]batch.Shard{{
 				Seeds: seeds,
 				Run: func(_ *engine.RunContext, _ *graph.Graph, _ int, seed uint64) batch.Outcome {
 					p := kind.mk(seed)
@@ -413,7 +412,7 @@ func TestCheckpointBatchSweepResume(t *testing.T) {
 					}
 					return batch.Outcome{Extra: finish(restored)}
 				},
-			}}, batch.SubmitOptions{ChunkSize: 1}, func(o batch.Outcome) {
+			}}, func(o batch.Outcome) {
 				if o.Failed {
 					got = append(got, outcome{rounds: -2})
 					return

@@ -223,6 +223,20 @@ func TestPublicAPIRunSeedsFailedSeeds(t *testing.T) {
 	}
 }
 
+// A negative worker count is a caller bug: RunSeeds panics instead of
+// running on GOMAXPROCS workers.
+func TestPublicAPIRunSeedsNegativeWorkersPanics(t *testing.T) {
+	g := ssmis.Complete(8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunSeeds with workers -1 did not panic")
+		}
+	}()
+	ssmis.RunSeeds(func(seed uint64) ssmis.Process {
+		return ssmis.NewTwoState(g, ssmis.WithSeed(seed))
+	}, ssmis.Seeds(1, 4), 0, -1)
+}
+
 func TestPublicAPISeeds(t *testing.T) {
 	s := ssmis.Seeds(10, 3)
 	if len(s) != 3 || s[0] != 10 || s[2] != 12 {

@@ -28,13 +28,13 @@ type TrialSummary struct {
 
 // RunSeeds runs newProcess(seed) to stabilization for every seed and
 // aggregates the stabilization times — the library-level version of the
-// experiment harness's inner loop, now a thin adapter over the module's
-// work-stealing batch scheduler (internal/batch): seeds are chunked across
-// per-worker deques, idle workers steal, and outcomes stream in seed order
-// into online aggregates, so the summary is bit-identical at any worker
-// count. maxRounds <= 0 selects the default cap; workers <= 0 selects
-// GOMAXPROCS. The factory must return a fresh process per call (it is
-// invoked concurrently).
+// experiment harness's inner loop, a thin adapter over the module's batch
+// pool (internal/batch): outcomes stream in seed order into online
+// aggregates, so the summary is bit-identical at any worker count.
+// maxRounds <= 0 selects the default cap. An empty seed list returns the
+// zero summary at once; otherwise workers == 0 selects GOMAXPROCS and a
+// negative worker count panics. The factory must return a fresh process
+// per call (it is invoked concurrently).
 func RunSeeds(newProcess func(seed uint64) Process, seeds []uint64, maxRounds, workers int) TrialSummary {
 	if len(seeds) == 0 {
 		return TrialSummary{}
@@ -47,9 +47,8 @@ func RunSeeds(newProcess func(seed uint64) Process, seeds []uint64, maxRounds, w
 	return RunSeedsOn(pool, newProcess, seeds, maxRounds)
 }
 
-// RunSeedsOn is RunSeeds against a caller-owned scheduler pool, so many
-// seed sweeps can share one pool (cross-sweep work stealing) instead of
-// paying a pool per call.
+// RunSeedsOn is RunSeeds against a caller-owned pool, so many seed sweeps
+// can share one pool's workers instead of paying a pool per call.
 func RunSeedsOn(pool *batch.Pool, newProcess func(seed uint64) Process, seeds []uint64, maxRounds int) TrialSummary {
 	shard := batch.Shard{
 		Seeds: seeds,
