@@ -42,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -546,10 +547,12 @@ func runTrials(g *graph.Graph, procKind string, init mis.Init, seed uint64, tria
 
 // buildGraph builds the -graph family from the flags. Out-of-range flags
 // are errors, not generator panics: -n below 1 (below 3 for a cycle) for
-// every generated family, -p outside [0, 1] for gnp and -d outside [0, n)
-// for regular.
+// every generated family, -p outside [0, 1] for gnp, -d outside [0, n)
+// for regular, and a clique or gnp whose expected 2m adjacency entries
+// pass math.MaxInt32, the most a CSR holds (checked before allocating).
 func buildGraph(kind, inPath string, n int, p float64, d int, seed uint64) (*graph.Graph, error) {
 	rng := xrand.New(seed ^ 0x9e3779b97f4a7c15)
+	pairs2 := float64(n) * float64(n-1)
 	switch {
 	case kind == "file": // the edge list's header sets the order
 	case n < 1:
@@ -558,6 +561,10 @@ func buildGraph(kind, inPath string, n int, p float64, d int, seed uint64) (*gra
 		return nil, fmt.Errorf("-graph cycle needs -n >= 3, got %d", n)
 	case kind == "gnp" && !(p >= 0 && p <= 1):
 		return nil, fmt.Errorf("-p must be in [0, 1], got %v", p)
+	case kind == "clique" && pairs2 > math.MaxInt32:
+		return nil, fmt.Errorf("-graph clique -n %d has 2m = %.4g adjacency entries, above math.MaxInt32", n, pairs2)
+	case kind == "gnp" && p*pairs2 > math.MaxInt32:
+		return nil, fmt.Errorf("-graph gnp -n %d -p %v expects 2m = %.4g adjacency entries, above math.MaxInt32", n, p, p*pairs2)
 	case kind == "regular" && (d < 0 || d >= n):
 		return nil, fmt.Errorf("-d must be in [0, n) = [0, %d), got %d", n, d)
 	}

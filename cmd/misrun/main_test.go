@@ -23,7 +23,9 @@ import (
 // paths, instead of running under the default cap, a negative
 // -checkpoint-every, instead of writing only the exit snapshot, and each
 // graph flag out of its generator's range, with one line instead of a
-// panic's goroutine trace (which also exits 2).
+// panic's goroutine trace (which also exits 2). A clique or gnp whose
+// expected 2m passes math.MaxInt32 is out of range too, and is rejected
+// before anything is allocated.
 func TestNegativeWorkersRejected(t *testing.T) {
 	if args := os.Getenv("MISRUN_ARGS"); args != "" {
 		os.Args = append([]string{"misrun"}, strings.Fields(args)...)
@@ -48,6 +50,8 @@ func TestNegativeWorkersRejected(t *testing.T) {
 		{"-graph regular -n 10 -d -1", "-d must be in [0, n)"},
 		{"-graph regular -n 10 -d 10", "-d must be in [0, n)"},
 		{"-graph cycle -n 2", "-graph cycle needs -n >= 3"},
+		{"-graph clique -n 50000", "above math.MaxInt32"},
+		{"-graph gnp -n 1000000 -p 0.003", "above math.MaxInt32"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(os.Args[0], "-test.run", "TestNegativeWorkersRejected")

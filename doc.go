@@ -46,22 +46,33 @@
 // equivalence matrix (internal/async) pins simulator ≡ synchronous runtime
 // ≡ async-at-ρ=1 round-for-round over 20 seeds × 4 graph families.
 //
-// Layer 0 — internal/graph, the input. Every CSR graph is built by
-// graph.Builder.Build: the generators, graphio's edge-list and JSON
-// readers, FromEdges and the edits in edit.go all append edges to a
-// Builder (graph.Relabel, which permutes an existing CSR, is the one other
-// constructor). Build sorts and deduplicates the edge list unless
-// it is already strictly increasing, as every row-major generator (G(n,p),
-// complete graphs, ...) and every WriteEdgeList file emit it; the scatter
-// then fills every neighbour list in increasing order through one int32
-// cursor per vertex. Vertex ids are int32, so a graph has at most
-// math.MaxInt32 vertices and math.MaxInt32 adjacency entries (2m):
-// NewBuilder and Build panic beyond them, and graphio rejects a larger
-// vertex count at its header. Sparse G(n,p) walks the rows of the upper
-// triangle with geometric skips, O(n + m) with one logarithm per edge. The
-// certificate every run ends on, verify.MIS, costs O(n + Σ_{u∈I} deg u):
-// independence reads only the set's lists, and maximality marks coverage
-// from the set's side.
+// Layer 0 — internal/graph, the input. Every CSR graph is filled by one
+// function from its upper rows: row x holds x's neighbours above x in
+// increasing order (graph.Relabel, which permutes an existing CSR, is the
+// one other constructor). G(n,p), Chung-Lu and complete graphs write their
+// rows straight into it as they walk the upper triangle. Everything else —
+// the other generators, graphio's edge-list and JSON readers, FromEdges and
+// the edits in edit.go — appends edges to a graph.Builder, and Build turns
+// them into rows one of two ways: edges already strictly increasing, as
+// every row-major generator and every WriteEdgeList file emit them, are
+// read off as rows directly; any other order goes through a counting sort
+// by lower endpoint, then a sort and dedupe of each row. The fill counts
+// lower degrees in one sequential pass over the rows, then copies each row
+// behind its vertex's lower neighbours and writes the vertex into its upper
+// neighbours' lower halves, which therefore arrive in increasing order.
+// Above 2^18 vertices those scattered writes are cache-blocked: the
+// vertices go in blocks whose adjacency averages about 2^18 entries
+// (~1 MB), and a write into a later block waits in that block's bucket, so
+// each block fills while its part of the CSR sits in L2. Vertex ids are
+// int32, so a graph has at most math.MaxInt32 vertices and math.MaxInt32
+// adjacency entries (2m): the constructors panic beyond them (Complete
+// before it allocates, the row walks before a row start would wrap),
+// graphio rejects a larger vertex count at its header, and misrun rejects
+// a clique or G(n,p) whose expected 2m passes the bound. Sparse G(n,p)
+// walks the rows of the upper triangle with geometric skips, O(n + m) with
+// one logarithm per edge. The certificate every run ends on, verify.MIS,
+// costs O(n + Σ_{u∈I} deg u): independence reads only the set's lists, and
+// maximality marks coverage from the set's side.
 //
 // Layer 1 — internal/engine, one run. All three processes are thin rule
 // definitions — one kernel.Spec each (Layer 1a), plus the 3-color switch as

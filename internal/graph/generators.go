@@ -7,16 +7,21 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// Complete returns the complete graph K_n (Theorem 8's workload).
+// Complete returns the complete graph K_n (Theorem 8's workload). It
+// panics before allocating when K_n has more than math.MaxInt32/2 edges.
 func Complete(n int) *Graph {
-	b := NewBuilder(n)
-	b.reserve(n * (n - 1) / 2)
+	pairs := n * (n - 1) / 2
+	if pairs > maxEdges {
+		tooManyEdges()
+	}
+	start, hi := newRows(n, pairs)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v)
+			hi = append(hi, int32(v))
 		}
+		start[u+1] = int32(len(hi))
 	}
-	return b.Build()
+	return fill(start, hi)
 }
 
 // Empty returns the edgeless graph on n vertices.
@@ -157,7 +162,8 @@ func DisjointCliques(count, size int) *Graph {
 // Gnp returns an Erdős–Rényi random graph G(n,p): every pair is an edge
 // independently with probability p. For p below a density threshold the
 // generator uses geometric skipping and runs in O(n + m) time; above it, it
-// enumerates pairs.
+// enumerates pairs. Either way it walks the upper triangle row by row and
+// hands the rows to the CSR fill.
 func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 	switch {
 	case p < 0 || p > 1 || math.IsNaN(p):
@@ -167,9 +173,8 @@ func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 	case p == 1:
 		return Complete(n)
 	}
-	b := NewBuilder(n)
 	total := int64(n) * int64(n-1) / 2
-	b.reserve(expectedEdges(p, total))
+	start, hi := newRows(n, expectedEdges(p*float64(total), total))
 	if p <= 0.25 {
 		// Geometric skipping over the linearized strict upper triangle:
 		// pair index k is (u, u+1+k-rowStart) in the row of u, which
@@ -180,29 +185,34 @@ func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 		for k < total {
 			for k >= rowEnd {
 				u++
+				start[u] = int32(len(hi))
 				rowStart, rowEnd = rowEnd, rowEnd+int64(n-1-u)
 			}
-			b.AddEdge(u, u+1+int(k-rowStart))
+			hi = appendRow(hi, u+1+int(k-rowStart))
 			k += 1 + int64(rng.Geom(skip))
+		}
+		for x := u + 1; x <= n; x++ {
+			start[x] = int32(len(hi))
 		}
 	} else {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if rng.Bernoulli(p) {
-					b.AddEdge(u, v)
+					hi = appendRow(hi, v)
 				}
 			}
+			start[u+1] = int32(len(hi))
 		}
 	}
-	return b.Build()
+	return fill(start, hi)
 }
 
-// expectedEdges is the capacity to reserve for m ~ Binomial(pairs, p)
-// edges: the mean plus six standard deviations, at most pairs, so an edge
-// list outgrows it with negligible probability.
-func expectedEdges(p float64, pairs int64) int {
-	mean := p * float64(pairs)
-	return int(min(mean+6*math.Sqrt(mean)+16, float64(pairs)))
+// expectedEdges is the capacity to reserve for a sum of independent edge
+// coins over pairs pairs with the given mean: the mean plus six standard
+// deviations, at most pairs and at most maxEdges, so the rows outgrow it
+// with negligible probability.
+func expectedEdges(mean float64, pairs int64) int {
+	return int(min(mean+6*math.Sqrt(mean)+16, float64(pairs), maxEdges))
 }
 
 // GnpAvgDegree returns G(n, p) with p chosen so that the expected average
@@ -452,7 +462,9 @@ func ChungLu(n int, beta, avgDeg float64, rng *xrand.Rand) *Graph {
 		w[u] *= scale
 	}
 	totalW := avgDeg * float64(n)
-	b := NewBuilder(n)
+	// The expected edge count is below totalW/2, the sum over all pairs of
+	// w_u·w_v/totalW.
+	start, hi := newRows(n, expectedEdges(totalW/2, int64(n)*int64(n-1)/2))
 	// High-weight vertices come first; the weight sequence is decreasing, so
 	// for each u the per-pair probability p_uv = w_u·w_v/totalW decreases in
 	// v and geometric skipping with the max probability plus rejection keeps
@@ -464,26 +476,24 @@ func ChungLu(n int, beta, avgDeg float64, rng *xrand.Rand) *Graph {
 			for v := u + 1; v < n; v++ {
 				p := w[u] * w[v] / totalW
 				if p >= 1 || rng.Bernoulli(p) {
-					b.AddEdge(u, v)
+					hi = appendRow(hi, v)
 				}
 			}
-			continue
-		}
-		if pMax <= 0 {
-			continue
-		}
-		skip := xrand.NewGeom(pMax)
-		v := u + 1 + rng.Geom(skip)
-		for v < n {
-			// Accept with the true probability relative to the proposal.
-			p := w[u] * w[v] / totalW
-			if rng.Bernoulli(p / pMax) {
-				b.AddEdge(u, v)
+		} else if pMax > 0 {
+			skip := xrand.NewGeom(pMax)
+			v := u + 1 + rng.Geom(skip)
+			for v < n {
+				// Accept with the true probability relative to the proposal.
+				p := w[u] * w[v] / totalW
+				if rng.Bernoulli(p / pMax) {
+					hi = appendRow(hi, v)
+				}
+				v += 1 + rng.Geom(skip)
 			}
-			v += 1 + rng.Geom(skip)
 		}
+		start[u+1] = int32(len(hi))
 	}
-	return b.Build()
+	return fill(start, hi)
 }
 
 func minInt(a, b int) int {

@@ -75,6 +75,122 @@ func TestBuilderSortedAppendAfterBuild(t *testing.T) {
 	}
 }
 
+// Every constructor's CSR must equal the literal reference construction
+// entry for entry, maximum degree included: the row emitters against their
+// pair-list walks, and Build against the edges it was given. Cases sit on
+// both sides of fill's blocking threshold, with a partial last block above
+// it, on both G(n,p) branches, on Chung-Lu rows dense enough to enumerate,
+// at n = 0, 1 and 2 and with trailing isolated vertices.
+func TestFillMatchesReference(t *testing.T) {
+	above := blockedMinN + 3000
+	// Unsorted input with duplicates and reversed pairs over the first 90%
+	// of the vertices, so the last blocks hold only isolated vertices.
+	rng := xrand.New(9)
+	var unsorted [][2]int32
+	for len(unsorted) < 2*above {
+		u, v := rng.Intn(above*9/10), rng.Intn(above*9/10)
+		if u == v {
+			continue
+		}
+		unsorted = append(unsorted, [2]int32{int32(u), int32(v)})
+		if len(unsorted)%5 == 0 {
+			unsorted = append(unsorted, [2]int32{int32(v), int32(u)})
+		}
+	}
+	build := func(n int, edges [][2]int32) *Graph {
+		b := NewBuilder(n)
+		for _, e := range edges {
+			b.AddEdge(int(e[0]), int(e[1]))
+		}
+		return b.Build()
+	}
+	wantUnsorted := referenceGraph(above, unsorted)
+	var increasing [][2]int32
+	wantUnsorted.Edges(func(u, v int) { increasing = append(increasing, [2]int32{int32(u), int32(v)}) })
+	chungLu := func(n int, beta, avgDeg float64, seed uint64) *Graph {
+		edges, dense := referenceChungLuEdges(n, beta, avgDeg, xrand.New(seed))
+		if dense == 0 {
+			t.Fatalf("ChungLu(%d, %v, %v) has no dense row", n, beta, avgDeg)
+		}
+		return referenceGraph(n, edges)
+	}
+	gnp := func(n int, p float64, seed uint64) *Graph {
+		return referenceGraph(n, referenceGnpEdges(n, p, xrand.New(seed)))
+	}
+	allPairs := func(n int) [][2]int32 {
+		var out [][2]int32
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				out = append(out, [2]int32{int32(u), int32(v)})
+			}
+		}
+		return out
+	}
+
+	for _, c := range []struct {
+		name    string
+		blocked bool
+		got     func() *Graph
+		want    func() *Graph
+	}{
+		{"gnp above", true,
+			func() *Graph { return GnpAvgDegree(above, 4, xrand.New(1)) },
+			func() *Graph { return gnp(above, 4/float64(above-1), 1) }},
+		{"chung-lu above", true,
+			func() *Graph { return ChungLu(above, 3, 6, xrand.New(2)) },
+			func() *Graph { return chungLu(above, 3, 6, 2) }},
+		{"build unsorted above", true,
+			func() *Graph { return build(above, unsorted) },
+			func() *Graph { return wantUnsorted }},
+		{"build increasing above", true,
+			func() *Graph { return build(above, increasing) },
+			func() *Graph { return wantUnsorted }},
+		{"gnp p=0.25", false,
+			func() *Graph { return Gnp(700, 0.25, xrand.New(3)) },
+			func() *Graph { return gnp(700, 0.25, 3) }},
+		{"gnp p=0.3", false,
+			func() *Graph { return Gnp(700, 0.3, xrand.New(3)) },
+			func() *Graph { return gnp(700, 0.3, 3) }},
+		{"chung-lu below", false,
+			func() *Graph { return ChungLu(3000, 2.1, 20, xrand.New(4)) },
+			func() *Graph { return chungLu(3000, 2.1, 20, 4) }},
+		{"complete", false,
+			func() *Graph { return Complete(40) },
+			func() *Graph { return referenceGraph(40, allPairs(40)) }},
+		{"gnp n=0", false,
+			func() *Graph { return Gnp(0, 0.1, xrand.New(6)) },
+			func() *Graph { return gnp(0, 0.1, 6) }},
+		{"gnp n=1", false,
+			func() *Graph { return Gnp(1, 0.5, xrand.New(6)) },
+			func() *Graph { return gnp(1, 0.5, 6) }},
+		{"gnp n=2", false,
+			func() *Graph { return Gnp(2, 0.5, xrand.New(7)) },
+			func() *Graph { return gnp(2, 0.5, 7) }},
+		{"build trailing isolated", false,
+			func() *Graph { return build(10, [][2]int32{{3, 1}, {0, 1}, {1, 3}}) },
+			func() *Graph { return referenceGraph(10, [][2]int32{{0, 1}, {1, 3}}) }},
+		{"build increasing trailing isolated", false,
+			func() *Graph { return build(10, [][2]int32{{0, 1}, {1, 3}}) },
+			func() *Graph { return referenceGraph(10, [][2]int32{{0, 1}, {1, 3}}) }},
+	} {
+		got, want := c.got(), c.want()
+		shift := blockShift(got.N(), got.M())
+		if blocks := (got.N() + 1<<shift - 1) >> shift; c.blocked != (blocks > 1) || c.blocked && got.N()%(1<<shift) == 0 {
+			t.Fatalf("%s: %d blocks of 2^%d for n=%d; the case needs blocked=%v with a partial last block",
+				c.name, blocks, shift, got.N(), c.blocked)
+		}
+		if got.N() != want.N() || got.M() != want.M() || got.MaxDegree() != want.MaxDegree() {
+			t.Fatalf("%s: (n, m, maxdeg) = (%d, %d, %d), want (%d, %d, %d)", c.name,
+				got.N(), got.M(), got.MaxDegree(), want.N(), want.M(), want.MaxDegree())
+		}
+		for u := 0; u < got.N(); u++ {
+			if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+				t.Fatalf("%s: neighbours of %d = %v, want %v", c.name, u, got.Neighbors(u), want.Neighbors(u))
+			}
+		}
+	}
+}
+
 func TestBuilderPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"self-loop":    func() { NewBuilder(3).AddEdge(1, 1) },
@@ -82,6 +198,9 @@ func TestBuilderPanics(t *testing.T) {
 		"negative":     func() { NewBuilder(3).AddEdge(-1, 0) },
 		"negative-n":   func() { NewBuilder(-1) },
 		"huge-n":       func() { NewBuilder(math.MaxInt32 + 1) },
+		// 2m = 70000·69999 > math.MaxInt32: Complete panics before it
+		// reserves the ~10 GB of rows.
+		"huge-complete": func() { Complete(70000) },
 	} {
 		func() {
 			defer func() {

@@ -1,10 +1,107 @@
 package graph
 
-// Exact structural references the generator and metric tests compare
-// against: BFS distances, connected components, the exact diameter (the
+import (
+	"math"
+	"slices"
+
+	"ssmis/internal/xrand"
+)
+
+// Exact references the construction, generator and metric tests compare
+// against: the literal CSR of an edge list and the G(n,p) and Chung-Lu
+// edge walks as plain pair lists (the references for fill and the row
+// emitters), BFS distances, connected components, the exact diameter (the
 // reference for DiameterAtMostTwo) and the degeneracy (the bound
 // BoundedDegeneracyRandom promises). No program needs them, so they live
 // with the tests.
+
+// referenceGraph is the CSR of an edge list built the literal way: every
+// vertex collects its neighbours in a slice of its own, each slice is
+// sorted and deduplicated, and the slices are concatenated.
+func referenceGraph(n int, edges [][2]int32) *Graph {
+	nbrs := make([][]int32, n)
+	for _, e := range edges {
+		nbrs[e[0]] = append(nbrs[e[0]], e[1])
+		nbrs[e[1]] = append(nbrs[e[1]], e[0])
+	}
+	g := &Graph{offsets: make([]int, n+1), adj: make([]int32, 0, 2*len(edges))}
+	for u, l := range nbrs {
+		slices.Sort(l)
+		l = slices.Compact(l)
+		g.adj = append(g.adj, l...)
+		g.offsets[u+1] = len(g.adj)
+		g.maxDeg = max(g.maxDeg, len(l))
+	}
+	return g
+}
+
+// referenceGnpEdges draws G(n,p) for 0 < p < 1 with Gnp's walk and coins,
+// emitting every edge as a pair.
+func referenceGnpEdges(n int, p float64, rng *xrand.Rand) [][2]int32 {
+	var edges [][2]int32
+	total := int64(n) * int64(n-1) / 2
+	if p <= 0.25 {
+		skip := xrand.NewGeom(p)
+		u, rowStart, rowEnd := 0, int64(0), int64(n-1)
+		for k := int64(rng.Geom(skip)); k < total; k += 1 + int64(rng.Geom(skip)) {
+			for k >= rowEnd {
+				u++
+				rowStart, rowEnd = rowEnd, rowEnd+int64(n-1-u)
+			}
+			edges = append(edges, [2]int32{int32(u), int32(u + 1 + int(k-rowStart))})
+		}
+		return edges
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Bernoulli(p) {
+				edges = append(edges, [2]int32{int32(u), int32(v)})
+			}
+		}
+	}
+	return edges
+}
+
+// referenceChungLuEdges draws ChungLu(n, beta, avgDeg) for n, avgDeg > 0
+// with its weights, walk and coins, emitting every edge as a pair. It also
+// returns how many rows were dense (pMax ≥ 1) and enumerated.
+func referenceChungLuEdges(n int, beta, avgDeg float64, rng *xrand.Rand) (edges [][2]int32, dense int) {
+	w := make([]float64, n)
+	sum := 0.0
+	exp := -1.0 / (beta - 1)
+	for u := 0; u < n; u++ {
+		w[u] = math.Pow(float64(u+1), exp)
+		sum += w[u]
+	}
+	scale := avgDeg * float64(n) / sum
+	for u := range w {
+		w[u] *= scale
+	}
+	totalW := avgDeg * float64(n)
+	for u := 0; u < n; u++ {
+		pMax := w[u] * w[u+min(1, n-1-u)] / totalW
+		if pMax >= 1 {
+			dense++
+			for v := u + 1; v < n; v++ {
+				p := w[u] * w[v] / totalW
+				if p >= 1 || rng.Bernoulli(p) {
+					edges = append(edges, [2]int32{int32(u), int32(v)})
+				}
+			}
+			continue
+		}
+		if pMax <= 0 {
+			continue
+		}
+		skip := xrand.NewGeom(pMax)
+		for v := u + 1 + rng.Geom(skip); v < n; v += 1 + rng.Geom(skip) {
+			if rng.Bernoulli(w[u] * w[v] / totalW / pMax) {
+				edges = append(edges, [2]int32{int32(u), int32(v)})
+			}
+		}
+	}
+	return edges, dense
+}
 
 // BFS returns the distance from src to every vertex (-1 if unreachable).
 func (g *Graph) BFS(src int) []int {

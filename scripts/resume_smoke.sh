@@ -17,15 +17,21 @@ trap 'rm -rf "$WORK"' EXIT
 "$BIN" -run all -scale 0.05 -workers 8 -out "$WORK/ref8" > /dev/null
 diff -r "$WORK/ref1" "$WORK/ref8"
 
-# Checkpointing run, SIGKILLed mid-grid. Frequent checkpoints + an early
-# kill make a mid-grid cut overwhelmingly likely; if the machine is fast
-# enough that the sweep finishes first, the resume still validates the
+# Checkpointing run, SIGKILLed mid-grid: the kill lands as soon as the
+# first periodic checkpoint exists (the file appears by rename, so it is
+# whole), about 100 ms into a sweep that takes most of a second. The wait
+# is bounded; if the sweep finishes first, the resume still validates the
 # full-replay path (warned below so the log shows which case ran).
 "$BIN" -run all -scale 0.05 -workers 8 \
-  -checkpoint "$WORK/sweep.ckpt" -checkpoint-every 300ms \
+  -checkpoint "$WORK/sweep.ckpt" -checkpoint-every 100ms \
   -out "$WORK/killed" > /dev/null 2>&1 &
 PID=$!
-sleep 1.5
+for _ in $(seq 500); do
+  if [ -f "$WORK/sweep.ckpt" ] || ! kill -0 "$PID" 2>/dev/null; then
+    break
+  fi
+  sleep 0.01
+done
 if kill -9 "$PID" 2>/dev/null; then
   echo "SIGKILLed checkpointing sweep mid-grid (pid $PID)"
 else
