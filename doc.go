@@ -137,10 +137,11 @@
 // dirty frontier itself is tracked per lane word, not per vertex — the refresh re-derives
 // whole words anyway, and the word-index set is 64x smaller (2KB at
 // n=10^6), so the commit's random neighbor marking stays cache-resident. The 3-color switch participates
-// through the gate lane (engine.SubProcess): after every MidRound — and at
-// Rebuild — the engine asks it to re-export one bit per vertex (its
-// phase-clock switch values, σ_{t-1} by construction), and evaluation
-// routes non-active worklist vertices through the spec's
+// through the gate lane (engine.SubProcess), one bit per vertex holding its
+// phase-clock switch value, σ_{t-1} by construction: every MidRound
+// re-packs the bits of the vertices whose level moved, Rebuild exports the
+// lane whole, and evaluation routes non-active worklist vertices through
+// the spec's
 // ForcedOn/ForcedOff transition selected by their gate bit. The gate
 // affects only forced outcomes, never membership, so the frontier logic is
 // untouched. Daemon steps move one selected vertex at a time through
@@ -179,34 +180,39 @@
 //
 // Layer 1c — the phase clock (internal/phaseclock). The 3-color rule's
 // logarithmic switch runs as its mid-round sub-process on a
-// phaseclock.Clock, as do the standalone switch (E8) and the restart
+// phaseclock.Clock, as do the standalone switches (E8, E13) and the restart
 // baseline (E10, E17). Read literally, the RandPhase rule gathers the
 // maximum level over every neighbour of every vertex below the top level
-// D+2, every round: O(n·Δ) per round. On the dense G(n,p) of E7 and E13 that
-// was two thirds of the CPU time of a one-worker quick sweep (missweep -run
-// all -scale 0.25). The clock instead keeps, per vertex, the number of
-// neighbours at the top. Only two moves change who is at the top, 0 → top
-// and the ζ-coin's top → top−1, so each round records those vertices and,
-// once every vertex has read the round's counts, adjusts the counts of their
-// neighbours. A vertex that leaves the top, or sits below it with a top
-// neighbour, moves to top−1 without reading anything; a vertex at top−1 with
-// no top neighbour moves to top−2; any other vertex gathers and stops at the
-// first neighbour at top−1, the largest level it can find there. A round
-// therefore costs one pass over the levels with a ζ-coin per top vertex,
-// plus Σ deg over the round's entering and leaving vertices, plus the
-// remaining gathers, which are long only in the few descent rounds of each
-// cycle. On G(1024, 0.25) that is about 1.7 neighbour reads and 0.5 count
-// updates per vertex-round instead of 224 reads, and the one-worker quick
-// sweep fell from 23.7 s to 8.6 s, the clock's share from 66% to 19% (2-vCPU
-// Intel Xeon, Go 1.24). Sparse graphs gain little (G(10^5) at average degree
-// 10: 8.3 reads instead of 9.9), because most of their vertex-rounds still
-// gather. The counts are derived state: New, RandomizeLevels and Rebind
-// rebuild them in O(n+m), SetLevel (corruption, checkpoint restore) adjusts
-// them in O(deg), a RunContext leases them with the level arrays, and
-// snapshots store levels only. On a complete graph one global maximum per
-// round serves every vertex and no counts are kept. Levels, coin order and
-// bit accounting are those of the literal rule; the package's oracle test
-// checks that every round.
+// D+2, every round: O(n·Δ) per round. The clock keeps, per vertex, the
+// number of neighbours at the top, plus the set of top vertices and a dirty
+// frontier. A vertex strictly between level 0 and the top keeps its level
+// when nothing in its closed neighbourhood changed, so a round evaluates
+// only the top vertices, which draw their ζ-coins, and the frontier: the
+// vertices that moved last round, each neighbour whose top count crossed
+// zero, and, around every other move, each neighbour with no top neighbour
+// whose maximum the move can change. A frontier vertex with a top neighbour
+// moves to top−1 without reading anything; any other gathers and stops at
+// the first neighbour at top−1. When one round's moves would mark more than
+// about n neighbour entries, as in the synchronized descents of a dense
+// graph, the next round is one full pass. Over 1,000 rounds of a D=3 clock
+// from random levels, a round on sparse G(10^5, avg 10) evaluates 6.5% of
+// the vertices, two thirds of them at the top, and 0.55% move; the
+// standalone clock there fell from 3.1 s to 0.26–0.29 s per 1,000 rounds,
+// and a 3-color run on the same graph (BenchmarkEngineKernel3ColorGnp100k)
+// from 4.2 s to 0.51 s. The dense, diameter-2 G(512, 0.5) evaluates 18% of
+// its vertices per round, nearly all at the top, and fell from 1.9 ms to
+// 1.2 ms per 1,000 rounds (2-vCPU Intel Xeon, Go 1.24). The switch then
+// re-packs only the gate-lane bits of the vertices whose level moved. The
+// counts and sets are derived state: New, RandomizeLevels and Rebind
+// rebuild them in O(n+m) and make the next round a full pass, SetLevel
+// (corruption, checkpoint restore) adjusts them and puts the vertex and
+// its neighbours on the frontier in O(deg), a RunContext leases them with
+// the levels, and snapshots store levels only. On a complete graph one
+// global maximum per round serves every vertex, the levels update in
+// place, and no counts or sets are kept. Levels, coin order and bit
+// accounting are those of the literal rule. The package's oracle test
+// checks that every round, with the counts, the top set, and that every
+// vertex off the frontier is a fixed point of the rule.
 //
 // Layer 2 — internal/batch, many runs, and the module's only parallelism:
 // each pool worker owns one run at a time. Every multi-run workload

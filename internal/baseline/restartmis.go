@@ -38,6 +38,7 @@ type RestartMIS struct {
 	g        *graph.Graph
 	clock    *phaseclock.Clock
 	state    []misPhase
+	next     []misPhase // the decision phase's output, swapped with state
 	rngs     []*xrand.Rand
 	beepProb float64
 	round    int
@@ -60,6 +61,7 @@ func NewRestartMIS(g *graph.Graph, d int, zetaK uint, seed uint64) *RestartMIS {
 		g:         g,
 		clock:     phaseclock.New(g, phaseclock.WithD(d), phaseclock.WithZetaLog2(zetaK)),
 		state:     make([]misPhase, n),
+		next:      make([]misPhase, n),
 		rngs:      make([]*xrand.Rand, n),
 		beepProb:  1.0 / float64(g.MaxDegree()+1),
 		prevLevel: make([]uint8, n),
@@ -97,7 +99,7 @@ func (r *RestartMIS) Step() {
 		r.beeped[u] = r.state[u] == phaseUndecided && r.rngs[u].Bernoulli(r.beepProb)
 	}
 	// Decision phase against the snapshot.
-	next := make([]misPhase, n)
+	next := r.next
 	for u := 0; u < n; u++ {
 		next[u] = r.state[u]
 		switch r.state[u] {
@@ -123,7 +125,7 @@ func (r *RestartMIS) Step() {
 			// non-self-stabilizing part the clock compensates for.
 		}
 	}
-	copy(r.state, next)
+	r.state, r.next = next, r.state
 
 	// Clock advances; a 0→top wrap restarts the vertex's computation.
 	r.clock.Step(r.rngs)

@@ -38,6 +38,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ssmis/internal/bitset"
 	"ssmis/internal/engine/kernel"
@@ -59,17 +60,20 @@ const (
 )
 
 // SubProcess is a synchronous sub-process run inside every round (the
-// 3-color process's logarithmic switch). MidRound is invoked exactly once
-// per synchronous round, after every touched vertex has drawn its coins
-// against the pre-round state and before the commit. ExportGate packs the
-// per-vertex gate bits (the 3-color switch values σ_t) into dst, one bit per
-// vertex, 64 per word, leaving bits beyond the universe zero; the engine
-// calls it after every MidRound and at Rebuild, so evaluation always reads
-// the previous round's values through the program's gate lane. The gate
-// only selects forced-transition outcomes — never membership — so the
-// frontier logic is untouched.
+// 3-color process's logarithmic switch). Its gate bits (the 3-color switch
+// values σ_t) live in the program's gate lane, one bit per vertex, 64 per
+// word, with bits beyond the universe zero. MidRound is invoked exactly
+// once per synchronous round, after every touched vertex has drawn its
+// coins against the pre-round state and before the commit; it advances the
+// sub-process and brings gate, which holds the gate bits of the round
+// before, up to date, re-packing only the bits that changed. ExportGate is
+// the full export: it packs every gate bit into dst, and the engine calls
+// it at Rebuild (CheckIntegrity compares the lane against it). Evaluation
+// therefore always reads the previous round's values through the gate
+// lane. The gate only selects forced-transition outcomes — never
+// membership — so the frontier logic is untouched.
 type SubProcess interface {
-	MidRound()
+	MidRound(gate []uint64)
 	ExportGate(dst []uint64)
 }
 
@@ -333,20 +337,11 @@ func (e *Core) Step() {
 	e.syncScratch()
 }
 
-// midRound runs the sub-process's round, if any, and re-exports its gate.
+// midRound runs the sub-process's round, if any, which updates the gate
+// lane in place.
 func (e *Core) midRound() {
 	if e.sub != nil {
-		e.sub.MidRound()
-		e.exportGate()
-	}
-}
-
-// exportGate re-fills the gate lane from the sub-process; called after every
-// MidRound and during Rebuild so EvalWords always reads σ of the last
-// completed round.
-func (e *Core) exportGate() {
-	if e.sub != nil {
-		e.sub.ExportGate(e.kern.GateWords())
+		e.sub.MidRound(e.kern.GateWords())
 	}
 }
 
@@ -396,15 +391,18 @@ func (e *Core) Rebuild() {
 	for i := range e.coveredAt {
 		e.coveredAt[i] = -1
 	}
-	// Bulk-load the lanes from the rebuilt state and counters (and the gate
-	// from the sub-process), then derive every membership a word at a time.
+	// Bulk-load the lanes from the rebuilt state and counters (and the whole
+	// gate from the sub-process, which every MidRound then keeps current),
+	// then derive every membership a word at a time.
 	e.kern.LoadState(e.state)
 	if e.complete {
 		e.kern.FillHBNComplete(e.totalA, e.totalB)
 	} else {
 		e.settleHBN()
 	}
-	e.exportGate()
+	if e.sub != nil {
+		e.sub.ExportGate(e.kern.GateWords())
+	}
 	for wi := 0; wi < e.kern.Words(); wi++ {
 		e.refreshWord(wi)
 	}
@@ -554,6 +552,18 @@ func (e *Core) CheckIntegrity() error {
 	}
 	if covered != e.coveredCnt {
 		return fmt.Errorf("round %d: coveredCnt = %d, stamps say %d", e.round, e.coveredCnt, covered)
+	}
+	if e.sub != nil {
+		gate := e.kern.GateWords()
+		want := make([]uint64, len(gate))
+		e.sub.ExportGate(want)
+		for wi, w := range want {
+			if d := w ^ gate[wi]; d != 0 {
+				b := bits.TrailingZeros64(d)
+				return fmt.Errorf("round %d: gate bit of %d = %d, full export %d",
+					e.round, wi*64+b, gate[wi]>>b&1, w>>b&1)
+			}
+		}
 	}
 	return nil
 }

@@ -173,9 +173,10 @@ func (l *Lanes) HBNWords() (hbnA, hbnB []uint64) { return l.hbnA, l.hbnB }
 // the guard).
 func (l *Lanes) StateWords() (lo, hi []uint64) { return l.lo, l.hi }
 
-// GateWords exposes the gate lane for the rule's mid-round export
-// (engine.SubProcess.ExportGate fills it wholesale). Bits beyond the
-// universe must stay zero; nil when the lane is not engaged.
+// GateWords exposes the gate lane to the rule's sub-process
+// (engine.SubProcess.MidRound updates it in place, ExportGate fills it
+// wholesale). Bits beyond the universe must stay zero; nil when the lane
+// is not engaged.
 func (l *Lanes) GateWords() []uint64 {
 	if !l.prog.spec.UseGate {
 		return nil

@@ -24,9 +24,9 @@ package engine
 //     whole dirty word is idempotent for its non-dirty vertices, whose
 //     derived bits cannot have changed;
 //   - a rule with a mid-round sub-process (the 3-color switch) participates
-//     through SubProcess: its per-vertex gate bits are re-exported into the
-//     gate lane after every MidRound (and at Rebuild), so evaluation reads
-//     σ_{t-1} exactly as Definition 28 does.
+//     through SubProcess: MidRound updates the gate lane in place, and
+//     Rebuild exports it whole, so evaluation reads σ_{t-1} exactly as
+//     Definition 28 does.
 //
 // Daemon steps (daemon.go) move a handful of vertices through the same
 // commit and refresh; only their evaluation is per vertex, through the

@@ -44,11 +44,13 @@ type RunContext struct {
 	rands []xrand.Rand
 	rngs  []*xrand.Rand
 
-	// clockA/clockB back a rule's phase-clock level arrays (the 3-color
-	// switch), clockTop its top-neighbour counts and clockFlips its
-	// per-round scratch, all leased through ClockBufs.
-	clockA, clockB       []uint8
-	clockTop, clockFlips []int32
+	// clockLevels backs a rule's phase-clock levels (the 3-color switch),
+	// clockNbrs its top-neighbour counts, clockTop and clockFront its top
+	// and frontier sets and clockMoves its per-round scratch, all leased
+	// through ClockBufs.
+	clockLevels                      []uint8
+	clockNbrs                        []int32
+	clockTop, clockFront, clockMoves []uint64
 }
 
 // CachedOrdering reports (nil, true) for every graph: processes always run
@@ -116,19 +118,30 @@ func growU8(buf []uint8, n int) []uint8 {
 	return buf
 }
 
-// ClockBufs leases the context's phase-clock arrays — current and next
-// levels and the top-neighbour counts, zeroed, length n, plus the
-// per-round flip scratch, empty with capacity n. The 3-color process hands
-// them to its switch via phaseclock.WithBuffers, closing that rule's last
-// per-run O(n) allocation.
-func (c *RunContext) ClockBufs(n int) (levels, next []uint8, topNbrs, flips []int32) {
-	c.clockA = growU8(c.clockA, n)
-	c.clockB = growU8(c.clockB, n)
-	c.clockTop = growI32(c.clockTop, n)
-	if cap(c.clockFlips) < n {
-		c.clockFlips = make([]int32, 0, n)
+// ClockBufs leases the context's phase-clock arrays: the levels and the
+// top-neighbour counts, length n; the top and frontier sets, ⌈n/64⌉ words
+// each; and the per-round move scratch, empty with capacity n. They come
+// back as the previous lease left them, because phaseclock.New overwrites
+// them. The 3-color process hands them to its switch via
+// phaseclock.WithBuffers, closing that rule's last per-run O(n)
+// allocation.
+func (c *RunContext) ClockBufs(n int) (levels []uint8, topNbrs []int32, top, front, moves []uint64) {
+	words := (n + 63) / 64
+	c.clockLevels = reshape(c.clockLevels, n)
+	c.clockNbrs = reshape(c.clockNbrs, n)
+	c.clockTop = reshape(c.clockTop, words)
+	c.clockFront = reshape(c.clockFront, words)
+	c.clockMoves = reshape(c.clockMoves, n)
+	return c.clockLevels, c.clockNbrs, c.clockTop, c.clockFront, c.clockMoves[:0]
+}
+
+// reshape returns buf at length n, reusing its capacity when it suffices;
+// the contents are unspecified.
+func reshape[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return c.clockA, c.clockB, c.clockTop, c.clockFlips[:0]
+	return buf[:n]
 }
 
 // BoolBuf leases the context's per-vertex mask buffer, zeroed, length n

@@ -16,6 +16,7 @@ package mis
 // its order. 2-state states are stored as 0 = white / 1 = black.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -32,16 +33,10 @@ import (
 // envelope; DecodeCheckpoint validates and unwraps.
 type Checkpoint = snapshot.Process
 
-// newRestoredClock rebuilds the 3-color switch on g from checkpointed
-// levels.
-func newRestoredClock(g *graph.Graph, c *Checkpoint) *phaseclock.Clock {
-	cl := phaseclock.New(g, phaseclock.WithZetaLog2(c.ZetaLog2))
-	for u, l := range c.Levels {
-		cl.SetLevel(u, l)
-	}
-	cl.SetRandomBits(c.ClockBits)
-	return cl
-}
+// ErrStateValue marks an intact checkpoint whose per-vertex state (a
+// 3-state value, a color or a switch level) lies outside its process's
+// state space; test with errors.Is.
+var ErrStateValue = errors.New("mis: checkpoint state value out of range")
 
 // DecodeCheckpoint parses an encoded checkpoint, rejecting damaged or
 // version-skewed data.
@@ -188,7 +183,7 @@ func RestoreThreeState(g *graph.Graph, c *Checkpoint, opts ...Option) (*ThreeSta
 		switch TriState(s) {
 		case TriWhite, TriBlack0, TriBlack1:
 		default:
-			return nil, fmt.Errorf("mis: invalid 3-state value %d at vertex %d", s, u)
+			return nil, fmt.Errorf("%w: 3-state value %d at vertex %d", ErrStateValue, s, u)
 		}
 	}
 	core, schedRng, err := restoreCore(g, threeStateProg, nil, slices.Clone(c.States), rngs, o, false, c)
@@ -237,14 +232,22 @@ func RestoreThreeColor(g *graph.Graph, c *Checkpoint, opts ...Option) (*ThreeCol
 	if o.switchZetaLog2 == 0 || o.switchZetaLog2 > 64 {
 		return nil, fmt.Errorf("mis: checkpoint switch parameter k = %d outside [1, 64]", c.ZetaLog2)
 	}
+	// The switch is rebuilt from the checkpointed levels.
+	clock := phaseclock.New(g, phaseclock.WithZetaLog2(c.ZetaLog2))
 	for u, s := range c.States {
 		switch Color(s) {
 		case ColorWhite, ColorBlack, ColorGray:
 		default:
-			return nil, fmt.Errorf("mis: invalid color value %d at vertex %d", s, u)
+			return nil, fmt.Errorf("%w: color %d at vertex %d", ErrStateValue, s, u)
 		}
+		if l := c.Levels[u]; l > clock.Top() {
+			return nil, fmt.Errorf("%w: switch level %d at vertex %d above the top level %d",
+				ErrStateValue, l, u, clock.Top())
+		}
+		clock.SetLevel(u, c.Levels[u])
 	}
-	sw := &logSwitch{clock: newRestoredClock(g, c), rngs: rngs}
+	clock.SetRandomBits(c.ClockBits)
+	sw := &logSwitch{clock: clock, rngs: rngs}
 	core, _, err := restoreCore(g, threeColorProg, sw, slices.Clone(c.States), rngs, o, false, c)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -150,8 +151,33 @@ func TestCheckpointValidation(t *testing.T) {
 	p3 := NewThreeState(g, WithSeed(1))
 	cp3, _ := p3.Checkpoint()
 	cp3.States[0] = 99
-	if _, err := RestoreThreeState(g, cp3); err == nil {
-		t.Fatal("invalid state value accepted")
+	if _, err := RestoreThreeState(g, cp3); !errors.Is(err, ErrStateValue) {
+		t.Fatalf("invalid state value: %v, want ErrStateValue", err)
+	}
+}
+
+// A 3-color checkpoint whose color or switch level lies outside the
+// process's state space is rejected with the typed error, not a panic in
+// the switch (misrun -resume reads such files).
+func TestThreeColorCheckpointRejectsOutOfRange(t *testing.T) {
+	g := graph.Path(6)
+	p := NewThreeColor(g, WithSeed(3))
+	p.Step()
+	for _, tc := range []struct {
+		name   string
+		damage func(cp *Checkpoint)
+	}{
+		{"color", func(cp *Checkpoint) { cp.States[2] = 7 }},
+		{"switch level", func(cp *Checkpoint) { cp.Levels[4] = 9 }},
+	} {
+		cp, err := p.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.damage(cp)
+		if _, err := RestoreThreeColor(g, cp); !errors.Is(err, ErrStateValue) {
+			t.Fatalf("%s: restore returned %v, want ErrStateValue", tc.name, err)
+		}
 	}
 }
 

@@ -89,11 +89,15 @@ type logSwitch struct {
 }
 
 // MidRound advances the switch one synchronous round, after the color coins
-// and before the commit (engine.SubProcess).
-func (s *logSwitch) MidRound() { s.clock.Step(s.rngs) }
+// and before the commit, and re-packs the gate-lane bits of the vertices
+// whose level moved (engine.SubProcess), so evaluation reads σ_{t-1}.
+func (s *logSwitch) MidRound(gate []uint64) {
+	s.clock.Step(s.rngs)
+	s.clock.RepackOn(gate)
+}
 
-// ExportGate packs the per-vertex switch values into the program's gate
-// lane (engine.SubProcess), so evaluation reads σ_{t-1}.
+// ExportGate packs every per-vertex switch value into the program's gate
+// lane (engine.SubProcess).
 func (s *logSwitch) ExportGate(dst []uint64) { s.clock.ExportOn(dst) }
 
 // ThreeColor is the paper's 3-color MIS process (Definition 28) with the
@@ -133,8 +137,9 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 		}
 	}
 	// D=3, on iff level ≤ 2; ζ = 2^-switchZetaLog2 (paper: 2^-7). A run
-	// context leases the clock's level, count and scratch arrays too, so a
-	// context-backed 3-color run makes no per-run O(n) allocation at all.
+	// context leases the clock's levels, counts, top and frontier sets and
+	// move scratch too, so a context-backed 3-color run makes no per-run
+	// O(n) allocation at all.
 	var clock *phaseclock.Clock
 	if o.ctx != nil {
 		clock = phaseclock.New(g, phaseclock.WithZetaLog2(o.switchZetaLog2),

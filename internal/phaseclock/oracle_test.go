@@ -54,23 +54,48 @@ func streams(n int, seed uint64) []*xrand.Rand {
 	return rngs
 }
 
-// checkCounts compares the clock's top-neighbour counts with a recount
-// from its levels; complete graphs keep no counts.
+// checkCounts compares the clock's derived state with a recount from its
+// levels: the top-neighbour counts, the top set and its size, and the
+// frontier, off which every vertex must be strictly between level 0 and
+// the top and a fixed point of the literal rule. Complete graphs keep no
+// counts or sets.
 func checkCounts(c *Clock) error {
 	if c.completeG {
 		return nil
 	}
 	top := c.Top()
-	for u := range c.levels {
+	topCnt := 0
+	for u, l := range c.levels {
 		var want int32
+		m := l
 		for _, v := range c.g.Neighbors(u) {
 			if c.levels[v] == top {
 				want++
 			}
+			m = max(m, c.levels[v])
 		}
 		if c.topNbrs[u] != want {
 			return fmt.Errorf("vertex %d has %d top neighbours, counted %d", u, want, c.topNbrs[u])
 		}
+		inTop := c.top[u/64]>>(u%64)&1 == 1
+		if inTop != (l == top) {
+			return fmt.Errorf("vertex %d at level %d: top-set membership %v", u, l, inTop)
+		}
+		if inTop {
+			topCnt++
+		}
+		if inTop || c.front[u/64]>>(u%64)&1 == 1 {
+			continue
+		}
+		if l == 0 {
+			return fmt.Errorf("vertex %d at level 0 is off the frontier", u)
+		}
+		if m-1 != l {
+			return fmt.Errorf("vertex %d at level %d is off the frontier, but the rule moves it to %d", u, l, m-1)
+		}
+	}
+	if topCnt != c.topCnt {
+		return fmt.Errorf("top count %d, recounted %d", c.topCnt, topCnt)
 	}
 	return nil
 }
@@ -116,12 +141,19 @@ func lockstep(g, alt *graph.Graph, d int, k uint, variant, rounds int) error {
 	seed := uint64(100*d) + uint64(k) + uint64(variant)
 	opts := []Option{WithD(d), WithZetaLog2(k)}
 	if variant == 1 {
-		levels, next := make([]uint8, n), make([]uint8, n)
-		topNbrs, flips := make([]int32, n), make([]int32, n/2, n)
+		words := (n + 63) / 64
+		levels, topNbrs := make([]uint8, n), make([]int32, n)
+		top, front, moves := make([]uint64, words), make([]uint64, words), make([]uint64, n/2, n)
 		for u := 0; u < n; u++ {
-			levels[u], next[u], topNbrs[u] = 3, 4, 7
+			levels[u], topNbrs[u] = 3, 7
 		}
-		opts = append(opts, WithBuffers(levels, next, topNbrs, flips))
+		for wi := 0; wi < words; wi++ {
+			top[wi], front[wi] = ^uint64(0), 0x5555555555555555
+		}
+		for i := range moves {
+			moves[i] = uint64(i)<<16 | 3<<8 | 4
+		}
+		opts = append(opts, WithBuffers(levels, topNbrs, top, front, moves))
 	}
 	c := New(g, opts...)
 	if variant == 0 {
